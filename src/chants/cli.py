@@ -259,6 +259,8 @@ def cmd_fewshot(args) -> int:
     for fraction in args.fractions:
         if not 0.0 < fraction <= 1.0:
             raise ConfigError(f"fraction {fraction} outside (0, 1]")
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     params, cfg, train, test = _probe_setup(args)
     rows = fewshot_sweep(train, test, params, cfg, args.fractions, repeats=args.repeats)
     out_dir = Path(args.out_dir)

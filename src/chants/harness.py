@@ -258,6 +258,16 @@ def pretrain(
 
             combined = combined_loss(ntp_part, cs_part, eff_weights)
             value = combined.item()
+            record = {
+                "epoch": epoch,
+                "step": step,
+                "ntp_loss": ntp_part.item(),
+                "cs_loss": cs_part.item(),
+                "combined": value,
+            }
+            # no graph outlives its step: backward frees it, and only
+            # `combined` refers to it from here on
+            del ntp_part, cs_part
             if not math.isfinite(value):
                 _write_log(out_dir, log)
                 raise FloatingPointError(
@@ -265,20 +275,13 @@ def pretrain(
                     "last-good checkpoints retained"
                 )
             combined.backward()
+            del combined
             grads = {k: t.grad for k, t in trainables.items() if t.grad is not None}
             new_values, state = adam_step({k: t.data for k, t in trainables.items()}, grads, state)
             for k, t in trainables.items():
                 t.data = new_values[k]
 
-            log.append(
-                {
-                    "epoch": epoch,
-                    "step": step,
-                    "ntp_loss": float(ntp_part.item()),
-                    "cs_loss": float(cs_part.item()),
-                    "combined": value,
-                }
-            )
+            log.append(record)
             epoch_losses.append(value)
             step += 1
 
@@ -346,14 +349,14 @@ def train_linear_head(
             idx = order[start : start + batch_size]
             w.zero_grad()
             b.zero_grad()
-            logits = add(matmul(constant(features[idx]), w), b)
-            loss = cross_entropy(logits, labels[idx])
+            loss = cross_entropy(add(matmul(constant(features[idx]), w), b), labels[idx])
+            losses.append(loss.item())
             loss.backward()
+            del loss
             new_values, state = adam_step(
                 {"w": w.data, "b": b.data}, {"w": w.grad, "b": b.grad}, state
             )
             w.data, b.data = new_values["w"], new_values["b"]
-            losses.append(loss.item())
         epoch_mean = float(np.mean(losses))
         if epoch_mean < best - 1e-12:
             best, stale = epoch_mean, 0
@@ -438,15 +441,16 @@ def supervised_baseline(
         for batch in batches(ds_train, cfg.probe_batch, shuffle=True, seed=cfg.seed, epoch=epoch):
             for t in trainables.values():
                 t.zero_grad()
-            rep = encoder.encode_batch(batch.x, rng=rng_drop, train=True)
-            logits = add(matmul(rep.flat, head_w), head_b)
-            loss = cross_entropy(logits, batch.labels)
+            flat = encoder.encode_batch(batch.x, rng=rng_drop, train=True).flat
+            loss = cross_entropy(add(matmul(flat, head_w), head_b), batch.labels)
+            del flat
+            losses.append(loss.item())
             loss.backward()
+            del loss
             grads = {n: t.grad for n, t in trainables.items() if t.grad is not None}
             new_values, state = adam_step({n: t.data for n, t in trainables.items()}, grads, state)
             for n, t in trainables.items():
                 t.data = new_values[n]
-            losses.append(loss.item())
         epoch_mean = float(np.mean(losses))
         logger.info("supervised epoch %d: loss %.6f", epoch, epoch_mean)
         if epoch_mean < best - 1e-12:
@@ -485,6 +489,8 @@ def fewshot_sweep(
     fractions = list(fractions)
     if not fractions:
         raise ConfigError("fewshot_sweep needs at least one fraction")
+    if repeats < 1:
+        raise ConfigError(f"fewshot_sweep needs repeats >= 1, got {repeats}")
     for f in fractions:
         if not 0.0 < f <= 1.0:
             raise ConfigError(f"fraction {f} outside (0, 1]")

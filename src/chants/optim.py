@@ -57,7 +57,8 @@ def adam_step(
     """One bias-corrected Adam update.
 
     Returns fresh parameter and state dicts. A missing gradient counts as
-    zero; a NaN gradient aborts with the offending parameter named.
+    zero; a NaN or infinite gradient aborts with the offending parameter
+    named.
     """
     t = state.step_count + 1
     b1, b2 = state.beta1, state.beta2
@@ -78,8 +79,8 @@ def adam_step(
                 raise ShapeError(
                     f"gradient for '{name}' has shape {g.shape}, parameter has {p.shape}"
                 )
-            if np.isnan(g).any():
-                raise FloatingPointError(f"NaN gradient for parameter '{name}'")
+            if not np.isfinite(g).all():
+                raise FloatingPointError(f"non-finite gradient for parameter '{name}'")
         m = b1 * state.first_moment[name] + (1.0 - b1) * g
         v = b2 * state.second_moment[name] + (1.0 - b2) * (g * g)
         update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)

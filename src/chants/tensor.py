@@ -5,6 +5,13 @@ value plus an optional tape node; calling :meth:`Tensor.backward` on a scalar
 result accumulates gradients into every reachable tensor that has
 ``requires_grad`` set. Shapes follow numpy conventions; matrix operations act
 on the last two axes and broadcast over any leading (batch) axes.
+
+Backward runs once per graph: as each interior node passes its gradient on,
+the node's ``.grad``, backward closure and parents are dropped, so a graph's
+activations are freed while backward runs and a second backward through the
+same graph raises. Leaves keep their ``.grad``. The encoder's blocks (layer
+norm, attention, the FFN) and cross entropy are single tape nodes with
+closed-form backward; the small primitives remain for everything else.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import ndtr
 
 from .errors import ConfigError, ShapeError
 
@@ -52,7 +59,6 @@ __all__ = [
 
 _GRAD_ENABLED = True
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -71,11 +77,11 @@ def no_grad():
 class Tensor:
     """A float64 array with an optional reverse-mode tape node.
 
-    Gradients accumulate additively into ``.grad`` across backward passes;
-    callers reset leaf gradients between optimizer steps.
+    Gradients accumulate additively into leaf ``.grad`` across backward
+    passes; callers reset leaf gradients between optimizer steps.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -103,7 +109,13 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad: np.ndarray | None = None) -> None:
-        """Accumulate d(self)/d(leaf) into every reachable ``requires_grad`` leaf."""
+        """Accumulate d(self)/d(leaf) into every reachable ``requires_grad`` leaf.
+
+        Runs once per graph. Each interior node drops its ``.grad``, its
+        backward closure and its parents as soon as it has passed its gradient
+        on, so the graph is freed while backward runs; a second call through
+        any part of it raises ``RuntimeError``. Leaves keep ``.grad``.
+        """
         if grad is None:
             if self.data.size != 1:
                 raise ShapeError(
@@ -123,15 +135,25 @@ class Tensor:
                 continue
             if id(node) in seen or not node.requires_grad:
                 continue
+            if node._backward is _freed:
+                raise RuntimeError(_FREED)
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
 
         self.grad = grad if self.grad is None else self.grad + grad
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        # pop in reverse topological order: once a node has run, nothing left
+        # in the graph refers to it, so its buffers go with the last reference
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = None
+            node._backward = _freed
+            node._parents = ()
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -165,6 +187,17 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+_FREED = "backward() through a graph that an earlier backward() already freed"
+
+
+def _freed(grad: np.ndarray) -> None:
+    """Backward closure of a node whose graph has been through backward.
+
+    ``Tensor.backward`` raises on meeting it, before any gradient moves.
+    """
+    raise RuntimeError(_FREED)
+
+
 def constant(value) -> Tensor:
     """Wrap raw data as a non-trainable tensor."""
     if isinstance(value, Tensor):
@@ -178,9 +211,14 @@ def parameter(value, rng: np.random.Generator | None = None) -> Tensor:
     return Tensor(value, requires_grad=True)
 
 
+def _taping(parents: Sequence[Tensor]) -> bool:
+    """Whether an op on ``parents`` records a tape node."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _taping(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -266,8 +304,7 @@ def matmul(a, b) -> Tensor:
             if b.ndim == 2 and g.ndim > 2:
                 # batched input against a shared matrix: collapse the batch
                 # axes into one product instead of reducing per-batch results
-                k = a.shape[-1]
-                _accum(b, a.data.reshape(-1, k).T @ g.reshape(-1, g.shape[-1]))
+                _accum(b, _weight_grad(a.data, g))
             else:
                 _accum(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
 
@@ -370,33 +407,54 @@ def sqrt(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+def _gelu_slope(z: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d/dz of z * Phi(z) = Phi(z) + z * phi(z), given ``cdf`` = Phi(z)."""
+    slope = z * z
+    slope *= -0.5
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT_2PI
+    slope *= z
+    slope += cdf
+    return slope
+
+
 def gelu(a) -> Tensor:
-    """Gaussian error linear unit, exact erf formulation."""
+    """Gaussian error linear unit, z * Phi(z) with the exact normal CDF."""
     a = constant(a)
-    cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
+    cdf = ndtr(a.data)
     out_data = a.data * cdf
 
     def backward(g):
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-        _accum(a, g * (cdf + a.data * pdf))
+        _accum(a, g * _gelu_slope(a.data, cdf))
 
     return _make(out_data, (a,), backward)
+
+
+def _keep_mask(shape, rate: float, rng: np.random.Generator | None, train: bool) -> np.ndarray | None:
+    """Boolean keep mask of inverted dropout, or None when dropout is off.
+
+    Draws ``rng.random(shape)`` as float64, one value per element.
+    """
+    if not train or rate <= 0.0:
+        return None
+    if not 0.0 < rate < 1.0:
+        raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
+    if rng is None:
+        raise ConfigError("dropout in training mode needs an explicit rng")
+    return rng.random(shape) >= rate
 
 
 def dropout(a, rate: float, rng: np.random.Generator | None, train: bool) -> Tensor:
     """Inverted dropout; identity when ``train`` is false or ``rate`` is 0."""
     a = constant(a)
-    if not train or rate <= 0.0:
+    keep = _keep_mask(a.data.shape, rate, rng, train)
+    if keep is None:
         return a
-    if not 0.0 < rate < 1.0:
-        raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
-    if rng is None:
-        raise ConfigError("dropout in training mode needs an explicit rng")
-    mask = (rng.random(a.data.shape) >= rate) / (1.0 - rate)
-    out_data = a.data * mask
+    scale = 1.0 / (1.0 - rate)
+    out_data = a.data * (keep * scale)
 
     def backward(g):
-        _accum(a, g * mask)
+        _accum(a, g * (keep * scale))
 
     return _make(out_data, (a,), backward)
 
@@ -431,21 +489,44 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     return out
 
 
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of a shared matrix ``w`` in ``a @ w``: a^T g over all leading axes."""
+    return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-12) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    ``eps`` sits inside the square root, so constant rows map to zero.
+    ``eps`` sits inside the square root, so constant rows map to zero. One
+    tape node; backward keeps the normalized rows and their scale.
     """
     x, gain, bias = constant(x), constant(gain), constant(bias)
     if x.shape[-1] != gain.shape[-1] or x.shape[-1] != bias.shape[-1]:
         raise ShapeError(
             f"layer_norm feature axis {x.shape[-1]} does not match gain {gain.shape} / bias {bias.shape}"
         )
-    mu = mean(x, axis=-1, keepdims=True)
-    centered = add(x, mul(constant(-1.0), mu))
-    var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    normed = div(centered, sqrt(add(var, constant(eps))))
-    return add(mul(normed, gain), bias)
+    inv_n = 1.0 / x.shape[-1]
+    normed = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    sigma = np.sqrt((normed * normed).sum(axis=-1, keepdims=True) * inv_n + eps)
+    normed /= sigma
+    g_data = gain.data
+    out_data = normed * g_data
+    out_data += bias.data
+
+    def backward(g):
+        if gain.requires_grad:
+            _accum(gain, g * normed)
+        if bias.requires_grad:
+            _accum(bias, g)
+        if x.requires_grad:
+            d = g * g_data
+            along_normed = (d * normed).mean(axis=-1, keepdims=True)
+            d -= d.mean(axis=-1, keepdims=True)
+            d -= normed * along_normed
+            d /= sigma
+            _accum(x, d)
+
+    return _make(out_data, (x, gain, bias), backward)
 
 
 @dataclass
@@ -458,22 +539,17 @@ class AttnWeights:
     w_o: Tensor | None = None
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    """(..., L, D) -> (..., heads, L, D // heads)."""
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(..., L, D) -> (..., heads, L, D // heads), as a view."""
     *lead, length, width = x.shape
-    x = reshape(x, (*lead, length, heads, width // heads))
-    n = x.ndim
-    axes = tuple(range(n - 3)) + (n - 2, n - 3, n - 1)
-    return transpose(x, axes)
+    x = x.reshape(*lead, length, heads, width // heads)
+    return np.swapaxes(x, -3, -2)
 
 
-def _merge_heads(x: Tensor) -> Tensor:
+def _merge_heads(x: np.ndarray) -> np.ndarray:
     """(..., heads, L, d_h) -> (..., L, heads * d_h)."""
-    n = x.ndim
-    axes = tuple(range(n - 3)) + (n - 2, n - 3, n - 1)
-    x = transpose(x, axes)
-    *lead, length, heads, dh = x.shape
-    return reshape(x, (*lead, length, heads * dh))
+    *lead, heads, length, dh = x.shape
+    return np.swapaxes(x, -3, -2).reshape(*lead, length, heads * dh)
 
 
 def multi_head_attention(
@@ -489,43 +565,109 @@ def multi_head_attention(
     optional output projection ``w_o`` applied after head concatenation.
     Inputs are (..., L_q, D) queries against (..., L_k, D) keys/values;
     ``stats`` (if given) accumulates the multiply-accumulate count of the
-    attention-score product under ``"score_macs"``.
+    attention-score product under ``"score_macs"``. The whole block is one
+    tape node; backward keeps the projected queries, keys and values, the
+    attention probabilities and (for ``w_o``) the merged context.
     """
     q_in, kv_in = constant(q_in), constant(kv_in)
+    if q_in.ndim < 2 or kv_in.ndim < 2:
+        raise ShapeError(f"attention needs (..., L, D) inputs, got shapes {q_in.shape} and {kv_in.shape}")
     width = q_in.shape[-1]
     if width % heads != 0:
         raise ConfigError(f"model width {width} is not divisible by {heads} heads")
     if kv_in.shape[-1] != width:
         raise ShapeError(f"query width {width} does not match key/value width {kv_in.shape[-1]}")
-    dh = width // heads
+    w_q, w_k, w_v = constant(weights.w_q), constant(weights.w_k), constant(weights.w_v)
+    w_o = None if weights.w_o is None else constant(weights.w_o)
+    scale = 1.0 / math.sqrt(width // heads)
 
-    q = _split_heads(matmul(q_in, weights.w_q), heads)
-    k = _split_heads(matmul(kv_in, weights.w_k), heads)
-    v = _split_heads(matmul(kv_in, weights.w_v), heads)
-
-    scores = mul(matmul(q, transpose(k)), constant(1.0 / math.sqrt(dh)))
+    q = _split_heads(np.matmul(q_in.data, w_q.data), heads)
+    k = _split_heads(np.matmul(kv_in.data, w_k.data), heads)
+    v = _split_heads(np.matmul(kv_in.data, w_v.data), heads)
     if stats is not None:
         l_q, l_k = q_in.shape[-2], kv_in.shape[-2]
         stats["score_macs"] = stats.get("score_macs", 0) + l_q * l_k * width
         stats.setdefault("score_shapes", []).append((l_q, l_k))
-    attn = softmax(scores, axis=-1)
-    out = _merge_heads(matmul(attn, v))
-    if weights.w_o is not None:
-        out = matmul(out, weights.w_o)
-    return out
+    probs = np.matmul(q, np.swapaxes(k, -1, -2)) * scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    context = _merge_heads(np.matmul(probs, v))
+    out_data = context if w_o is None else np.matmul(context, w_o.data)
+
+    def backward(g):
+        if w_o is not None:
+            if w_o.requires_grad:
+                _accum(w_o, _weight_grad(context, g))
+            g = np.matmul(g, w_o.data.T)
+        g = _split_heads(g, heads)
+        d_v = np.matmul(np.swapaxes(probs, -1, -2), g)
+        # softmax backward, from d(probs) in place: probs * (dp - sum(dp * probs))
+        d_scores = np.matmul(g, np.swapaxes(v, -1, -2))
+        d_scores -= (d_scores * probs).sum(axis=-1, keepdims=True)
+        d_scores *= probs
+        d_scores *= scale
+        d_q = np.matmul(d_scores, k)
+        d_k = np.matmul(np.swapaxes(d_scores, -1, -2), q)
+        for inp, w, d in ((q_in, w_q, d_q), (kv_in, w_k, d_k), (kv_in, w_v, d_v)):
+            d = _unbroadcast(_merge_heads(d), inp.shape)
+            if w.requires_grad:
+                _accum(w, _weight_grad(inp.data, d))
+            if inp.requires_grad:
+                _accum(inp, np.matmul(d, w.data.T))
+
+    parents = (q_in, kv_in, w_q, w_k, w_v) + (() if w_o is None else (w_o,))
+    return _make(out_data, parents, backward)
 
 
 def ffn(x, w1, b1, w2, b2, *, rate: float = 0.0, rng=None, train: bool = False) -> Tensor:
-    """Two affine maps with a GELU between; dropout after the activation."""
-    h = gelu(add(matmul(x, w1), b1))
-    h = dropout(h, rate, rng, train)
-    return add(matmul(h, w2), b2)
+    """Two affine maps with a GELU between; dropout after the activation.
+
+    One tape node; backward keeps the hidden activations, the GELU slope
+    and the boolean dropout mask.
+    """
+    x, w1, b1, w2, b2 = parents = tuple(constant(t) for t in (x, w1, b1, w2, b2))
+    if x.ndim < 2 or x.shape[-1] != w1.shape[0] or w1.shape[-1] != w2.shape[0]:
+        raise ShapeError(f"ffn shapes disagree: x {x.shape}, w1 {w1.shape}, w2 {w2.shape}")
+    taping = _taping(parents)
+    z = np.matmul(x.data, w1.data)
+    z += b1.data
+    hidden = ndtr(z)  # Phi(z), turned into z * Phi(z) in place once the slope is taken
+    slope = _gelu_slope(z, hidden) if taping else None
+    hidden *= z
+    keep = _keep_mask(z.shape, rate, rng, train)
+    if keep is not None:
+        scale = 1.0 / (1.0 - rate)
+        hidden *= keep * scale
+    out_data = np.matmul(hidden, w2.data)
+    out_data += b2.data
+    if not taping:
+        return Tensor(out_data)
+
+    def backward(g):
+        if b2.requires_grad:
+            _accum(b2, g)
+        if w2.requires_grad:
+            _accum(w2, _weight_grad(hidden, g))
+        d = np.matmul(g, w2.data.T)
+        if keep is not None:
+            d *= keep * scale
+        d *= slope
+        if b1.requires_grad:
+            _accum(b1, d)
+        if w1.requires_grad:
+            _accum(w1, _weight_grad(x.data, d))
+        if x.requires_grad:
+            _accum(x, np.matmul(d, w1.data.T))
+
+    return _make(out_data, parents, backward)
 
 
 def cross_entropy(logits, labels) -> Tensor:
     """Mean negative log softmax probability of the true class.
 
-    ``logits`` is (n, k); ``labels`` is n integers in [0, k).
+    ``logits`` is (n, k); ``labels`` is n integers in [0, k). One tape node
+    with the softmax fused in.
     """
     logits = constant(logits)
     if logits.ndim != 2:
@@ -537,11 +679,20 @@ def cross_entropy(logits, labels) -> Tensor:
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         bad = labels[(labels < 0) | (labels >= k)][0]
         raise IndexError(f"label {bad} outside [0, {k})")
-    log_probs = add(logits, mul(constant(-1.0), logsumexp(logits, axis=-1, keepdims=True)))
+    shift = logits.data.max(axis=-1, keepdims=True)
+    e = np.exp(logits.data - shift)
+    total = e.sum(axis=-1, keepdims=True)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), labels] = 1.0
-    picked = tensor_sum(mul(log_probs, constant(onehot)))
-    return mul(picked, constant(-1.0 / n))
+    log_probs = logits.data - (np.log(total) + shift)
+    out_data = (log_probs * onehot).sum() * (-1.0 / n)
+
+    def backward(g):
+        # (softmax - onehot) * g / n, in the rounding of the composed ops
+        g_true = g * (-1.0 / n)
+        _accum(logits, g_true * onehot + (-g_true / total) * e)
+
+    return _make(out_data, (logits,), backward)
 
 
 def cosine_similarity(u, v) -> Tensor:

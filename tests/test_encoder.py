@@ -256,33 +256,43 @@ class TestEncode:
         assert not np.array_equal(eval_a, eval_b)
 
 
+def _check_every_parameter_gradient(config, seed):
+    params = init_cat_params(config, np.random.default_rng(seed))
+    x = np.random.default_rng(seed + 1).normal(size=(config.channels, config.steps))
+
+    loss = tensor_sum(encode(x, params, config).flat)
+    loss.backward()
+
+    named = {k: t for k, t in params.named().items() if t.requires_grad}
+
+    def forward_for(name):
+        def fn(arr):
+            saved = named[name].data
+            named[name].data = arr
+            try:
+                return float(tensor_sum(encode(x, params, config).flat).data)
+            finally:
+                named[name].data = saved
+
+        return fn
+
+    for name, tensor in named.items():
+        numeric = numeric_gradient(lambda arr: forward_for(name)(arr), [tensor.data], 0, step=1e-5)
+        analytic = tensor.grad if tensor.grad is not None else np.zeros_like(numeric)
+        err = relative_error(analytic, numeric)
+        assert err < 1e-3, f"{name}: relative error {err:.2e}"
+
+
 class TestEndToEndGradient:
     def test_all_parameters_pass_finite_difference_check(self):
         config = EncoderConfig(channels=2, steps=3, width=4, depth=1, heads=1, dropout=0.0)
-        params = init_cat_params(config, np.random.default_rng(18))
-        x = np.random.default_rng(19).normal(size=(2, 3))
+        _check_every_parameter_gradient(config, 18)
 
-        loss = tensor_sum(encode(x, params, config).flat)
-        loss.backward()
-
-        named = {k: t for k, t in params.named().items() if t.requires_grad}
-
-        def forward_for(name):
-            def fn(arr):
-                saved = named[name].data
-                named[name].data = arr
-                try:
-                    return float(tensor_sum(encode(x, params, config).flat).data)
-                finally:
-                    named[name].data = saved
-
-            return fn
-
-        for name, tensor in named.items():
-            numeric = numeric_gradient(lambda arr: forward_for(name)(arr), [tensor.data], 0, step=1e-5)
-            analytic = tensor.grad if tensor.grad is not None else np.zeros_like(numeric)
-            err = relative_error(analytic, numeric)
-            assert err < 1e-3, f"{name}: relative error {err:.2e}"
+    @pytest.mark.parametrize("variant", ["cat", "self_aggregate"])
+    def test_two_heads_pass_finite_difference_check(self, variant):
+        # self_aggregate passes one tensor as both queries and keys/values
+        config = EncoderConfig(channels=2, steps=3, width=4, depth=1, heads=2, dropout=0.0, variant=variant)
+        _check_every_parameter_gradient(config, 18)
 
 
 class TestCheckpoint:

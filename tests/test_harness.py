@@ -1,6 +1,7 @@
 """Unit tests for metrics, probing, pretraining, and the few-shot sweep."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from chants.harness import (
     train_linear_head,
 )
 from chants.pretext import LossWeights
+from chants.tensor import Tensor
 
 
 def tiny_cfg(channels=2, steps=8, width=8, depth=1, heads=2, **kw):
@@ -199,6 +201,36 @@ class TestPretrain:
         epoch_files = sorted(tmp_path.glob("checkpoint_epoch*.ckpt"))
         assert 1 <= len(epoch_files) <= 3  # last two plus best
 
+    def test_peak_memory_stays_near_the_graph_at_backward(self, monkeypatch):
+        # a step must not build its graph while the previous step's graph or
+        # the gradients of interior nodes are still alive
+        rng = np.random.default_rng(21)
+        ds = labeled_dataset(rng, m=8, channels=4, steps=32)
+        cfg = TrainConfig(
+            encoder=EncoderConfig(channels=4, steps=32, width=16, depth=1, heads=2, dropout=0.1),
+            k_ntp=4,
+            pretrain_batch=4,
+            pretrain_epochs=2,
+            seed=0,
+        )
+        at_backward = []
+        backward = Tensor.backward
+
+        def traced_backward(tensor, grad=None):
+            at_backward.append(tracemalloc.get_traced_memory()[0])
+            return backward(tensor, grad)
+
+        monkeypatch.setattr(Tensor, "backward", traced_backward)
+        tracemalloc.start()
+        try:
+            pretrain(ds, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(at_backward) == 4
+        ratio = peak / max(at_backward)
+        assert ratio < 1.5, f"peak is {ratio:.2f}x the largest traced memory at the start of backward"
+
     def test_dataset_dims_must_match_config(self):
         rng = np.random.default_rng(12)
         ds = labeled_dataset(rng, channels=3)
@@ -257,6 +289,15 @@ class TestFewshotSweep:
             fewshot_sweep(train, test, params, cfg, [1.5])
         with pytest.raises(ConfigError):
             fewshot_sweep(train, test, params, cfg, [])
+
+    def test_rejects_zero_repeats(self):
+        rng = np.random.default_rng(17)
+        train = labeled_dataset(rng, m=10)
+        test = labeled_dataset(rng, m=6)
+        cfg = tiny_cfg()
+        params = init_cat_params(cfg.encoder, np.random.default_rng(18))
+        with pytest.raises(ConfigError, match="repeats"):
+            fewshot_sweep(train, test, params, cfg, [0.5], repeats=0)
 
 
 def test_extract_features_builds_no_graph():

@@ -62,6 +62,14 @@ def test_nan_gradient_aborts_naming_parameter():
         adam_step(params, {"w_query": np.array([np.nan])}, state)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_infinite_gradient_aborts_naming_parameter(bad):
+    params = {"w_value": np.array([1.0, 2.0])}
+    state = init_adam_state(params, lr=0.1)
+    with pytest.raises(FloatingPointError, match="w_value"):
+        adam_step(params, {"w_value": np.array([0.5, bad])}, state)
+
+
 def test_missing_gradient_counts_as_zero():
     params = {"w": np.array([1.0]), "frozen": np.array([5.0])}
     state = init_adam_state(params, lr=0.1)

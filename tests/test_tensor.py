@@ -1,6 +1,7 @@
 """Unit tests for the tensor/autodiff core."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from chants.tensor import (
     constant,
     cosine_similarity,
     cross_entropy,
+    div,
     dropout,
     ffn,
     flop_estimate,
@@ -27,6 +29,7 @@ from chants.tensor import (
     no_grad,
     reshape,
     softmax,
+    sqrt,
     tensor_sum,
     transpose,
 )
@@ -227,6 +230,26 @@ class TestFfn:
         ]
         check_gradients(lambda x, w1, b1, w2, b2: tensor_sum(mul(ffn(x, w1, b1, w2, b2), x)), args)
 
+    def test_gradcheck_with_dropout(self):
+        rng = np.random.default_rng(9)
+        args = [
+            rng.normal(size=(2, 3, 4)),
+            rng.normal(size=(4, 8)),
+            rng.normal(size=8),
+            rng.normal(size=(8, 4)),
+            rng.normal(size=4),
+        ]
+
+        def fn(x, w1, b1, w2, b2):
+            # a fresh rng per evaluation draws the same mask every time
+            out = ffn(x, w1, b1, w2, b2, rate=0.5, rng=np.random.default_rng(10), train=True)
+            return tensor_sum(mul(out, x))
+
+        plain = ffn(*map(constant, args)).data
+        dropped = ffn(*map(constant, args), rate=0.5, rng=np.random.default_rng(10), train=True).data
+        assert not np.allclose(plain, dropped)
+        check_gradients(fn, args)
+
 
 class TestCrossEntropy:
     def test_confident_correct_prediction(self):
@@ -249,6 +272,113 @@ class TestCrossEntropy:
         logits = RNG.normal(size=(4, 5))
         labels = [0, 3, 2, 4]
         check_gradients(lambda x: cross_entropy(x, labels), [logits])
+
+
+# The op-by-op compositions that the fused kernels replaced, kept as references.
+
+
+def composed_layer_norm(x, gain, bias, eps=1e-12):
+    mu = mean(x, axis=-1, keepdims=True)
+    centered = add(x, mul(constant(-1.0), mu))
+    var = mean(mul(centered, centered), axis=-1, keepdims=True)
+    return add(mul(div(centered, sqrt(add(var, constant(eps)))), gain), bias)
+
+
+def _swap_heads_and_rows(x):
+    n = x.ndim
+    return transpose(x, tuple(range(n - 3)) + (n - 2, n - 3, n - 1))
+
+
+def composed_attention(q_in, kv_in, w, heads):
+    def split(t):
+        *lead, length, width = t.shape
+        return _swap_heads_and_rows(reshape(t, (*lead, length, heads, width // heads)))
+
+    q, k, v = split(matmul(q_in, w.w_q)), split(matmul(kv_in, w.w_k)), split(matmul(kv_in, w.w_v))
+    scores = mul(matmul(q, transpose(k)), constant(1.0 / math.sqrt(q.shape[-1])))
+    out = _swap_heads_and_rows(matmul(softmax(scores, axis=-1), v))
+    *lead, length, h, dh = out.shape
+    out = reshape(out, (*lead, length, h * dh))
+    return out if w.w_o is None else matmul(out, w.w_o)
+
+
+def composed_ffn(x, w1, b1, w2, b2, *, rate=0.0, rng=None, train=False):
+    h = dropout(gelu(add(matmul(x, w1), b1)), rate, rng, train)
+    return add(matmul(h, w2), b2)
+
+
+def composed_cross_entropy(logits, labels):
+    n, k = logits.shape
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), labels] = 1.0
+    log_probs = add(logits, mul(constant(-1.0), logsumexp(logits, axis=-1, keepdims=True)))
+    return mul(tensor_sum(mul(log_probs, constant(onehot))), constant(-1.0 / n))
+
+
+def assert_fused_matches_composed(fused, composed, arrays, tol=1e-12):
+    """Outputs and every leaf gradient agree to ``tol`` relative to their largest entry."""
+    results = []
+    for fn in (fused, composed):
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = fn(*leaves)
+        probe = np.random.default_rng(0).normal(size=out.shape)
+        tensor_sum(mul(out, constant(probe))).backward()
+        results.append([out.data] + [leaf.grad for leaf in leaves])
+    for i, (got, want) in enumerate(zip(*results)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol * np.abs(want).max(), err_msg=f"item {i}")
+
+
+class TestFusedKernelsMatchComposition:
+    def test_layer_norm(self):
+        rng = np.random.default_rng(30)
+        arrays = [rng.normal(size=(2, 5, 8)), rng.normal(size=8), rng.normal(size=8)]
+        assert_fused_matches_composed(layer_norm, composed_layer_norm, arrays)
+
+    @pytest.mark.parametrize("with_out", [True, False])
+    def test_cross_attention(self, with_out):
+        rng = np.random.default_rng(31)
+        arrays = [rng.normal(size=(2, 6, 8)), rng.normal(size=(2, 3, 8))]
+        arrays += [rng.normal(scale=0.5, size=(8, 8)) for _ in range(4 if with_out else 3)]
+
+        def run(attention):
+            def fn(q, kv, *w):
+                return attention(q, kv, AttnWeights(*w), 4)
+
+            return fn
+
+        assert_fused_matches_composed(run(multi_head_attention), run(composed_attention), arrays)
+
+    def test_self_attention_sums_both_input_paths(self):
+        rng = np.random.default_rng(32)
+        arrays = [rng.normal(size=(2, 5, 8))] + [rng.normal(scale=0.5, size=(8, 8)) for _ in range(4)]
+
+        def run(attention):
+            def fn(x, *w):
+                return attention(x, x, AttnWeights(*w), 2)
+
+            return fn
+
+        assert_fused_matches_composed(run(multi_head_attention), run(composed_attention), arrays)
+
+    def test_ffn_with_dropout_draws_the_same_mask(self):
+        rng = np.random.default_rng(33)
+        arrays = [rng.normal(size=(2, 5, 4)), rng.normal(size=(4, 16)), rng.normal(size=16)]
+        arrays += [rng.normal(size=(16, 4)), rng.normal(size=4)]
+
+        def run(block):
+            def fn(*args):
+                return block(*args, rate=0.3, rng=np.random.default_rng(34), train=True)
+
+            return fn
+
+        assert_fused_matches_composed(run(ffn), run(composed_ffn), arrays)
+
+    def test_cross_entropy(self):
+        rng = np.random.default_rng(35)
+        labels = rng.integers(0, 5, size=7)
+        assert_fused_matches_composed(
+            lambda x: cross_entropy(x, labels), lambda x: composed_cross_entropy(x, labels), [rng.normal(size=(7, 5))]
+        )
 
 
 class TestCosineSimilarity:
@@ -327,6 +457,30 @@ class TestAutodiffPlumbing:
         np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
         a.zero_grad()
         assert a.grad is None
+
+    def test_second_backward_through_a_freed_graph_raises(self):
+        a = Tensor(RNG.normal(size=3), requires_grad=True)
+        h = mul(a, a)
+        loss = tensor_sum(h)
+        loss.backward()
+        first = a.grad.copy()
+        with pytest.raises(RuntimeError, match="already freed"):
+            loss.backward()
+        # a new graph over the freed interior node is spent as well
+        with pytest.raises(RuntimeError, match="already freed"):
+            tensor_sum(mul(h, a)).backward()
+        np.testing.assert_array_equal(a.grad, first)
+
+    def test_interior_tensor_is_unreachable_after_backward(self):
+        a = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
+        h = gelu(matmul(a, transpose(a)))
+        interior = weakref.ref(h)
+        loss = tensor_sum(h)
+        del h
+        assert interior() is not None
+        loss.backward()
+        assert interior() is None
+        assert a.grad is not None
 
     def test_no_grad_blocks_graph_construction(self):
         a = Tensor(np.ones(3), requires_grad=True)
