@@ -1,6 +1,135 @@
-"""Tests of the command-line entry point, driven through ``main(argv)``."""
+"""Tests of the command-line entry point, driven through ``main(argv)``.
+
+Every subcommand runs on ``.ts`` files written by ``serialize_ts`` from the
+synthetic fixture, with a tiny config (width 8, depth 1, one epoch).
+"""
+
+import csv
+import json
+
+import pytest
 
 from chants.cli import main
+from chants.data import make_synthetic_fixture, serialize_ts
+
+CHANNELS, STEPS = 3, 12
+
+TINY_CONFIG = """\
+# tiny encoder, one epoch
+encoder.width = 8
+encoder.depth = 1
+encoder.heads = 2
+encoder.dropout = 0.0
+k_ntp = 2
+pretrain_lr = 1e-3
+pretrain_batch = 8
+pretrain_epochs = 1
+probe_batch = 8
+probe_epochs = 2
+"""
+
+
+def write_fixture(path, m=24, channels=CHANNELS, steps=STEPS, seed=5):
+    serialize_ts(make_synthetic_fixture(m=m, channels=channels, steps=steps, seed=seed), path)
+    return path
+
+
+def write_config(path, text=TINY_CONFIG):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def pretrained(tmp_path_factory):
+    """(data file, run directory) of one tiny ``pretrain`` run."""
+    root = tmp_path_factory.mktemp("cli")
+    data = write_fixture(root / "train.ts")
+    run = root / "run"
+    assert main(["pretrain", str(write_config(root / "tiny.cfg")), str(data), str(run)]) == 0
+    return data, run
+
+
+class TestSubcommands:
+    def test_pretrain_writes_checkpoint_log_and_manifest(self, pretrained):
+        _, run = pretrained
+        assert (run / "checkpoint.ckpt").exists()
+        log = (run / "log.jsonl").read_text().splitlines()
+        assert len(log) == 3  # 24 samples in batches of 8, one epoch
+        assert {"epoch", "step", "ntp_loss", "cs_loss", "combined"} <= set(json.loads(log[0]))
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["command"] == "pretrain"
+        assert manifest["config"]["encoder"]["width"] == 8
+
+    def test_probe_writes_metrics(self, pretrained, tmp_path, capsys):
+        data, run = pretrained
+        out = tmp_path / "probe"
+        assert main(["probe", str(run / "checkpoint.ckpt"), str(data), str(out), "--seed", "1"]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert 0.0 <= metrics["accuracy"] <= 1.0
+        assert len(metrics["confusion"]) == 2
+        assert (out / "metrics.csv").exists()
+        assert "ACC" in capsys.readouterr().out
+
+    def test_fewshot_writes_one_row_per_fraction_and_mode(self, pretrained, tmp_path):
+        data, run = pretrained
+        out = tmp_path / "fewshot"
+        argv = ["fewshot", str(run / "checkpoint.ckpt"), str(data), str(out), "--fractions", "0.5", "1.0", "--repeats", "1"]
+        assert main(argv) == 0
+        with open(out / "fewshot.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["fraction"], r["mode"]) for r in rows] == [
+            ("0.5", "probe"), ("0.5", "supervised"), ("1.0", "probe"), ("1.0", "supervised"),
+        ]
+
+    def test_augment_preview_keeps_the_original_column(self, pretrained, tmp_path):
+        data, _ = pretrained
+        out_csv = tmp_path / "preview.csv"
+        assert main(["augment-preview", str(data), "sync", "3", str(out_csv), "--index", "1"]) == 0
+        with open(out_csv, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == CHANNELS * STEPS
+        series = make_synthetic_fixture(m=24, channels=CHANNELS, steps=STEPS, seed=5).series[1]
+        assert [float(r["original"]) for r in rows] == [float(v) for v in series.ravel()]
+        # a synchronous permutation moves whole columns and keeps every value
+        assert sorted(float(r["augmented"]) for r in rows) == sorted(float(r["original"]) for r in rows)
+
+    def test_flops_prints_both_estimates(self, capsys):
+        assert main(["flops", "128", "9", "512"]) == 0
+        out = capsys.readouterr().out
+        assert str(2 * 128 * 9 * 512) in out
+        assert str((128 * 128 + 9 * 9) * 512) in out
+
+
+class TestExitCodes:
+    def test_unknown_config_key_exits_2(self, pretrained, tmp_path, capsys):
+        data, _ = pretrained
+        cfg = write_config(tmp_path / "bad.cfg", TINY_CONFIG + "encoder.bogus = 1\n")
+        assert main(["pretrain", str(cfg), str(data), str(tmp_path / "out")]) == 2
+        assert "encoder.bogus" in capsys.readouterr().err
+
+    def test_unparsable_value_exits_2(self, pretrained, tmp_path, capsys):
+        data, _ = pretrained
+        cfg = write_config(tmp_path / "bad.cfg", TINY_CONFIG + "k_ntp = many\n")
+        assert main(["pretrain", str(cfg), str(data), str(tmp_path / "out")]) == 2
+        assert "k_ntp" in capsys.readouterr().err
+
+    def test_missing_data_file_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "tiny.cfg")
+        assert main(["pretrain", str(cfg), str(tmp_path / "missing.ts"), str(tmp_path / "out")]) == 3
+        assert "missing.ts" in capsys.readouterr().err
+
+    def test_bad_magic_checkpoint_exits_4(self, pretrained, tmp_path, capsys):
+        data, _ = pretrained
+        ckpt = tmp_path / "bogus.ckpt"
+        ckpt.write_bytes(b"not a checkpoint at all")
+        assert main(["probe", str(ckpt), str(data), str(tmp_path / "out")]) == 4
+        assert "bad magic" in capsys.readouterr().err
+
+    def test_checkpoint_shape_differing_from_the_data_exits_4(self, pretrained, tmp_path, capsys):
+        _, run = pretrained
+        other = write_fixture(tmp_path / "wide.ts", channels=CHANNELS + 1)
+        assert main(["probe", str(run / "checkpoint.ckpt"), str(other), str(tmp_path / "out")]) == 4
+        assert "(channels, steps)" in capsys.readouterr().err
 
 
 def test_fewshot_rejects_zero_repeats_before_loading_anything(tmp_path, capsys):
