@@ -35,7 +35,6 @@ class AugmentConfig:
     jitter_sigma: float = 0.1
     interval_count_range: tuple[int, int] = (1, 5)
     segment_count_range: tuple[int, int] = (4, 8)
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.jitter_sigma <= 0.0:

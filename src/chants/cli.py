@@ -11,9 +11,22 @@ Subcommands bind config files to harness runs:
 Exit codes are a stable contract: 0 success, 2 usage or config error,
 3 data error, 4 checkpoint or shape error.
 
-Config files are plain ``key = value`` text with dotted sections mirroring
-the training-config field names (``encoder.width = 512``, ``weights.alpha1 =
-2``, ``k_ntp = 10`` ...). Unknown keys are hard errors.
+Config files are plain ``key = value`` text, one key per line, ``#`` starting
+a comment line. Keys are the ``TrainConfig`` field names, with the
+``encoder``, ``weights`` and ``aug`` sections addressed by a dot
+(``encoder.width = 512``, ``weights.alpha1 = 2``, ``k_ntp = 10`` ...). Each
+value is parsed by its field's type: ``true``/``false`` for switches, and
+two numbers such as ``4, 8`` for a range. ``encoder.channels`` and
+``encoder.steps`` default to the dataset's and must match it when given.
+Unknown keys and unparsable values are hard errors. A pretext task is
+switched off by a weight of 0; the older keys ``no_ntp = true`` and
+``no_cs = true`` still work and mean ``weights.alpha1 = 0`` and
+``weights.alpha2 = 0``. ``aug.rng_seed``, which nothing read, is accepted
+and ignored.
+
+A ``pretrain`` checkpoint carries everything ``probe`` and ``fewshot``
+need: the training config and, unless ``--no-normalize`` was given, the
+per-channel normalization stats, which they then apply to their data.
 """
 
 from __future__ import annotations
@@ -35,58 +48,26 @@ from .augment import AugmentConfig, async_permute, interval_adjust, sync_permute
 from .checkpoint import load_encoder
 from .data import (
     MtsDataset,
+    NormStats,
     apply_norm_stats,
     load_dataset,
-    save_norm_stats,
     subsample,
     train_test_split,
     znormalize,
 )
 from .encoder import EncoderConfig
 from .errors import CheckpointError, ChantsError, ConfigError, DataError, ShapeError
-from .harness import TrainConfig, fewshot_sweep, linear_probe, pretrain
-from .pretext import LossWeights
+from .harness import TrainConfig, fewshot_sweep, linear_probe, pretrain, train_config_from_dict
 from .tensor import flop_estimate
 
 logger = logging.getLogger(__name__)
 
-_SECTION_FIELDS = {
-    "encoder": {f.name: f.type for f in dataclasses.fields(EncoderConfig)},
-    "weights": {f.name: f.type for f in dataclasses.fields(LossWeights)},
-    "aug": {f.name: f.type for f in dataclasses.fields(AugmentConfig)},
-}
-_TOP_FIELDS = {
-    f.name: f.type
-    for f in dataclasses.fields(TrainConfig)
-    if f.name not in ("encoder", "weights", "aug")
-}
-
-
-def _parse_value(key: str, text: str, type_hint: str):
-    text = text.strip()
-    hint = str(type_hint)
-    try:
-        if "bool" in hint:
-            if text.lower() not in ("true", "false"):
-                raise ValueError
-            return text.lower() == "true"
-        if "tuple" in hint:
-            parts = [p for p in text.replace(",", " ").split() if p]
-            if len(parts) != 2:
-                raise ValueError
-            return (int(parts[0]), int(parts[1]))
-        if "int" in hint:
-            return int(text)
-        if "float" in hint:
-            return float(text)
-        return text
-    except ValueError:
-        raise ConfigError(f"config key '{key}': cannot parse value {text!r}")
+_SECTIONS = ("encoder", "weights", "aug")
 
 
 def read_config_file(path) -> dict:
-    """Parse dotted key/value lines into {section: {field: value}} + top-level."""
-    raw: dict = {"encoder": {}, "weights": {}, "aug": {}}
+    """Read ``key = value`` lines into ``{section: {field: text}}`` plus top-level text."""
+    raw: dict = {section: {} for section in _SECTIONS}
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
@@ -98,46 +79,14 @@ def read_config_file(path) -> dict:
             raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if "." in key:
-            section, _, field = key.partition(".")
-            if section not in _SECTION_FIELDS or field not in _SECTION_FIELDS[section]:
-                raise ConfigError(f"unknown config key '{key}'")
-            raw[section][field] = _parse_value(key, value, _SECTION_FIELDS[section][field])
+        section, dot, field = key.partition(".")
+        if dot and section in _SECTIONS:
+            raw[section][field] = value
+        elif dot or key in _SECTIONS:
+            raise ConfigError(f"unknown config key '{key}'")
         else:
-            if key not in _TOP_FIELDS:
-                raise ConfigError(f"unknown config key '{key}'")
-            raw[key] = _parse_value(key, value, _TOP_FIELDS[key])
+            raw[key] = value
     return raw
-
-
-def build_train_config(raw: dict, channels: int, steps: int) -> TrainConfig:
-    """Materialize a TrainConfig, inferring data dims unless the file pins them."""
-    enc = dict(raw.get("encoder", {}))
-    enc.setdefault("channels", channels)
-    enc.setdefault("steps", steps)
-    if enc["channels"] != channels or enc["steps"] != steps:
-        raise ConfigError(
-            f"config declares (channels, steps) = ({enc['channels']}, {enc['steps']}) "
-            f"but the dataset has ({channels}, {steps})"
-        )
-    top = {k: v for k, v in raw.items() if k not in ("encoder", "weights", "aug")}
-    return TrainConfig(
-        encoder=EncoderConfig(**enc),
-        weights=LossWeights(**raw.get("weights", {})),
-        aug=AugmentConfig(**raw.get("aug", {})),
-        **top,
-    )
-
-
-def train_config_from_dict(d: dict) -> TrainConfig:
-    """Rebuild a TrainConfig from a checkpoint's stored snapshot."""
-    d = dict(d)
-    enc = EncoderConfig(**d.pop("encoder"))
-    weights = LossWeights(**d.pop("weights"))
-    aug_raw = d.pop("aug")
-    for key in ("interval_count_range", "segment_count_range"):
-        aug_raw[key] = tuple(aug_raw[key])
-    return TrainConfig(encoder=enc, weights=weights, aug=AugmentConfig(**aug_raw), **d)
 
 
 def _fingerprint(path) -> str:
@@ -214,32 +163,47 @@ def _write_metrics(out_dir: Path, metrics) -> None:
 def cmd_pretrain(args) -> int:
     ds = _load_data(args)
     raw = read_config_file(args.config)
-    cfg = build_train_config(raw, ds.channels, ds.steps)
+    raw["encoder"] = {"channels": ds.channels, "steps": ds.steps, **raw["encoder"]}
+    cfg = train_config_from_dict(raw)
+    if (cfg.encoder.channels, cfg.encoder.steps) != (ds.channels, ds.steps):
+        raise ConfigError(
+            f"config declares (channels, steps) = ({cfg.encoder.channels}, {cfg.encoder.steps}) "
+            f"but the dataset has ({ds.channels}, {ds.steps})"
+        )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, "pretrain", cfg, args.data, cfg.seed)
+    stats = None
     if args.normalize:
         ds, stats = znormalize(ds)
-        save_norm_stats(stats, out_dir / "norm_stats.json")
-    pretrain(ds, cfg, out_dir=out_dir)
+    pretrain(ds, cfg, out_dir=out_dir, norm=stats)
     print(f"wrote checkpoint and log to {out_dir}")
     return 0
 
 
 def _probe_setup(args):
-    params, enc_config, manifest, _extra = _load_ckpt(args.checkpoint)
-    cfg = train_config_from_dict(manifest["meta"]["train_config"])
+    """Checkpoint params, its training config and the data splits, normalized
+    with the checkpoint's stats when it carries them."""
+    path = args.checkpoint
+    params, enc_config, manifest, extra = _load_ckpt(path)
+    snapshot = manifest.get("meta", {}).get("train_config")
+    if snapshot is None:
+        raise CheckpointError(f"{path}: no training config (meta.train_config); not written by pretrain")
+    try:
+        cfg = train_config_from_dict(snapshot)
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: bad training config: {exc}") from exc
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     train, test = _load_splits(args)
     _check_dims(enc_config, train, args.data)
-    stats_path = Path(args.checkpoint).parent / "norm_stats.json"
-    if stats_path.exists():
-        from .data import load_norm_stats
-
-        stats = load_norm_stats(stats_path)
-        train = apply_norm_stats(train, stats)
-        test = apply_norm_stats(test, stats)
+    if "norm.mean" in extra or "norm.std" in extra:
+        stats = NormStats(mean=extra.get("norm.mean"), std=extra.get("norm.std"))
+        if any(v is None or v.shape != (train.channels,) for v in (stats.mean, stats.std)):
+            raise CheckpointError(
+                f"{path}: normalization stats must be norm.mean and norm.std of length {train.channels}"
+            )
+        train, test = apply_norm_stats(train, stats), apply_norm_stats(test, stats)
     return params, cfg, train, test
 
 
@@ -287,7 +251,7 @@ def cmd_augment_preview(args) -> int:
         raise ConfigError(f"sample index {args.index} outside [0, {ds.size})")
     x = ds.series[args.index]
     rng = np.random.default_rng(args.seed)
-    augmented = _STRATEGIES[args.strategy](x, AugmentConfig(rng_seed=args.seed), rng)
+    augmented = _STRATEGIES[args.strategy](x, AugmentConfig(), rng)
     with open(args.out_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["channel", "t", "original", "augmented"])

@@ -10,7 +10,6 @@ channel). All series in a dataset share the same (C, T).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
@@ -27,11 +26,9 @@ __all__ = [
     "batches",
     "denormalize",
     "load_dataset",
-    "load_norm_stats",
     "make_synthetic_fixture",
     "parse_csv",
     "parse_ts",
-    "save_norm_stats",
     "serialize_ts",
     "subsample",
     "train_test_split",
@@ -337,16 +334,6 @@ def denormalize(ds: MtsDataset, stats: NormStats) -> MtsDataset:
     scale = np.where(stats.std < _STD_FLOOR, 1.0, stats.std)
     series = ds.series * scale[None, :, None] + stats.mean[None, :, None]
     return replace(ds, series=series)
-
-
-def save_norm_stats(stats: NormStats, path) -> None:
-    payload = {"mean": [float(v) for v in stats.mean], "std": [float(v) for v in stats.std]}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def load_norm_stats(path) -> NormStats:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return NormStats(mean=np.array(payload["mean"]), std=np.array(payload["std"]))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ Variants, all selected by ``EncoderConfig.variant``:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -156,10 +155,6 @@ class CatParams:
 
     def trainable(self) -> dict[str, Tensor]:
         return {k: t for k, t in self.named().items() if t.requires_grad}
-
-    def zero_grad(self) -> None:
-        for t in self.named().values():
-            t.zero_grad()
 
 
 @dataclass
@@ -340,8 +335,6 @@ def encode(
     stats: dict | None = None,
 ) -> Representation:
     """Embed, run the layer stack, and reduce to the final representation."""
-    if config.variant not in VARIANTS:
-        raise ConfigError(f"unknown encoder variant '{config.variant}'")
     a_t, a_c = embed(x, params)
     for layer in params.layers:
         a_t, a_c = co_layer(a_t, a_c, layer, config, rng=rng, train=train, stats=stats)
@@ -355,16 +348,10 @@ def encode(
 
 @dataclass
 class Encoder:
-    """Bundle of parameters and config with convenience encode calls."""
+    """Bundle of parameters and config with a batched encode call."""
 
     params: CatParams
     config: EncoderConfig
-
-    def encode(self, x, *, rng=None, train: bool = False) -> Representation:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise ShapeError(f"Encoder.encode expects one (C, T) sample, got shape {x.shape}")
-        return encode(x, self.params, self.config, rng=rng, train=train)
 
     def encode_batch(self, xs, *, rng=None, train: bool = False) -> Representation:
         xs = constant(xs)
@@ -375,7 +362,3 @@ class Encoder:
     @property
     def flat_dim(self) -> int:
         return representation_rows(self.config) * self.config.width
-
-    def iter_samples(self, xs) -> Iterator[Representation]:
-        for x in xs:
-            yield self.encode(x)

@@ -3,7 +3,12 @@ probing, a supervised-from-scratch baseline, metrics, and the few-shot sweep.
 
 Every run is a pure function of (seed, config, dataset): rng streams are
 derived from the seed per purpose, so identical runs produce identical loss
-logs and bitwise-identical checkpoints.
+logs and bitwise-identical checkpoints. The three trainers share one update
+loop, :func:`fit`. Pretraining logs one record per step (``epoch``, ``step``,
+``ntp_loss``, ``cs_loss``, ``combined``) to ``log.jsonl``; its checkpoints
+carry the ``TrainConfig`` and any normalization stats, so a checkpoint is all
+``probe`` and ``fewshot`` need. :func:`train_config_from_dict` is the one way
+to build a ``TrainConfig`` from plain values.
 """
 
 from __future__ import annotations
@@ -12,16 +17,18 @@ import dataclasses
 import json
 import logging
 import math
+import typing
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .augment import AugmentConfig
 from .checkpoint import save_encoder
-from .data import MtsDataset, batches, subsample
-from .encoder import CatParams, Encoder, EncoderConfig, init_cat_params
+from .data import MtsDataset, NormStats, batches, subsample
+from .encoder import CatParams, Encoder, EncoderConfig, _glorot, init_cat_params
 from .errors import ConfigError
 from .optim import adam_step, init_adam_state
 from .pretext import (
@@ -49,13 +56,17 @@ __all__ = [
     "linear_probe",
     "pretrain",
     "supervised_baseline",
+    "train_config_from_dict",
     "train_linear_head",
 ]
 
 
 @dataclass
 class TrainConfig:
-    """Every hyperparameter of a run, ablation switches included."""
+    """Every hyperparameter of a run, ablation switches included.
+
+    A pretext task is switched off by setting its weight in ``weights`` to 0.
+    """
 
     encoder: EncoderConfig
     weights: LossWeights = field(default_factory=LossWeights)
@@ -71,8 +82,6 @@ class TrainConfig:
     early_stop_patience: int = 10
     save_every: int = 1
     seed: int = 0
-    no_ntp: bool = False
-    no_cs: bool = False
     no_neg_augment: bool = False
     reverse_neg: bool = False
     use_nvp: bool = False
@@ -86,16 +95,67 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.early_stop_patience < 1:
             raise ConfigError("early_stop_patience must be >= 1")
-        if self.effective_alpha1 == 0.0 and self.effective_alpha2 == 0.0:
-            raise ConfigError("both pretext tasks are disabled; nothing to pretrain")
 
-    @property
-    def effective_alpha1(self) -> float:
-        return 0.0 if self.no_ntp else self.weights.alpha1
 
-    @property
-    def effective_alpha2(self) -> float:
-        return 0.0 if self.no_cs else self.weights.alpha2
+def _coerce(key: str, value, kind):
+    """``value`` as the field type ``kind``: text is parsed, anything else checked.
+
+    Text comes from config files, JSON values from checkpoint snapshots; a
+    tuple field takes "a, b" text or a list.
+    """
+    try:
+        if typing.get_origin(kind) is tuple:
+            parts = value.replace(",", " ").split() if isinstance(value, str) else list(value)
+            args = typing.get_args(kind)
+            if len(parts) != len(args):
+                raise ValueError
+            return tuple(_coerce(key, part, arg) for part, arg in zip(parts, args))
+        if isinstance(value, str):
+            text = value.strip()
+            if kind is bool:
+                return {"true": True, "false": False}[text.lower()]
+            return kind(text)
+        if kind is float and type(value) is int:
+            return float(value)
+        if type(value) is not kind:
+            raise ValueError
+        return value
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError(f"config key '{key}': cannot parse value {value!r}") from None
+
+
+def _build(cls, values: Mapping, prefix: str = ""):
+    """An instance of the dataclass ``cls``; nested dataclass fields take mappings."""
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in values.items():
+        kind = hints.get(key)
+        nested = kind is not None and dataclasses.is_dataclass(kind)
+        if kind is None or nested != isinstance(value, Mapping):
+            raise ConfigError(f"unknown config key '{prefix}{key}'")
+        kwargs[key] = _build(kind, value, f"{prefix}{key}.") if nested else _coerce(prefix + key, value, kind)
+    try:
+        return cls(**kwargs)
+    except TypeError as exc:
+        raise ConfigError(f"incomplete config {prefix.rstrip('.') or 'block'}: {exc}") from None
+
+
+def train_config_from_dict(values: Mapping) -> TrainConfig:
+    """Build a ``TrainConfig`` from ``{field: value, section: {field: value}}``.
+
+    Sections are ``encoder``, ``weights`` and ``aug``. Each value is parsed
+    by its dataclass field type; unknown keys raise ``ConfigError``. Keys of
+    older configs and checkpoints still load: ``no_ntp = true`` and
+    ``no_cs = true`` set ``weights.alpha1`` and ``weights.alpha2`` to 0, and
+    ``aug.rng_seed``, which nothing read, is dropped.
+    """
+    values = dict(values)
+    for legacy, alpha in (("no_ntp", "alpha1"), ("no_cs", "alpha2")):
+        if _coerce(legacy, values.pop(legacy, False), bool):
+            values["weights"] = {**values.get("weights", {}), alpha: 0.0}
+    if isinstance(values.get("aug"), Mapping):
+        values["aug"] = {k: v for k, v in values["aug"].items() if k != "rng_seed"}
+    return _build(TrainConfig, values)
 
 
 @dataclass
@@ -142,47 +202,72 @@ def compute_metrics(pred, truth, class_count: int) -> Metrics:
 
 
 # ---------------------------------------------------------------------------
-# pretraining
+# the update loop
 # ---------------------------------------------------------------------------
 
 
-def _write_log(out_dir: Path | None, log: list[dict]) -> None:
-    if out_dir is None:
-        return
-    with open(out_dir / "log.jsonl", "w", encoding="utf-8") as fh:
-        for record in log:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+def fit(
+    trainables: Mapping[str, Tensor],
+    *,
+    lr: float,
+    epochs: int,
+    patience: int,
+    epoch_batches: Callable[[int], Iterable],
+    step_loss: Callable[[object], tuple[Tensor, dict]],
+    log: list[dict] | None = None,
+    on_epoch: Callable[[int, float, int], None] | None = None,
+) -> bool:
+    """Train ``trainables`` with Adam; return whether the run stopped early.
+
+    ``epoch_batches(epoch)`` yields one epoch's batches and
+    ``step_loss(batch)`` returns the scalar loss and the fields to log with
+    it; once a step's update is taken, ``{"epoch", "step", **fields}`` is
+    appended to ``log`` (when given). A non-finite loss raises
+    ``FloatingPointError`` before backward. After each epoch
+    ``on_epoch(epoch, mean loss, steps so far)`` runs, and the run stops once
+    the mean has not improved for ``patience`` epochs.
+    """
+    state = init_adam_state({k: t.data for k, t in trainables.items()}, lr=lr)
+    best = math.inf
+    stale = 0
+    step = 0
+    for epoch in range(epochs):
+        losses: list[float] = []
+        for batch in epoch_batches(epoch):
+            for t in trainables.values():
+                t.zero_grad()
+            loss, fields = step_loss(batch)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise FloatingPointError(f"non-finite loss {value} at epoch {epoch} step {step}")
+            # no graph outlives its step: backward frees it, and only `loss`
+            # refers to it from here on
+            loss.backward()
+            del loss
+            grads = {k: t.grad for k, t in trainables.items() if t.grad is not None}
+            new_values, state = adam_step({k: t.data for k, t in trainables.items()}, grads, state)
+            for k, t in trainables.items():
+                t.data = new_values[k]
+            if log is not None:
+                log.append({"epoch": epoch, "step": step, **fields})
+            losses.append(value)
+            step += 1
+        epoch_mean = float(np.mean(losses))
+        if on_epoch is not None:
+            on_epoch(epoch, epoch_mean, step)
+        if epoch_mean < best - 1e-12:
+            best, stale = epoch_mean, 0
+        else:
+            stale += 1
+            if stale >= patience:
+                logger.info("loss plateaued for %d epochs, stopping early", stale)
+                return True
+    return False
 
 
-class _CheckpointKeeper:
-    """Keep the last two epoch checkpoints plus the best-by-train-loss one."""
-
-    def __init__(self, out_dir: Path | None):
-        self.out_dir = out_dir
-        self.saved: list[tuple[int, Path]] = []
-        self.best: tuple[float, Path] | None = None
-
-    def save(self, epoch: int, loss: float, params, config, cfg: TrainConfig, heads, step: int):
-        if self.out_dir is None:
-            return
-        path = self.out_dir / f"checkpoint_epoch{epoch:04d}.ckpt"
-        extras = {k: t.data for k, t in heads.named().items()}
-        meta = {"epoch": epoch, "train_loss": loss, "train_config": _config_dict(cfg)}
-        save_encoder(path, params, config, seed=cfg.seed, step=step, extra=extras, meta=meta)
-        self.saved.append((epoch, path))
-        if self.best is None or loss < self.best[0]:
-            self.best = (loss, path)
-        keep = {p for _, p in self.saved[-2:]}
-        if self.best is not None:
-            keep.add(self.best[1])
-        for _, p in self.saved[:-2]:
-            if p not in keep and p.exists():
-                p.unlink()
-
-
-def _config_dict(cfg: TrainConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    return out
+# ---------------------------------------------------------------------------
+# pretraining
+# ---------------------------------------------------------------------------
 
 
 def pretrain(
@@ -190,16 +275,20 @@ def pretrain(
     cfg: TrainConfig,
     *,
     out_dir=None,
+    norm: NormStats | None = None,
 ) -> tuple[CatParams, PretextHeads, list[dict]]:
     """Run the self-supervised loop and return (params, heads, step log).
 
     Per step: build the contrastive batch and the trend instances on the same
-    originals, combine the two losses with their weights (ablation flags can
-    zero either side, drop the negatives, flip them to positives, or swap the
-    trend task for value regression), and take one Adam step. Checkpoints are
-    written per epoch when ``out_dir`` is given, keeping the last two and the
-    best; a non-finite loss aborts with previously written checkpoints left
-    in place.
+    originals, combine the two losses with their weights (a weight of 0
+    skips its task; ablation flags drop the negatives, flip them to
+    positives, or swap the trend task for value regression), and take one
+    Adam step. Checkpoints are written per epoch when ``out_dir`` is given,
+    keeping the last two and the best, and as ``checkpoint.ckpt`` at the end.
+    Each holds the heads, the training config and, when ``norm`` gives the
+    stats ``ds`` was normalized with, those stats as the ``extra`` arrays
+    ``norm.mean`` and ``norm.std``. A non-finite loss aborts with the log so
+    far and previously written checkpoints left in place.
     """
     if ds.size < 1:
         raise ConfigError("pretraining needs at least one sample")
@@ -220,90 +309,69 @@ def pretrain(
     params = init_cat_params(cfg.encoder, rng_init)
     heads = init_pretext_heads(cfg.encoder, rng_init)
     encoder = Encoder(params, cfg.encoder)
-    trainables = {**params.trainable(), **heads.named()}
-    state = init_adam_state({k: t.data for k, t in trainables.items()}, lr=cfg.pretrain_lr)
+    weights = cfg.weights
 
-    a1, a2 = cfg.effective_alpha1, cfg.effective_alpha2
-    eff_weights = LossWeights(alpha1=a1, alpha2=a2, tau=cfg.weights.tau)
+    def step_loss(batch):
+        if weights.alpha1 > 0.0:
+            if cfg.use_nvp:
+                ntp_part = nvp_loss(encoder, batch.x, rng_ntp, heads, train=True)
+            else:
+                groups = [make_ntp_instances(x, cfg.k_ntp, rng_ntp) for x in batch.x]
+                ntp_part = ntp_loss(encoder, groups, heads, rng=rng_drop, train=True)
+        else:
+            ntp_part = constant(0.0)
+        if weights.alpha2 > 0.0:
+            cs_batch = build_cs_batch(
+                batch.x, cfg.aug, rng_aug, include_negatives=not cfg.no_neg_augment
+            )
+            if cfg.reverse_neg:
+                cs_batch = reverse_neg_mode(cs_batch)
+            cs_part = cs_loss(encoder, cs_batch, heads, weights, rng=rng_drop, train=True)
+        else:
+            cs_part = constant(0.0)
+        combined = combined_loss(ntp_part, cs_part, weights)
+        return combined, {"ntp_loss": ntp_part.item(), "cs_loss": cs_part.item(), "combined": combined.item()}
+
+    def save(path: Path, step: int, **meta) -> None:
+        extra = {k: t.data for k, t in heads.named().items()}
+        if norm is not None:
+            extra["norm.mean"], extra["norm.std"] = norm.mean, norm.std
+        meta["train_config"] = dataclasses.asdict(cfg)
+        save_encoder(path, params, cfg.encoder, seed=cfg.seed, step=step, extra=extra, meta=meta)
+
+    saved: list[tuple[float, Path]] = []
+
+    def on_epoch(epoch: int, mean: float, step: int) -> None:
+        logger.info("pretrain epoch %d: combined loss %.6f (%d steps so far)", epoch, mean, step)
+        if out_dir is not None and ((epoch + 1) % cfg.save_every == 0 or epoch == cfg.pretrain_epochs - 1):
+            path = out_dir / f"checkpoint_epoch{epoch:04d}.ckpt"
+            save(path, step, epoch=epoch, train_loss=mean)
+            # keep the last two epoch checkpoints plus the first with the lowest train loss
+            saved.append((mean, path))
+            best = min(saved, key=lambda entry: entry[0])[1]
+            for _, old in saved[:-2]:
+                if old != best and old.exists():
+                    old.unlink()
 
     log: list[dict] = []
-    keeper = _CheckpointKeeper(out_dir)
-    best_epoch_loss = math.inf
-    stale = 0
-    step = 0
-    stopped = False
-    for epoch in range(cfg.pretrain_epochs):
-        epoch_losses: list[float] = []
-        for batch in batches(ds, cfg.pretrain_batch, shuffle=True, seed=cfg.seed, epoch=epoch):
-            for t in trainables.values():
-                t.zero_grad()
-
-            if a1 > 0.0:
-                if cfg.use_nvp:
-                    ntp_part = nvp_loss(encoder, batch.x, rng_ntp, heads, train=True)
-                else:
-                    groups = [make_ntp_instances(x, cfg.k_ntp, rng_ntp) for x in batch.x]
-                    ntp_part = ntp_loss(encoder, groups, heads, rng=rng_drop, train=True)
-            else:
-                ntp_part = constant(0.0)
-            if a2 > 0.0:
-                cs_batch = build_cs_batch(
-                    batch.x, cfg.aug, rng_aug, include_negatives=not cfg.no_neg_augment
-                )
-                if cfg.reverse_neg:
-                    cs_batch = reverse_neg_mode(cs_batch)
-                cs_part = cs_loss(encoder, cs_batch, heads, eff_weights, rng=rng_drop, train=True)
-            else:
-                cs_part = constant(0.0)
-
-            combined = combined_loss(ntp_part, cs_part, eff_weights)
-            value = combined.item()
-            record = {
-                "epoch": epoch,
-                "step": step,
-                "ntp_loss": ntp_part.item(),
-                "cs_loss": cs_part.item(),
-                "combined": value,
-            }
-            # no graph outlives its step: backward frees it, and only
-            # `combined` refers to it from here on
-            del ntp_part, cs_part
-            if not math.isfinite(value):
-                _write_log(out_dir, log)
-                raise FloatingPointError(
-                    f"non-finite loss {value} at epoch {epoch} step {step}; "
-                    "last-good checkpoints retained"
-                )
-            combined.backward()
-            del combined
-            grads = {k: t.grad for k, t in trainables.items() if t.grad is not None}
-            new_values, state = adam_step({k: t.data for k, t in trainables.items()}, grads, state)
-            for k, t in trainables.items():
-                t.data = new_values[k]
-
-            log.append(record)
-            epoch_losses.append(value)
-            step += 1
-
-        epoch_mean = float(np.mean(epoch_losses))
-        logger.info("pretrain epoch %d: combined loss %.6f (%d steps)", epoch, epoch_mean, len(epoch_losses))
-        if (epoch + 1) % cfg.save_every == 0 or epoch == cfg.pretrain_epochs - 1:
-            keeper.save(epoch, epoch_mean, params, cfg.encoder, cfg, heads, step)
-        if epoch_mean < best_epoch_loss - 1e-12:
-            best_epoch_loss = epoch_mean
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.early_stop_patience:
-                logger.info("pretrain: loss plateaued for %d epochs, stopping early", stale)
-                stopped = True
-                break
-
+    try:
+        stopped = fit(
+            {**params.trainable(), **heads.named()},
+            lr=cfg.pretrain_lr,
+            epochs=cfg.pretrain_epochs,
+            patience=cfg.early_stop_patience,
+            epoch_batches=lambda epoch: batches(ds, cfg.pretrain_batch, shuffle=True, seed=cfg.seed, epoch=epoch),
+            step_loss=step_loss,
+            log=log,
+            on_epoch=on_epoch,
+        )
+    finally:
+        if out_dir is not None:
+            with open(out_dir / "log.jsonl", "w", encoding="utf-8") as fh:
+                for record in log:
+                    fh.write(json.dumps(record, sort_keys=True) + "\n")
     if out_dir is not None:
-        extras = {k: t.data for k, t in heads.named().items()}
-        meta = {"final": True, "stopped_early": stopped, "train_config": _config_dict(cfg)}
-        save_encoder(out_dir / "checkpoint.ckpt", params, cfg.encoder, seed=cfg.seed, step=step, extra=extras, meta=meta)
-        _write_log(out_dir, log)
+        save(out_dir / "checkpoint.ckpt", len(log), final=True, stopped_early=stopped)
     return params, heads, log
 
 
@@ -335,35 +403,17 @@ def train_linear_head(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Train one affine layer with cross entropy on fixed features."""
     n, dim = features.shape
-    rng = np.random.default_rng([seed, 10])
-    limit = math.sqrt(6.0 / (dim + class_count))
-    w = Tensor(rng.uniform(-limit, limit, size=(dim, class_count)), requires_grad=True)
+    w = _glorot(np.random.default_rng([seed, 10]), dim, class_count)
     b = Tensor(np.zeros(class_count), requires_grad=True)
-    state = init_adam_state({"w": w.data, "b": b.data}, lr=lr)
-    best = math.inf
-    stale = 0
-    for epoch in range(epochs):
+
+    def epoch_batches(epoch: int):
         order = np.random.default_rng([seed, 11, epoch]).permutation(n)
-        losses = []
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            w.zero_grad()
-            b.zero_grad()
-            loss = cross_entropy(add(matmul(constant(features[idx]), w), b), labels[idx])
-            losses.append(loss.item())
-            loss.backward()
-            del loss
-            new_values, state = adam_step(
-                {"w": w.data, "b": b.data}, {"w": w.grad, "b": b.grad}, state
-            )
-            w.data, b.data = new_values["w"], new_values["b"]
-        epoch_mean = float(np.mean(losses))
-        if epoch_mean < best - 1e-12:
-            best, stale = epoch_mean, 0
-        else:
-            stale += 1
-            if stale >= patience:
-                break
+        return (order[start : start + batch_size] for start in range(0, n, batch_size))
+
+    def step_loss(idx):
+        return cross_entropy(add(matmul(constant(features[idx]), w), b), labels[idx]), {}
+
+    fit({"w": w, "b": b}, lr=lr, epochs=epochs, patience=patience, epoch_batches=epoch_batches, step_loss=step_loss)
     return w.data, b.data
 
 
@@ -427,38 +477,22 @@ def supervised_baseline(
     rng_drop = np.random.default_rng([cfg.seed, 21])
     params = init_cat_params(cfg.encoder, rng_init)
     encoder = Encoder(params, cfg.encoder)
-    dim = encoder.flat_dim
-    limit = math.sqrt(6.0 / (dim + k))
-    head_w = Tensor(rng_init.uniform(-limit, limit, size=(dim, k)), requires_grad=True)
+    head_w = _glorot(rng_init, encoder.flat_dim, k)
     head_b = Tensor(np.zeros(k), requires_grad=True)
-    trainables = {**params.trainable(), "head.w": head_w, "head.b": head_b}
-    state = init_adam_state({n: t.data for n, t in trainables.items()}, lr=cfg.supervised_lr)
 
-    best = math.inf
-    stale = 0
-    for epoch in range(cfg.probe_epochs):
-        losses = []
-        for batch in batches(ds_train, cfg.probe_batch, shuffle=True, seed=cfg.seed, epoch=epoch):
-            for t in trainables.values():
-                t.zero_grad()
-            flat = encoder.encode_batch(batch.x, rng=rng_drop, train=True).flat
-            loss = cross_entropy(add(matmul(flat, head_w), head_b), batch.labels)
-            del flat
-            losses.append(loss.item())
-            loss.backward()
-            del loss
-            grads = {n: t.grad for n, t in trainables.items() if t.grad is not None}
-            new_values, state = adam_step({n: t.data for n, t in trainables.items()}, grads, state)
-            for n, t in trainables.items():
-                t.data = new_values[n]
-        epoch_mean = float(np.mean(losses))
-        logger.info("supervised epoch %d: loss %.6f", epoch, epoch_mean)
-        if epoch_mean < best - 1e-12:
-            best, stale = epoch_mean, 0
-        else:
-            stale += 1
-            if stale >= cfg.early_stop_patience:
-                break
+    def step_loss(batch):
+        flat = encoder.encode_batch(batch.x, rng=rng_drop, train=True).flat
+        return cross_entropy(add(matmul(flat, head_w), head_b), batch.labels), {}
+
+    fit(
+        {**params.trainable(), "head.w": head_w, "head.b": head_b},
+        lr=cfg.supervised_lr,
+        epochs=cfg.probe_epochs,
+        patience=cfg.early_stop_patience,
+        epoch_batches=lambda epoch: batches(ds_train, cfg.probe_batch, shuffle=True, seed=cfg.seed, epoch=epoch),
+        step_loss=step_loss,
+        on_epoch=lambda epoch, mean, _: logger.info("supervised epoch %d: loss %.6f", epoch, mean),
+    )
 
     present = np.zeros(k, dtype=bool)
     present[np.unique(ds_train.labels)] = True

@@ -30,22 +30,13 @@ class AdamState:
     epsilon: float = 1e-8
 
 
-def init_adam_state(
-    params: Mapping[str, np.ndarray],
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> AdamState:
+def init_adam_state(params: Mapping[str, np.ndarray], lr: float) -> AdamState:
     """Zero moments shaped like ``params``."""
     return AdamState(
         step_count=0,
         first_moment={k: np.zeros_like(v) for k, v in params.items()},
         second_moment={k: np.zeros_like(v) for k, v in params.items()},
         lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
     )
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .augment import AugmentConfig, async_permute, interval_adjust, sync_permute
-from .encoder import Encoder, EncoderConfig, representation_rows
+from .encoder import Encoder, EncoderConfig, _glorot, representation_rows
 from .errors import ConfigError, ShapeError
 from .tensor import (
     Tensor,
@@ -217,15 +217,6 @@ class PretextHeads:
             "heads.nvp.w": self.nvp_w,
             "heads.nvp.b": self.nvp_b,
         }
-
-    def zero_grad(self) -> None:
-        for t in self.named().values():
-            t.zero_grad()
-
-
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=(fan_in, fan_out)), requires_grad=True)
 
 
 def init_pretext_heads(config: EncoderConfig, rng: np.random.Generator) -> PretextHeads:

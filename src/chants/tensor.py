@@ -31,7 +31,6 @@ __all__ = [
     "AttnWeights",
     "Tensor",
     "add",
-    "concat",
     "constant",
     "cosine_similarity",
     "cross_entropy",
@@ -49,7 +48,6 @@ __all__ = [
     "mul",
     "multi_head_attention",
     "no_grad",
-    "parameter",
     "reshape",
     "softmax",
     "sqrt",
@@ -101,10 +99,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """A view of the same data cut off from the tape."""
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -155,34 +149,6 @@ class Tensor:
             node._backward = _freed
             node._parents = ()
 
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return add(self, mul(constant(-1.0), other))
-
-    def __rsub__(self, other):
-        return add(other, mul(constant(-1.0), self))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(constant(-1.0), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -203,12 +169,6 @@ def constant(value) -> Tensor:
     if isinstance(value, Tensor):
         return value
     return Tensor(value)
-
-
-def parameter(value, rng: np.random.Generator | None = None) -> Tensor:
-    """Wrap raw data as a trainable leaf."""
-    del rng
-    return Tensor(value, requires_grad=True)
 
 
 def _taping(parents: Sequence[Tensor]) -> bool:
@@ -335,22 +295,6 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
         _accum(a, g.reshape(a.data.shape))
 
     return _make(out_data, (a,), backward)
-
-
-def concat(tensors: Sequence, axis: int = 0) -> Tensor:
-    parts = [constant(t) for t in tensors]
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(lo, hi)
-                _accum(p, g[tuple(index)])
-
-    return _make(out_data, tuple(parts), backward)
 
 
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:

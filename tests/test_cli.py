@@ -7,10 +7,14 @@ synthetic fixture, with a tiny config (width 8, depth 1, one epoch).
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from chants.cli import main
-from chants.data import make_synthetic_fixture, serialize_ts
+import chants.cli
+from chants.checkpoint import load_checkpoint, load_encoder, save_encoder
+from chants.cli import main, read_config_file
+from chants.data import make_synthetic_fixture, parse_ts, serialize_ts, znormalize
+from chants.harness import train_config_from_dict
 
 CHANNELS, STEPS = 3, 12
 
@@ -73,7 +77,8 @@ class TestSubcommands:
     def test_fewshot_writes_one_row_per_fraction_and_mode(self, pretrained, tmp_path):
         data, run = pretrained
         out = tmp_path / "fewshot"
-        argv = ["fewshot", str(run / "checkpoint.ckpt"), str(data), str(out), "--fractions", "0.5", "1.0", "--repeats", "1"]
+        argv = ["fewshot", str(run / "checkpoint.ckpt"), str(data), str(out)]
+        argv += ["--fractions", "0.5", "1.0", "--repeats", "1"]
         assert main(argv) == 0
         with open(out / "fewshot.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
@@ -130,6 +135,113 @@ class TestExitCodes:
         other = write_fixture(tmp_path / "wide.ts", channels=CHANNELS + 1)
         assert main(["probe", str(run / "checkpoint.ckpt"), str(other), str(tmp_path / "out")]) == 4
         assert "(channels, steps)" in capsys.readouterr().err
+
+
+class TestConfigFile:
+    def test_one_key_of_every_field_type(self, tmp_path):
+        path = write_config(tmp_path / "all.cfg", """\
+encoder.channels = 3
+encoder.steps = 12
+encoder.variant = tat
+encoder.dropout = 0.25
+k_ntp = 7
+pretrain_lr = 2.5e-4
+use_nvp = true
+reverse_neg = False
+aug.segment_count_range = 2, 6
+aug.interval_count_range = 3 4
+""")
+        cfg = train_config_from_dict(read_config_file(path))
+        assert (cfg.encoder.variant, cfg.encoder.dropout, cfg.encoder.width) == ("tat", 0.25, 512)
+        assert cfg.k_ntp == 7 and type(cfg.k_ntp) is int
+        assert cfg.pretrain_lr == 2.5e-4
+        assert cfg.use_nvp is True and cfg.reverse_neg is False
+        assert (cfg.aug.segment_count_range, cfg.aug.interval_count_range) == ((2, 6), (3, 4))
+
+    @pytest.mark.parametrize(
+        "lines, alphas",
+        [
+            ("no_cs = true\n", (2.0, 0.0)),
+            ("no_ntp = true\nweights.alpha1 = 3\n", (0.0, 1.0)),
+            ("no_cs = false\n", (2.0, 1.0)),
+        ],
+    )
+    def test_legacy_switches_zero_the_weights(self, tmp_path, lines, alphas):
+        path = write_config(tmp_path / "legacy.cfg", "encoder.channels = 3\nencoder.steps = 12\n" + lines)
+        cfg = train_config_from_dict(read_config_file(path))
+        assert (cfg.weights.alpha1, cfg.weights.alpha2) == alphas
+
+    def test_config_dims_must_match_the_data(self, pretrained, tmp_path, capsys):
+        data, _ = pretrained
+        cfg = write_config(tmp_path / "dims.cfg", TINY_CONFIG + "encoder.channels = 5\n")
+        assert main(["pretrain", str(cfg), str(data), str(tmp_path / "out")]) == 2
+        assert "(channels, steps)" in capsys.readouterr().err
+
+
+class TestSelfContainedCheckpoint:
+    def test_every_checkpoint_carries_the_stats_and_probe_applies_them(self, pretrained, tmp_path, monkeypatch):
+        data, run = pretrained
+        _, stats = znormalize(parse_ts(data))
+        for path in run.glob("*.ckpt"):
+            _, arrays = load_checkpoint(path)
+            assert arrays["extra.norm.mean"].tobytes() == stats.mean.tobytes()
+            assert arrays["extra.norm.std"].tobytes() == stats.std.tobytes()
+        applied = spy_on_norm_stats(monkeypatch)
+        assert main(["probe", str(run / "checkpoint.ckpt"), str(data), str(tmp_path / "out")]) == 0
+        assert [s.mean.tobytes() for s in applied] == [stats.mean.tobytes()] * 2  # train and test split
+
+    def test_unnormalized_run_into_a_reused_dir_leaves_no_stats_behind(self, tmp_path, monkeypatch):
+        data = write_fixture(tmp_path / "train.ts")
+        cfg, run = write_config(tmp_path / "tiny.cfg"), tmp_path / "run"
+        assert main(["pretrain", str(cfg), str(data), str(run)]) == 0
+        assert main(["pretrain", str(cfg), str(data), str(run), "--no-normalize"]) == 0
+        _, arrays = load_checkpoint(run / "checkpoint.ckpt")
+        assert not [name for name in arrays if name.startswith("extra.norm.")]
+        applied = spy_on_norm_stats(monkeypatch)
+        assert main(["probe", str(run / "checkpoint.ckpt"), str(data), str(tmp_path / "out")]) == 0
+        assert applied == []
+
+    def test_stats_of_the_wrong_length_exit_4(self, pretrained, tmp_path, capsys):
+        data, run = pretrained
+        params, config, manifest, extra = load_encoder(run / "checkpoint.ckpt")
+        extra["norm.mean"] = np.zeros(CHANNELS + 1)
+        bad = tmp_path / "bad.ckpt"
+        save_encoder(bad, params, config, seed=0, step=0, extra=extra, meta=manifest["meta"])
+        assert main(["probe", str(bad), str(data), str(tmp_path / "out")]) == 4
+        assert "norm.mean" in capsys.readouterr().err
+
+    def test_checkpoint_without_a_training_config_exits_4(self, pretrained, tmp_path, capsys):
+        data, run = pretrained
+        params, config, _, _ = load_encoder(run / "checkpoint.ckpt")
+        bare = tmp_path / "bare.ckpt"
+        save_encoder(bare, params, config, seed=0, step=0)
+        assert main(["probe", str(bare), str(data), str(tmp_path / "out")]) == 4
+        assert str(bare) in capsys.readouterr().err
+
+    def test_checkpoint_with_the_legacy_switches_still_loads(self, pretrained, tmp_path):
+        data, run = pretrained
+        params, config, manifest, extra = load_encoder(run / "checkpoint.ckpt")
+        snapshot = manifest["meta"]["train_config"]
+        snapshot["aug"]["rng_seed"] = 0
+        snapshot.update(no_ntp=False, no_cs=True)
+        old = tmp_path / "old.ckpt"
+        save_encoder(old, params, config, seed=0, step=0, extra=extra, meta={"train_config": snapshot})
+        assert main(["probe", str(old), str(data), str(tmp_path / "out")]) == 0
+        _, _, manifest, _ = load_encoder(old)
+        assert train_config_from_dict(manifest["meta"]["train_config"]).weights.alpha2 == 0.0
+
+
+def spy_on_norm_stats(monkeypatch):
+    """Record every NormStats the CLI applies to a split."""
+    applied = []
+    original = chants.cli.apply_norm_stats
+
+    def apply_norm_stats(ds, stats):
+        applied.append(stats)
+        return original(ds, stats)
+
+    monkeypatch.setattr(chants.cli, "apply_norm_stats", apply_norm_stats)
+    return applied
 
 
 def test_fewshot_rejects_zero_repeats_before_loading_anything(tmp_path, capsys):

@@ -173,16 +173,6 @@ class TestNormalization:
         back = denormalize(out, stats)
         np.testing.assert_allclose(back.series, ds.series, atol=1e-9)
 
-    def test_stats_persist_as_text(self, tmp_path):
-        from chants.data import load_norm_stats, save_norm_stats
-
-        rng = np.random.default_rng(7)
-        _, stats = znormalize(random_dataset(rng, labeled=False))
-        save_norm_stats(stats, tmp_path / "norm.json")
-        loaded = load_norm_stats(tmp_path / "norm.json")
-        np.testing.assert_allclose(loaded.mean, stats.mean)
-        np.testing.assert_allclose(loaded.std, stats.std)
-
 
 class TestSubsample:
     def test_full_fraction_is_identity(self):

@@ -237,8 +237,8 @@ class TestEncode:
         enc = Encoder(params, config)
         batched = enc.encode_batch(xs)
         for i in range(4):
-            single = enc.encode(xs[i])
-            np.testing.assert_allclose(batched.per_channel.data[i], single.per_channel.data, rtol=1e-12)
+            single = enc.encode_batch(xs[i : i + 1])
+            np.testing.assert_allclose(batched.per_channel.data[i], single.per_channel.data[0], rtol=1e-12)
             np.testing.assert_allclose(batched.flat.data[i], single.flat.data[0], rtol=1e-12)
 
     def test_encode_is_deterministic_without_dropout(self):

@@ -1,11 +1,14 @@
-"""Unit tests for metrics, probing, pretraining, and the few-shot sweep."""
+"""Unit tests for metrics, probing, pretraining, the few-shot sweep, and
+building a training config from plain values."""
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from chants.augment import AugmentConfig
 from chants.data import MtsDataset, make_synthetic_fixture, subsample, train_test_split, znormalize
 from chants.encoder import EncoderConfig, init_cat_params
 from chants.errors import ConfigError
@@ -14,17 +17,20 @@ from chants.harness import (
     compute_metrics,
     extract_features,
     fewshot_sweep,
+    fit,
     linear_probe,
     pretrain,
     supervised_baseline,
+    train_config_from_dict,
     train_linear_head,
 )
 from chants.pretext import LossWeights
-from chants.tensor import Tensor
+from chants.tensor import Tensor, constant, mul, tensor_sum
 
 
 def tiny_cfg(channels=2, steps=8, width=8, depth=1, heads=2, **kw):
     defaults = dict(
+        weights=LossWeights(),
         k_ntp=2,
         pretrain_lr=1e-3,
         pretrain_batch=4,
@@ -36,7 +42,6 @@ def tiny_cfg(channels=2, steps=8, width=8, depth=1, heads=2, **kw):
     defaults.update(kw)
     return TrainConfig(
         encoder=EncoderConfig(channels=channels, steps=steps, width=width, depth=depth, heads=heads, dropout=0.0),
-        weights=LossWeights(),
         **defaults,
     )
 
@@ -158,14 +163,14 @@ class TestPretrain:
     def test_no_cs_flag_logs_zero_similarity_component(self):
         rng = np.random.default_rng(6)
         ds = labeled_dataset(rng, m=8)
-        _, _, log = pretrain(ds, tiny_cfg(no_cs=True, pretrain_epochs=1))
+        _, _, log = pretrain(ds, tiny_cfg(weights=LossWeights(alpha2=0.0), pretrain_epochs=1))
         assert all(rec["cs_loss"] == 0.0 for rec in log)
         assert all(rec["ntp_loss"] > 0.0 for rec in log)
 
     def test_no_ntp_flag_logs_zero_trend_component(self):
         rng = np.random.default_rng(7)
         ds = labeled_dataset(rng, m=8)
-        _, _, log = pretrain(ds, tiny_cfg(no_ntp=True, pretrain_epochs=1))
+        _, _, log = pretrain(ds, tiny_cfg(weights=LossWeights(alpha1=0.0), pretrain_epochs=1))
         assert all(rec["ntp_loss"] == 0.0 for rec in log)
 
     def test_same_seed_runs_are_identical(self):
@@ -260,6 +265,87 @@ class TestSupervisedBaseline:
         cfg = tiny_cfg(probe_epochs=30, supervised_lr=3e-3)
         metrics = supervised_baseline(ds, ds, cfg)
         assert metrics.accuracy >= 0.9
+
+
+@pytest.mark.parametrize("patience, epochs_run, stopped", [(3, 4, True), (10, 6, False)])
+def test_fit_stops_once_the_loss_has_not_improved_for_patience_epochs(patience, epochs_run, stopped):
+    w = Tensor(np.ones(2), requires_grad=True)
+    seen, log = [], []
+
+    def step_loss(batch):
+        return tensor_sum(mul(w, constant(np.zeros(2)))), {"batch": batch}
+
+    result = fit(
+        {"w": w}, lr=0.1, epochs=6, patience=patience, epoch_batches=lambda epoch: ["a", "b"],
+        step_loss=step_loss, log=log, on_epoch=lambda epoch, mean, steps: seen.append((epoch, mean, steps)),
+    )
+    assert result is stopped
+    assert seen == [(e, 0.0, 2 * (e + 1)) for e in range(epochs_run)]
+    assert log[:3] == [
+        {"epoch": 0, "step": 0, "batch": "a"},
+        {"epoch": 0, "step": 1, "batch": "b"},
+        {"epoch": 1, "step": 2, "batch": "a"},
+    ]
+
+
+def test_head_and_supervised_training_abort_on_a_non_finite_loss():
+    rng = np.random.default_rng(22)
+    features = rng.normal(size=(8, 4))
+    features[3, 1] = np.inf
+    with pytest.raises(FloatingPointError, match="non-finite loss"):
+        train_linear_head(features, np.tile([0, 1], 4), 2, lr=0.01, batch_size=4, epochs=2, patience=2, seed=0)
+    train = labeled_dataset(rng, m=8)
+    train.series[5, 0, 2] = np.nan
+    with pytest.raises(FloatingPointError, match="non-finite loss"):
+        supervised_baseline(train, labeled_dataset(rng, m=4), tiny_cfg(probe_epochs=1))
+
+
+class TestTrainConfigFromDict:
+    def non_default(self):
+        return tiny_cfg(
+            weights=LossWeights(alpha1=0.5, alpha2=3.0, tau=0.1),
+            aug=AugmentConfig(jitter_sigma=0.3, interval_count_range=(2, 3), segment_count_range=(5, 9)),
+            early_stop_patience=4,
+            reverse_neg=True,
+            use_nvp=True,
+        )
+
+    def test_round_trips_asdict_and_its_json_snapshot(self):
+        cfg = self.non_default()
+        assert train_config_from_dict(dataclasses.asdict(cfg)) == cfg
+        snapshot = json.loads(json.dumps(dataclasses.asdict(cfg)))
+        assert snapshot["aug"]["segment_count_range"] == [5, 9]
+        assert train_config_from_dict(snapshot) == cfg
+
+    def test_legacy_switches_of_a_stored_snapshot_zero_the_weights(self):
+        snapshot = json.loads(json.dumps(dataclasses.asdict(tiny_cfg())))
+        snapshot["aug"]["rng_seed"] = 7
+        snapshot.update(no_ntp=False, no_cs=True)
+        cfg = train_config_from_dict(snapshot)
+        assert (cfg.weights.alpha1, cfg.weights.alpha2) == (2.0, 0.0)
+        snapshot.update(no_ntp=True, no_cs=False)
+        cfg = train_config_from_dict(snapshot)
+        assert (cfg.weights.alpha1, cfg.weights.alpha2) == (0.0, 1.0)
+        snapshot.update(no_ntp=True, no_cs=True)
+        with pytest.raises(ConfigError, match="at least one loss weight"):
+            train_config_from_dict(snapshot)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"bogus": 1}, "'bogus'"),
+            ({"encoder": {"channels": 2, "steps": 8, "bogus": 1}}, "'encoder.bogus'"),
+            ({"k_ntp": 2.5}, "'k_ntp'"),
+            ({"use_nvp": "maybe"}, "'use_nvp'"),
+            ({"aug": {"segment_count_range": [1, 2, 3]}}, "'aug.segment_count_range'"),
+            ({"weights": 1.0}, "'weights'"),
+            ({"encoder": {"channels": 2}}, "steps"),
+        ],
+    )
+    def test_rejects_unknown_keys_and_mistyped_values(self, change, message):
+        snapshot = {**dataclasses.asdict(tiny_cfg()), **change}
+        with pytest.raises(ConfigError, match=message):
+            train_config_from_dict(snapshot)
 
 
 class TestFewshotSweep:

@@ -11,7 +11,6 @@ from chants.tensor import (
     AttnWeights,
     Tensor,
     add,
-    concat,
     constant,
     cosine_similarity,
     cross_entropy,
@@ -437,7 +436,6 @@ class TestAutodiffPlumbing:
             (lambda a: tensor_sum(mul(gelu(a), a)), [x]),
             (lambda a: tensor_sum(mul(transpose(a), transpose(a))), [x]),
             (lambda a: tensor_sum(mul(reshape(a, (2, 12)), reshape(a, (2, 12)))), [x]),
-            (lambda a, b: tensor_sum(mul(concat([a, b], axis=0), concat([a, b], axis=0))), [x, y]),
             (lambda a: tensor_sum(mul(mean(a, axis=0, keepdims=True), constant(probe))), [x]),
             (lambda a: tensor_sum(logsumexp(a, axis=-1)), [x]),
         ]
