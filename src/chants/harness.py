@@ -43,7 +43,7 @@ from .pretext import (
     nvp_loss,
     reverse_neg_mode,
 )
-from .tensor import Tensor, add, constant, cross_entropy, matmul, no_grad
+from .tensor import MicroBatchMasks, Tensor, add, constant, cross_entropy, matmul, no_grad
 
 logger = logging.getLogger(__name__)
 
@@ -270,6 +270,33 @@ def fit(
 # ---------------------------------------------------------------------------
 
 
+def _ntp_per_sample(encoder: Encoder, groups, heads: PretextHeads, rng: np.random.Generator, weight: float) -> float:
+    """The NTP loss over ``groups``, with ``weight`` times its gradient added to the leaves.
+
+    Runs one source sample at a time: that sample's truncations form one
+    micro-batch, whose loss is backpropagated with weight ``weight / B``
+    (B = ``len(groups)``) as soon as it is built, so only one micro-batch's
+    graph is alive at a time.
+    The NTP loss is a sum over samples divided by B, so the summed values
+    and gradients are those of ``ntp_loss`` over all B groups at once, up to
+    rounding. Dropout masks are those of that single pass and ``rng`` ends
+    where it would leave it (:class:`MicroBatchMasks`). A non-finite part
+    raises ``FloatingPointError`` before its backward.
+    """
+    masks = MicroBatchMasks(rng, [len(g) for g in groups])
+    scale = np.asarray(weight / len(groups))
+    total = 0.0
+    for j, group in enumerate(groups):
+        masks.select(j)
+        part = ntp_loss(encoder, [group], heads, rng=masks, train=True)
+        value = part.item()
+        if not math.isfinite(value):
+            raise FloatingPointError(f"non-finite NTP loss {value} on source sample {j} of the batch")
+        part.backward(scale)
+        total += value
+    return total / len(groups)
+
+
 def pretrain(
     ds: MtsDataset,
     cfg: TrainConfig,
@@ -283,12 +310,19 @@ def pretrain(
     originals, combine the two losses with their weights (a weight of 0
     skips its task; ablation flags drop the negatives, flip them to
     positives, or swap the trend task for value regression), and take one
-    Adam step. Checkpoints are written per epoch when ``out_dir`` is given,
-    keeping the last two and the best, and as ``checkpoint.ckpt`` at the end.
-    Each holds the heads, the training config and, when ``norm`` gives the
-    stats ``ds`` was normalized with, those stats as the ``extra`` arrays
-    ``norm.mean`` and ``norm.std``. A non-finite loss aborts with the log so
-    far and previously written checkpoints left in place.
+    Adam step. Next-trend prediction runs one source sample at a time, each
+    sample's ``k_ntp`` truncations backpropagated before the next are
+    encoded, with the dropout masks one whole-batch pass would draw; the
+    step's gradient is that of the whole batch, up to rounding, and its
+    graph holds one sample's truncations instead of B·``k_ntp``.
+
+    Checkpoints are written per epoch when ``out_dir`` is given, keeping the
+    last two and the best, and as ``checkpoint.ckpt`` at the end; epoch
+    checkpoints an earlier run left in ``out_dir`` are removed (and logged)
+    before the first epoch. Each holds the heads, the training config and,
+    when ``norm`` gives the stats ``ds`` was normalized with, those stats as
+    the ``extra`` arrays ``norm.mean`` and ``norm.std``. A non-finite loss
+    aborts with the log so far and this run's checkpoints left in place.
     """
     if ds.size < 1:
         raise ConfigError("pretraining needs at least one sample")
@@ -300,6 +334,10 @@ def pretrain(
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+        # every epoch checkpoint in out_dir must belong to this run
+        for stale in sorted(out_dir.glob("checkpoint_epoch*.ckpt")):
+            logger.info("removing %s, an epoch checkpoint of an earlier run", stale.name)
+            stale.unlink()
 
     rng_init = np.random.default_rng([cfg.seed, 1])
     rng_aug = np.random.default_rng([cfg.seed, 2])
@@ -317,7 +355,8 @@ def pretrain(
                 ntp_part = nvp_loss(encoder, batch.x, rng_ntp, heads, train=True)
             else:
                 groups = [make_ntp_instances(x, cfg.k_ntp, rng_ntp) for x in batch.x]
-                ntp_part = ntp_loss(encoder, groups, heads, rng=rng_drop, train=True)
+                # already backpropagated: the value joins the combined loss as a constant
+                ntp_part = constant(_ntp_per_sample(encoder, groups, heads, rng_drop, weights.alpha1))
         else:
             ntp_part = constant(0.0)
         if weights.alpha2 > 0.0:

@@ -29,6 +29,7 @@ from .errors import ConfigError, ShapeError
 
 __all__ = [
     "AttnWeights",
+    "MicroBatchMasks",
     "Tensor",
     "add",
     "constant",
@@ -374,10 +375,52 @@ def gelu(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def _keep_mask(shape, rate: float, rng: np.random.Generator | None, train: bool) -> np.ndarray | None:
+class MicroBatchMasks:
+    """Dropout masks of one whole-batch pass, served to its micro-batches.
+
+    Passed where a dropout ``rng`` goes, it gives micro-batch ``j`` (of
+    leading size ``rows[j]``, selected by :meth:`select`) its rows of the
+    masks that one forward pass over all the micro-batches stacked in order
+    would draw. When micro-batch 0 reaches a dropout site, the site's whole
+    boolean mask is drawn from ``rng`` one micro-batch's rows at a time: the
+    same values as one ``rng.random`` call over the whole batch, without its
+    float64 buffer, and ``rng`` ends where the whole-batch pass would leave
+    it. Later micro-batches must reach the same sites with the same shapes.
+    """
+
+    def __init__(self, rng: np.random.Generator, rows: Sequence[int]):
+        self.rng = rng
+        self.offsets = np.cumsum([0, *rows])
+        self.masks: list[np.ndarray] = []
+        self.batch = 0
+        self.site = 0
+
+    def select(self, batch: int) -> None:
+        """Serve micro-batch ``batch`` from its first dropout site on."""
+        self.batch, self.site = batch, 0
+
+    def keep(self, shape, rate: float) -> np.ndarray:
+        lo, hi = self.offsets[self.batch], self.offsets[self.batch + 1]
+        if self.site == len(self.masks):
+            if self.batch != 0:
+                raise ShapeError(f"micro-batch {self.batch} reached a dropout site micro-batch 0 did not")
+            mask = np.empty((self.offsets[-1], *shape[1:]), dtype=bool)
+            for start, stop in zip(self.offsets[:-1], self.offsets[1:]):
+                np.greater_equal(self.rng.random((stop - start, *shape[1:])), rate, out=mask[start:stop])
+            self.masks.append(mask)
+        mask = self.masks[self.site][lo:hi]
+        if mask.shape != tuple(shape):
+            raise ShapeError(f"dropout site {self.site} has shape {tuple(shape)}, its mask rows {mask.shape}")
+        self.site += 1
+        return mask
+
+
+def _keep_mask(shape, rate: float, rng, train: bool) -> np.ndarray | None:
     """Boolean keep mask of inverted dropout, or None when dropout is off.
 
-    Draws ``rng.random(shape)`` as float64, one value per element.
+    A ``np.random.Generator`` draws ``rng.random(shape)`` as float64, one
+    value per element; a :class:`MicroBatchMasks` serves the current
+    micro-batch's rows of the whole-batch mask.
     """
     if not train or rate <= 0.0:
         return None
@@ -385,11 +428,19 @@ def _keep_mask(shape, rate: float, rng: np.random.Generator | None, train: bool)
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
     if rng is None:
         raise ConfigError("dropout in training mode needs an explicit rng")
+    if isinstance(rng, MicroBatchMasks):
+        return rng.keep(shape, rate)
     return rng.random(shape) >= rate
 
 
-def dropout(a, rate: float, rng: np.random.Generator | None, train: bool) -> Tensor:
-    """Inverted dropout; identity when ``train`` is false or ``rate`` is 0."""
+def dropout(a, rate: float, rng, train: bool) -> Tensor:
+    """Inverted dropout; identity when ``train`` is false or ``rate`` is 0.
+
+    ``rng`` is a generator, or a :class:`MicroBatchMasks` when a batch runs
+    as micro-batches that must see the masks of one whole-batch pass; that
+    is how pretraining's next-trend prediction runs, one source sample at a
+    time, with the masks drawn as in one pass over the whole batch.
+    """
     a = constant(a)
     keep = _keep_mask(a.data.shape, rate, rng, train)
     if keep is None:

@@ -8,12 +8,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chants import harness
 from chants.augment import AugmentConfig
+from chants.checkpoint import load_checkpoint
 from chants.data import MtsDataset, make_synthetic_fixture, subsample, train_test_split, znormalize
-from chants.encoder import EncoderConfig, init_cat_params
+from chants.encoder import Encoder, EncoderConfig, init_cat_params
 from chants.errors import ConfigError
 from chants.harness import (
+    Metrics,
     TrainConfig,
+    _ntp_per_sample,
     compute_metrics,
     extract_features,
     fewshot_sweep,
@@ -24,7 +28,14 @@ from chants.harness import (
     train_config_from_dict,
     train_linear_head,
 )
-from chants.pretext import LossWeights
+from chants.pretext import (
+    LossWeights,
+    build_cs_batch,
+    cs_loss,
+    init_pretext_heads,
+    make_ntp_instances,
+    ntp_loss,
+)
 from chants.tensor import Tensor, constant, mul, tensor_sum
 
 
@@ -232,15 +243,109 @@ class TestPretrain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(at_backward) == 4
+        assert len(at_backward) == 4 * 5  # 4 steps, each B = 4 NTP micro-batches and CS
         ratio = peak / max(at_backward)
         assert ratio < 1.5, f"peak is {ratio:.2f}x the largest traced memory at the start of backward"
+
+    def test_ntp_memory_does_not_grow_with_the_batch(self):
+        # with CS off, a step's graph is one source sample's truncations, so
+        # quadrupling B adds only the per-batch inputs and dropout masks
+        def traced_peak(batch):
+            rng = np.random.default_rng(23)
+            ds = labeled_dataset(rng, m=8, channels=4, steps=32)
+            cfg = TrainConfig(
+                encoder=EncoderConfig(channels=4, steps=32, width=16, depth=1, heads=2, dropout=0.1),
+                weights=LossWeights(alpha2=0.0),
+                k_ntp=8,
+                pretrain_batch=batch,
+                pretrain_epochs=1,
+                seed=0,
+            )
+            tracemalloc.start()
+            try:
+                pretrain(ds, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ratio = traced_peak(8) / traced_peak(2)
+        assert ratio < 1.6, f"peak at B=8 is {ratio:.2f}x that at B=2"
+
+    def test_non_finite_ntp_part_aborts_before_its_backward(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        ds = labeled_dataset(rng, m=8)
+        ds.series[:, 0, 3] = np.nan
+        calls = {"backward": 0, "adam": 0}
+        backward, adam_step = Tensor.backward, harness.adam_step
+
+        def counted_backward(tensor, grad=None):
+            calls["backward"] += 1
+            return backward(tensor, grad)
+
+        def counted_adam_step(*args, **kwargs):
+            calls["adam"] += 1
+            return adam_step(*args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "backward", counted_backward)
+        monkeypatch.setattr(harness, "adam_step", counted_adam_step)
+        with pytest.raises(FloatingPointError, match="non-finite NTP loss nan on source sample 0"):
+            pretrain(ds, tiny_cfg(pretrain_epochs=1))
+        assert calls == {"backward": 0, "adam": 0}
+
+    def test_reused_out_dir_keeps_only_this_runs_epoch_checkpoints(self, tmp_path):
+        rng = np.random.default_rng(25)
+        ds = labeled_dataset(rng, m=8)
+        pretrain(ds, tiny_cfg(pretrain_epochs=4, seed=0), out_dir=tmp_path)
+        assert len(list(tmp_path.glob("checkpoint_epoch*.ckpt"))) >= 2
+        pretrain(ds, tiny_cfg(pretrain_epochs=1, seed=5), out_dir=tmp_path)
+        paths = sorted(tmp_path.glob("checkpoint*.ckpt"))
+        assert [p.name for p in paths] == ["checkpoint.ckpt", "checkpoint_epoch0000.ckpt"]
+        for path in paths:
+            manifest, _ = load_checkpoint(path)
+            assert manifest["meta"]["train_config"]["seed"] == 5, path.name
 
     def test_dataset_dims_must_match_config(self):
         rng = np.random.default_rng(12)
         ds = labeled_dataset(rng, channels=3)
         with pytest.raises(ConfigError, match="does not match"):
             pretrain(ds, tiny_cfg(channels=2))
+
+
+def test_per_sample_ntp_matches_one_whole_batch_pass():
+    # reference: ntp_loss over all groups in one graph, one backward; the CS
+    # loss drawn after it shows where each run leaves the dropout rng
+    cfg = EncoderConfig(channels=3, steps=16, width=8, depth=2, heads=2, dropout=0.2)
+    rng = np.random.default_rng(26)
+    params = init_cat_params(cfg, rng)
+    heads = init_pretext_heads(cfg, rng)
+    encoder = Encoder(params, cfg)
+    leaves = {**params.trainable(), **heads.named()}
+    xs = rng.normal(size=(3, 3, 16))
+    groups = [make_ntp_instances(x, 4, rng) for x in xs]
+    cs_batch = build_cs_batch(xs, AugmentConfig(), rng)
+    weights = LossWeights(alpha1=2.0)
+
+    def run(ntp):
+        for t in leaves.values():
+            t.zero_grad()
+        rng_drop = np.random.default_rng(27)
+        value = ntp(rng_drop)
+        grads = {k: t.grad for k, t in leaves.items() if t.grad is not None}
+        cs = cs_loss(encoder, cs_batch, heads, weights, rng=rng_drop, train=True)
+        return value, grads, cs.item()
+
+    def whole_batch(rng_drop):
+        loss = ntp_loss(encoder, groups, heads, rng=rng_drop, train=True)
+        mul(loss, constant(weights.alpha1)).backward()
+        return loss.item()
+
+    want, want_grads, want_cs = run(whole_batch)
+    got, got_grads, got_cs = run(lambda rng_drop: _ntp_per_sample(encoder, groups, heads, rng_drop, weights.alpha1))
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert got_grads.keys() == want_grads.keys()
+    for name, grad in want_grads.items():
+        np.testing.assert_allclose(got_grads[name], grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max(), err_msg=name)
+    assert got_cs == want_cs
 
 
 class TestSupervisedBaseline:
@@ -361,9 +466,29 @@ class TestFewshotSweep:
         assert {r["mode"] for r in rows} == {"probe", "supervised"}
         assert all(r["acc_std"] >= 0.0 and r["mf1_std"] >= 0.0 for r in rows)
 
-    def test_accepts_the_standard_fraction_list(self):
-        for f in (0.01, 0.05, 0.1, 0.2, 0.5, 0.7, 0.9):
-            assert 0.0 < f <= 1.0  # validated upstream; full runs exercised above
+    def test_accepts_the_standard_fraction_list(self, monkeypatch):
+        fractions = [0.01, 0.05, 0.1, 0.2, 0.5, 0.7, 0.9]
+        rng = np.random.default_rng(28)
+        train = labeled_dataset(rng, m=30)
+        test = labeled_dataset(rng, m=10)
+        cfg = tiny_cfg()
+        params = init_cat_params(cfg.encoder, np.random.default_rng(29))
+        seen = []
+
+        def stub(mode):
+            def train_and_score(small, ds_test, *args):
+                seen.append((mode, small.size))
+                return Metrics(accuracy=0.5, macro_f1=0.25, per_class_f1=np.zeros(2), confusion=np.zeros((2, 2)))
+
+            return train_and_score
+
+        monkeypatch.setattr(harness, "linear_probe", stub("probe"))
+        monkeypatch.setattr(harness, "supervised_baseline", stub("supervised"))
+        rows = fewshot_sweep(train, test, params, cfg, fractions, repeats=1)
+        modes = ("probe", "supervised")
+        assert [(r["fraction"], r["mode"]) for r in rows] == [(f, m) for f in fractions for m in modes]
+        assert all(r["acc_mean"] == 0.5 and r["mf1_mean"] == 0.25 and r["acc_std"] == 0.0 for r in rows)
+        assert seen == [(m, subsample(train, f, seed=cfg.seed).size) for f in fractions for m in modes]
 
     def test_rejects_bad_fractions(self):
         rng = np.random.default_rng(17)
