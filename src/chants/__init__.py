@@ -64,7 +64,6 @@ from .pretext import (
 from .tensor import (
     AttnWeights,
     Tensor,
-    cosine_similarity,
     cross_entropy,
     flop_estimate,
     layer_norm,

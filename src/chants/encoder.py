@@ -20,7 +20,7 @@ Variants, all selected by ``EncoderConfig.variant``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -115,43 +115,43 @@ class CoLayerParams:
     chan_norm2: NormWeights
 
 
+def _named_tree(node, path: str = "") -> dict[str, Tensor]:
+    """Dotted path -> tensor over nested dataclasses and lists, skipping ``None``.
+
+    A dataclass field contributes its ``metadata["key"]`` to the path when it
+    has one, else its name; a list item contributes its index.
+    """
+    if node is None:
+        return {}
+    if isinstance(node, Tensor):
+        return {path: node}
+    if isinstance(node, list):
+        children = [(str(i), item) for i, item in enumerate(node)]
+    else:
+        children = [(f.metadata.get("key", f.name), getattr(node, f.name)) for f in fields(node)]
+    out: dict[str, Tensor] = {}
+    for key, child in children:
+        out.update(_named_tree(child, f"{path}.{key}" if path else key))
+    return out
+
+
 @dataclass
 class CatParams:
     """Every learnable array of the encoder, plus the fixed positional table."""
 
-    w_time: Tensor  # (C, D) time-embedding matrix
-    w_chan: Tensor  # (T, D) channel-embedding matrix
-    e_pos: Tensor  # (T, D) sinusoidal table, receives no gradient
+    w_time: Tensor = field(metadata={"key": "embed.w_time"})  # (C, D) time-embedding matrix
+    w_chan: Tensor = field(metadata={"key": "embed.w_chan"})  # (T, D) channel-embedding matrix
+    e_pos: Tensor = field(metadata={"key": "embed.e_pos"})  # (T, D) sinusoidal table, receives no gradient
     layers: list[CoLayerParams] = field(default_factory=list)
-    agg: AttnWeights | None = None  # fresh Q/K/V, no output projection
+    agg: AttnWeights | None = field(default=None, metadata={"key": "aggregate"})  # fresh Q/K/V, no output projection
 
     def named(self) -> dict[str, Tensor]:
-        """Flat path -> tensor view of the whole tree (``e_pos`` included)."""
-        out: dict[str, Tensor] = {
-            "embed.w_time": self.w_time,
-            "embed.w_chan": self.w_chan,
-            "embed.e_pos": self.e_pos,
-        }
-        for i, layer in enumerate(self.layers):
-            for tower in ("time", "chan"):
-                attn: AttnWeights = getattr(layer, f"{tower}_attn")
-                out[f"layers.{i}.{tower}_attn.w_q"] = attn.w_q
-                out[f"layers.{i}.{tower}_attn.w_k"] = attn.w_k
-                out[f"layers.{i}.{tower}_attn.w_v"] = attn.w_v
-                out[f"layers.{i}.{tower}_attn.w_o"] = attn.w_o
-                for j in (1, 2):
-                    norm: NormWeights = getattr(layer, f"{tower}_norm{j}")
-                    out[f"layers.{i}.{tower}_norm{j}.gain"] = norm.gain
-                    out[f"layers.{i}.{tower}_norm{j}.bias"] = norm.bias
-                f: FfnWeights = getattr(layer, f"{tower}_ffn")
-                out[f"layers.{i}.{tower}_ffn.w1"] = f.w1
-                out[f"layers.{i}.{tower}_ffn.b1"] = f.b1
-                out[f"layers.{i}.{tower}_ffn.w2"] = f.w2
-                out[f"layers.{i}.{tower}_ffn.b2"] = f.b2
-        out["aggregate.w_q"] = self.agg.w_q
-        out["aggregate.w_k"] = self.agg.w_k
-        out["aggregate.w_v"] = self.agg.w_v
-        return out
+        """Flat path -> tensor view of the whole tree (``e_pos`` included).
+
+        Paths follow the fields: ``embed.*``, ``layers.{i}.{block}.*`` and
+        ``aggregate.*``; they are the checkpoint's array names.
+        """
+        return _named_tree(self)
 
     def trainable(self) -> dict[str, Tensor]:
         return {k: t for k, t in self.named().items() if t.requires_grad}
@@ -269,9 +269,8 @@ def _tower(
     config: EncoderConfig,
     rng,
     train: bool,
-    stats: dict | None,
 ) -> Tensor:
-    h = multi_head_attention(a_self, kv, attn, config.heads, stats=stats)
+    h = multi_head_attention(a_self, kv, attn, config.heads)
     h = dropout(h, config.dropout, rng, train)
     b = layer_norm(add(h, a_self), norm1.gain, norm1.bias)
     f_out = ffn(b, f.w1, f.b1, f.w2, f.b2, rate=config.dropout, rng=rng, train=train)
@@ -286,7 +285,6 @@ def co_layer(
     *,
     rng: np.random.Generator | None = None,
     train: bool = False,
-    stats: dict | None = None,
 ) -> tuple[Tensor, Tensor]:
     """One two-tower layer; both towers read this layer's *inputs*.
 
@@ -296,13 +294,13 @@ def co_layer(
     ``channel_self`` (the time stream passes through untouched).
     """
     if config.variant == "channel_self":
-        new_c = _tower(a_c, a_c, layer.chan_attn, layer.chan_norm1, layer.chan_ffn, layer.chan_norm2, config, rng, train, stats)
+        new_c = _tower(a_c, a_c, layer.chan_attn, layer.chan_norm1, layer.chan_ffn, layer.chan_norm2, config, rng, train)
         return a_t, new_c
     cross = config.variant != "self_aggregate"
     time_kv = a_c if cross else a_t
     chan_kv = a_t if cross else a_c
-    new_t = _tower(a_t, time_kv, layer.time_attn, layer.time_norm1, layer.time_ffn, layer.time_norm2, config, rng, train, stats)
-    new_c = _tower(a_c, chan_kv, layer.chan_attn, layer.chan_norm1, layer.chan_ffn, layer.chan_norm2, config, rng, train, stats)
+    new_t = _tower(a_t, time_kv, layer.time_attn, layer.time_norm1, layer.time_ffn, layer.time_norm2, config, rng, train)
+    new_c = _tower(a_c, chan_kv, layer.chan_attn, layer.chan_norm1, layer.chan_ffn, layer.chan_norm2, config, rng, train)
     return new_t, new_c
 
 
@@ -314,14 +312,14 @@ def _flatten_rows(per_row: Tensor) -> Tensor:
     return reshape(per_row, (batch, rows * width))
 
 
-def aggregate(a_t: Tensor, a_c: Tensor, agg: AttnWeights, heads: int, stats: dict | None = None) -> Representation:
+def aggregate(a_t: Tensor, a_c: Tensor, agg: AttnWeights, heads: int) -> Representation:
     """Fold the time stream into the channel stream with one attention pass.
 
     Channel rows act as queries over time keys/values. No residual, layer
     norm, FFN, or output projection follows; the result rows concatenate
     directly into the flat vector.
     """
-    per_channel = multi_head_attention(a_c, a_t, agg, heads, stats=stats)
+    per_channel = multi_head_attention(a_c, a_t, agg, heads)
     return Representation(per_channel=per_channel, flat=_flatten_rows(per_channel))
 
 
@@ -332,18 +330,17 @@ def encode(
     *,
     rng: np.random.Generator | None = None,
     train: bool = False,
-    stats: dict | None = None,
 ) -> Representation:
     """Embed, run the layer stack, and reduce to the final representation."""
     a_t, a_c = embed(x, params)
     for layer in params.layers:
-        a_t, a_c = co_layer(a_t, a_c, layer, config, rng=rng, train=train, stats=stats)
+        a_t, a_c = co_layer(a_t, a_c, layer, config, rng=rng, train=train)
     if config.variant in ("channel_self", "no_aggregate"):
         return Representation(per_channel=a_c, flat=_flatten_rows(a_c))
     if config.variant == "tat":
-        per_time = multi_head_attention(a_t, a_c, params.agg, config.heads, stats=stats)
+        per_time = multi_head_attention(a_t, a_c, params.agg, config.heads)
         return Representation(per_channel=per_time, flat=_flatten_rows(per_time))
-    return aggregate(a_t, a_c, params.agg, config.heads, stats=stats)
+    return aggregate(a_t, a_c, params.agg, config.heads)
 
 
 @dataclass

@@ -317,9 +317,10 @@ def pretrain(
     graph holds one sample's truncations instead of B·``k_ntp``.
 
     Checkpoints are written per epoch when ``out_dir`` is given, keeping the
-    last two and the best, and as ``checkpoint.ckpt`` at the end; epoch
-    checkpoints an earlier run left in ``out_dir`` are removed (and logged)
-    before the first epoch. Each holds the heads, the training config and,
+    last two and the best, and as ``checkpoint.ckpt`` at the end; the
+    epoch and final checkpoints an earlier run left in ``out_dir`` are
+    removed (and logged) before the first epoch, so a run that aborts
+    leaves none of them behind. Each holds the heads, the training config and,
     when ``norm`` gives the stats ``ds`` was normalized with, those stats as
     the ``extra`` arrays ``norm.mean`` and ``norm.std``. A non-finite loss
     aborts with the log so far and this run's checkpoints left in place.
@@ -334,9 +335,9 @@ def pretrain(
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        # every epoch checkpoint in out_dir must belong to this run
-        for stale in sorted(out_dir.glob("checkpoint_epoch*.ckpt")):
-            logger.info("removing %s, an epoch checkpoint of an earlier run", stale.name)
+        # every checkpoint in out_dir must belong to this run, even if it aborts
+        for stale in sorted(out_dir.glob("checkpoint*.ckpt")):
+            logger.info("removing %s, a checkpoint of an earlier run", stale.name)
             stale.unlink()
 
     rng_init = np.random.default_rng([cfg.seed, 1])

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -26,17 +26,13 @@ from .tensor import (
     Tensor,
     add,
     constant,
+    contrastive_loss,
     cross_entropy,
-    div,
-    gelu,
-    logsumexp,
+    ffn,
     matmul,
-    mean,
     mul,
     reshape,
-    sqrt,
     tensor_sum,
-    transpose,
 )
 
 __all__ = [
@@ -65,7 +61,6 @@ POSITIVE = "positive"
 NEGATIVE = "negative"
 
 CS_PROJECTION_DIM = 128
-_NORM_FLOOR = 1e-24
 
 
 @dataclass(frozen=True)
@@ -143,14 +138,6 @@ class CsBatch:
     def size(self) -> int:
         return self.samples.shape[0]
 
-    def anchors(self) -> np.ndarray:
-        """Indices of the originals, ordered by origin."""
-        idx = [i for i, p in enumerate(self.polarity) if p == ORIGINAL]
-        return np.array(sorted(idx, key=lambda i: self.origin[i]), dtype=np.int64)
-
-    def positives_of(self, origin: int) -> list[int]:
-        return [i for i, p in enumerate(self.polarity) if p == POSITIVE and self.origin[i] == origin]
-
 
 def build_cs_batch(
     originals: np.ndarray,
@@ -207,16 +194,8 @@ class PretextHeads:
     nvp_b: Tensor  # (1,)
 
     def named(self) -> dict[str, Tensor]:
-        return {
-            "heads.ntp.w": self.ntp_w,
-            "heads.ntp.b": self.ntp_b,
-            "heads.cs.w1": self.cs_w1,
-            "heads.cs.b1": self.cs_b1,
-            "heads.cs.w2": self.cs_w2,
-            "heads.cs.b2": self.cs_b2,
-            "heads.nvp.w": self.nvp_w,
-            "heads.nvp.b": self.nvp_b,
-        }
+        """``heads.{task}.{array}`` -> tensor, one per field (``cs_w1`` is ``heads.cs.w1``)."""
+        return {"heads." + f.name.replace("_", ".", 1): getattr(self, f.name) for f in fields(self)}
 
 
 def init_pretext_heads(config: EncoderConfig, rng: np.random.Generator) -> PretextHeads:
@@ -261,11 +240,6 @@ def ntp_loss(
     return mul(ce_mean, constant(total_terms / len(groups)))
 
 
-def _project(flat: Tensor, heads: PretextHeads) -> Tensor:
-    hidden = gelu(add(matmul(flat, heads.cs_w1), heads.cs_b1))
-    return add(matmul(hidden, heads.cs_w2), heads.cs_b2)
-
-
 def contrastive_loss_from_projections(
     projections: Tensor,
     batch: CsBatch,
@@ -273,41 +247,27 @@ def contrastive_loss_from_projections(
 ) -> Tensor:
     """Temperature-scaled similarity loss given projected rows.
 
-    Anchors are the originals; each anchor's loss sums, over its positives,
-    the log-ratio of that positive's scaled-similarity weight against all
-    other batch elements (the denominator spans every non-anchor element,
-    positives included). The result is averaged over anchors.
+    Anchors are the originals; each anchor's loss sums, over the positives
+    of its origin, the log-ratio of that positive's scaled-similarity weight
+    against every other batch element (the denominator spans every element
+    but the anchor, positives included). The result is averaged over
+    anchors. One tape node (:func:`chants.tensor.contrastive_loss`), whose
+    backward is the gradient with respect to ``projections`` in closed form.
     """
     if tau <= 0:
         raise ConfigError(f"temperature must be > 0, got {tau}")
     n = batch.size
     if projections.shape[0] != n:
         raise ShapeError(f"{projections.shape[0]} projections for a batch of {n}")
-    norms = sqrt(add(tensor_sum(mul(projections, projections), axis=-1, keepdims=True), constant(_NORM_FLOOR)))
-    if (np.abs(projections.data).sum(axis=-1) == 0.0).any():
-        warnings.warn("zero projection row: its similarities are defined as 0", RuntimeWarning)
-    unit = div(projections, norms)
-    sims = mul(matmul(unit, transpose(unit)), constant(1.0 / tau))
-
-    anchors = batch.anchors()
-    select = np.zeros((len(anchors), n))
-    self_mask = np.zeros((len(anchors), n))
-    pos_mask = np.zeros((len(anchors), n))
-    pos_counts = np.zeros(len(anchors))
-    for row, a in enumerate(anchors):
-        select[row, a] = 1.0
-        self_mask[row, a] = -1e30
-        pos = batch.positives_of(int(batch.origin[a]))
-        if not pos:
-            raise ConfigError(f"anchor {a} has no positives")
-        pos_mask[row, pos] = 1.0
-        pos_counts[row] = len(pos)
-
-    anchor_rows = matmul(constant(select), sims)  # (B, n)
-    denom = logsumexp(add(anchor_rows, constant(self_mask)), axis=-1)  # (B,)
-    pos_sum = tensor_sum(mul(anchor_rows, constant(pos_mask)), axis=-1)  # (B,)
-    per_anchor = add(mul(denom, constant(pos_counts)), mul(pos_sum, constant(-1.0)))
-    return mean(per_anchor)
+    polarity = np.asarray(batch.polarity)
+    anchors = np.flatnonzero(polarity == ORIGINAL)
+    if anchors.size == 0:
+        raise ConfigError("contrastive batch has no originals to anchor the loss")
+    positives = (polarity == POSITIVE) & (batch.origin == batch.origin[anchors, None])
+    lonely = anchors[~positives.any(axis=-1)]
+    if lonely.size:
+        raise ConfigError(f"anchor {lonely[0]} has no positives")
+    return contrastive_loss(projections, anchors, positives, tau)
 
 
 def cs_loss(
@@ -319,9 +279,9 @@ def cs_loss(
     rng: np.random.Generator | None = None,
     train: bool = False,
 ) -> Tensor:
-    """Encode and project the whole batch, then apply the similarity loss."""
+    """Encode and project the whole batch (affine, GELU, affine), then apply the similarity loss."""
     rep = encoder.encode_batch(batch.samples, rng=rng, train=train)
-    projections = _project(rep.flat, heads)
+    projections = ffn(rep.flat, heads.cs_w1, heads.cs_b1, heads.cs_w2, heads.cs_b2)
     return contrastive_loss_from_projections(projections, batch, weights.tau)
 
 

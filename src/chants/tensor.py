@@ -10,8 +10,13 @@ Backward runs once per graph: as each interior node passes its gradient on,
 the node's ``.grad``, backward closure and parents are dropped, so a graph's
 activations are freed while backward runs and a second backward through the
 same graph raises. Leaves keep their ``.grad``. The encoder's blocks (layer
-norm, attention, the FFN) and cross entropy are single tape nodes with
-closed-form backward; the small primitives remain for everything else.
+norm, attention, the FFN), cross entropy and the contrastive-similarity
+loss are single tape nodes with closed-form backward. The rest of the
+package uses only ``matmul``, ``add``, ``mul``, ``reshape``, ``transpose``,
+``tensor_sum`` and ``dropout``. ``div``, ``sqrt``, ``exp``, ``log``,
+``softmax`` and ``gelu`` have no caller in the package: they stay because
+the benchmark's tracer patches them by name, and the tests compose the
+fused kernels' references from them.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ __all__ = [
     "Tensor",
     "add",
     "constant",
-    "cosine_similarity",
+    "contrastive_loss",
     "cross_entropy",
     "div",
     "dropout",
@@ -43,9 +48,7 @@ __all__ = [
     "gelu",
     "layer_norm",
     "log",
-    "logsumexp",
     "matmul",
-    "mean",
     "mul",
     "multi_head_attention",
     "no_grad",
@@ -59,6 +62,7 @@ __all__ = [
 _GRAD_ENABLED = True
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_NORM_FLOOR = 1e-24
 
 
 @contextlib.contextmanager
@@ -313,15 +317,6 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = constant(a)
-    if axis is None:
-        count = a.data.size
-    else:
-        count = a.data.shape[axis]
-    return mul(tensor_sum(a, axis=axis, keepdims=keepdims), constant(1.0 / count))
-
-
 def exp(a) -> Tensor:
     a = constant(a)
     out_data = np.exp(a.data)
@@ -473,17 +468,6 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """log(sum(exp(a))) along ``axis`` with max subtraction."""
-    a = constant(a)
-    shift = constant(a.data.max(axis=axis, keepdims=True))
-    s = log(tensor_sum(exp(add(a, mul(constant(-1.0), shift))), axis=axis, keepdims=True))
-    out = add(s, shift)
-    if not keepdims:
-        out = reshape(out, tuple(d for i, d in enumerate(out.shape) if i != (axis % out.ndim)))
-    return out
-
-
 def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of a shared matrix ``w`` in ``a @ w``: a^T g over all leading axes."""
     return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
@@ -547,22 +531,15 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -3, -2).reshape(*lead, length, heads * dh)
 
 
-def multi_head_attention(
-    q_in,
-    kv_in,
-    weights,
-    heads: int,
-    stats: dict | None = None,
-) -> Tensor:
+def multi_head_attention(q_in, kv_in, weights, heads: int) -> Tensor:
     """Scaled dot-product attention with per-head scale 1/sqrt(D/heads).
 
     ``weights`` carries D x D projections ``w_q``, ``w_k``, ``w_v`` and an
     optional output projection ``w_o`` applied after head concatenation.
-    Inputs are (..., L_q, D) queries against (..., L_k, D) keys/values;
-    ``stats`` (if given) accumulates the multiply-accumulate count of the
-    attention-score product under ``"score_macs"``. The whole block is one
-    tape node; backward keeps the projected queries, keys and values, the
-    attention probabilities and (for ``w_o``) the merged context.
+    Inputs are (..., L_q, D) queries against (..., L_k, D) keys/values. The
+    whole block is one tape node; backward keeps the projected queries, keys
+    and values, the attention probabilities and (for ``w_o``) the merged
+    context.
     """
     q_in, kv_in = constant(q_in), constant(kv_in)
     if q_in.ndim < 2 or kv_in.ndim < 2:
@@ -579,10 +556,6 @@ def multi_head_attention(
     q = _split_heads(np.matmul(q_in.data, w_q.data), heads)
     k = _split_heads(np.matmul(kv_in.data, w_k.data), heads)
     v = _split_heads(np.matmul(kv_in.data, w_v.data), heads)
-    if stats is not None:
-        l_q, l_k = q_in.shape[-2], kv_in.shape[-2]
-        stats["score_macs"] = stats.get("score_macs", 0) + l_q * l_k * width
-        stats.setdefault("score_shapes", []).append((l_q, l_k))
     probs = np.matmul(q, np.swapaxes(k, -1, -2)) * scale
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
@@ -690,20 +663,48 @@ def cross_entropy(logits, labels) -> Tensor:
     return _make(out_data, (logits,), backward)
 
 
-def cosine_similarity(u, v) -> Tensor:
-    """u.v / (|u||v|); a zero vector yields 0 with a warning instead of NaN."""
-    u, v = constant(u), constant(v)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ShapeError(f"cosine_similarity expects equal-length vectors, got {u.shape} and {v.shape}")
-    nu = float(np.linalg.norm(u.data))
-    nv = float(np.linalg.norm(v.data))
-    if nu == 0.0 or nv == 0.0:
-        warnings.warn("cosine_similarity of a zero vector is defined as 0", RuntimeWarning)
-        return constant(0.0)
-    dot = tensor_sum(mul(u, v))
-    norm_u = sqrt(tensor_sum(mul(u, u)))
-    norm_v = sqrt(tensor_sum(mul(v, v)))
-    return div(dot, mul(norm_u, norm_v))
+def contrastive_loss(projections, anchors, positives, tau: float) -> Tensor:
+    """Temperature-scaled similarity loss of anchor rows against every row.
+
+    ``projections`` is (n, k); ``anchors`` holds the m distinct indices of
+    the anchor rows and ``positives`` is an (m, n) boolean mask of each
+    anchor's c_a positives. Rows are scaled to unit length u (with
+    ``_NORM_FLOOR`` under the root, so a zero row warns and has similarity
+    0 to every row) and s = u_A u^T / tau. The loss is the mean over
+    anchors of c_a * logsumexp of s_a over every row but the anchor itself,
+    minus the sum of s_a over its positives. One tape node; backward keeps
+    the unit rows, their norms and the masked softmax.
+    """
+    projections = constant(projections)
+    if projections.ndim != 2:
+        raise ShapeError(f"contrastive_loss expects (n, k) projections, got {projections.shape}")
+    p = projections.data
+    if (np.abs(p).sum(axis=-1) == 0.0).any():
+        warnings.warn("zero projection row: its similarities are defined as 0", RuntimeWarning)
+    norm = np.sqrt((p * p).sum(axis=-1, keepdims=True) + _NORM_FLOOR)
+    unit = p / norm
+    m = len(anchors)
+    sims = unit[anchors] @ unit.T
+    sims *= 1.0 / tau
+    pos_sums = (sims * positives).sum(axis=-1, keepdims=True)
+    sims[np.arange(m), anchors] = -np.inf  # each anchor leaves its own row out of the denominator
+    shift = sims.max(axis=-1, keepdims=True)
+    probs = np.exp(sims - shift)
+    total = probs.sum(axis=-1, keepdims=True)
+    probs /= total
+    counts = positives.sum(axis=-1, keepdims=True)
+    out_data = (counts * (np.log(total) + shift) - pos_sums).sum() * (1.0 / m)
+
+    def backward(g):
+        d_sims = counts * probs - positives
+        d_sims *= g / (m * tau)
+        d_unit = d_sims.T @ unit[anchors]
+        d_unit[anchors] += d_sims @ unit
+        d_unit -= unit * (unit * d_unit).sum(axis=-1, keepdims=True)
+        d_unit /= norm
+        _accum(projections, d_unit)
+
+    return _make(out_data, (projections,), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import chants.encoder as encoder_module
 from chants.checkpoint import load_encoder, save_encoder
 from chants.encoder import (
     CatParams,
@@ -17,7 +18,8 @@ from chants.encoder import (
     sinusoid_table,
 )
 from chants.errors import CheckpointError, ConfigError, ShapeError
-from chants.tensor import Tensor, constant, tensor_sum
+from chants.pretext import init_pretext_heads
+from chants.tensor import Tensor, constant, flop_estimate, tensor_sum
 
 from fdcheck import numeric_gradient, relative_error
 
@@ -61,6 +63,20 @@ class TestEmbed:
         assert params.w_time.grad is not None
 
 
+@pytest.fixture
+def score_shapes(monkeypatch):
+    """(L_q, L_k) of every attention score matrix the encoder computes, in call order."""
+    shapes = []
+    attention = encoder_module.multi_head_attention
+
+    def recording(q_in, kv_in, weights, heads):
+        shapes.append((q_in.shape[-2], kv_in.shape[-2]))
+        return attention(q_in, kv_in, weights, heads)
+
+    monkeypatch.setattr(encoder_module, "multi_head_attention", recording)
+    return shapes
+
+
 class TestCoLayer:
     def test_output_shapes_match_input_shapes(self):
         for channels, steps, width in [(1, 2, 4), (4, 7, 8), (6, 3, 8)]:
@@ -72,47 +88,40 @@ class TestCoLayer:
             assert out_t.shape == (steps, width)
             assert out_c.shape == (channels, width)
 
-    def test_single_channel_attention_rows_normalize(self):
+    def test_single_channel_attention_rows_normalize(self, score_shapes):
         config, params = make(channels=1, steps=6)
-        stats = {}
         rng = np.random.default_rng(3)
         co_layer(
             constant(rng.normal(size=(6, 8))),
             constant(rng.normal(size=(1, 8))),
             params.layers[0],
             config,
-            stats=stats,
         )
         # channel tower queries the single channel over six time keys
-        assert (1, 6) in stats["score_shapes"]
+        assert (1, 6) in score_shapes
 
-    def test_score_matrices_are_time_by_channel_and_channel_by_time(self):
+    def test_score_matrices_are_time_by_channel_and_channel_by_time(self, score_shapes):
         config, params = make(channels=4, steps=9)
-        stats = {}
         rng = np.random.default_rng(4)
         co_layer(
             constant(rng.normal(size=(9, 8))),
             constant(rng.normal(size=(4, 8))),
             params.layers[0],
             config,
-            stats=stats,
         )
-        assert stats["score_shapes"] == [(9, 4), (4, 9)]
+        assert score_shapes == [(9, 4), (4, 9)]
 
-    def test_interactive_score_macs_match_flop_estimate(self):
-        from chants.tensor import flop_estimate
-
+    def test_interactive_score_macs_match_flop_estimate(self, score_shapes):
         config, params = make(channels=4, steps=9)
-        stats = {}
         rng = np.random.default_rng(5)
         co_layer(
             constant(rng.normal(size=(9, 8))),
             constant(rng.normal(size=(4, 8))),
             params.layers[0],
             config,
-            stats=stats,
         )
-        assert stats["score_macs"] == flop_estimate(9, 4, 8, interactive=True)
+        score_macs = sum(l_q * l_k * config.width for l_q, l_k in score_shapes)
+        assert score_macs == flop_estimate(9, 4, 8, interactive=True)
 
     def test_towers_read_layer_inputs_not_each_others_outputs(self):
         # with the channel stream zeroed, the time tower's keys/values are
@@ -293,6 +302,34 @@ class TestEndToEndGradient:
         # self_aggregate passes one tensor as both queries and keys/values
         config = EncoderConfig(channels=2, steps=3, width=4, depth=1, heads=2, dropout=0.0, variant=variant)
         _check_every_parameter_gradient(config, 18)
+
+
+def test_named_paths_follow_the_fields():
+    # the paths are the checkpoint's array names, so they may never change
+    config, params = make(depth=2)
+    heads = init_pretext_heads(config, np.random.default_rng(0))
+
+    layer0 = [
+        "layers.0.time_attn.w_q", "layers.0.time_attn.w_k", "layers.0.time_attn.w_v", "layers.0.time_attn.w_o",
+        "layers.0.time_norm1.gain", "layers.0.time_norm1.bias",
+        "layers.0.time_ffn.w1", "layers.0.time_ffn.b1", "layers.0.time_ffn.w2", "layers.0.time_ffn.b2",
+        "layers.0.time_norm2.gain", "layers.0.time_norm2.bias",
+        "layers.0.chan_attn.w_q", "layers.0.chan_attn.w_k", "layers.0.chan_attn.w_v", "layers.0.chan_attn.w_o",
+        "layers.0.chan_norm1.gain", "layers.0.chan_norm1.bias",
+        "layers.0.chan_ffn.w1", "layers.0.chan_ffn.b1", "layers.0.chan_ffn.w2", "layers.0.chan_ffn.b2",
+        "layers.0.chan_norm2.gain", "layers.0.chan_norm2.bias",
+    ]
+    layer1 = [key.replace("layers.0.", "layers.1.") for key in layer0]
+    expected = ["embed.w_time", "embed.w_chan", "embed.e_pos", *layer0, *layer1]
+    expected += ["aggregate.w_q", "aggregate.w_k", "aggregate.w_v"]
+    assert list(params.named()) == expected
+    assert list(heads.named()) == [
+        "heads.ntp.w", "heads.ntp.b", "heads.cs.w1", "heads.cs.b1",
+        "heads.cs.w2", "heads.cs.b2", "heads.nvp.w", "heads.nvp.b",
+    ]
+    assert params.named()["layers.1.chan_ffn.b2"] is params.layers[1].chan_ffn.b2
+    assert params.named()["aggregate.w_k"] is params.agg.w_k
+    assert heads.named()["heads.cs.w1"] is heads.cs_w1
 
 
 class TestCheckpoint:

@@ -304,6 +304,18 @@ class TestPretrain:
             manifest, _ = load_checkpoint(path)
             assert manifest["meta"]["train_config"]["seed"] == 5, path.name
 
+    def test_aborted_run_into_a_reused_out_dir_leaves_no_earlier_checkpoint(self, tmp_path):
+        rng = np.random.default_rng(27)
+        ds = labeled_dataset(rng, m=8)
+        pretrain(ds, tiny_cfg(pretrain_epochs=2, seed=0), out_dir=tmp_path)
+        assert (tmp_path / "checkpoint.ckpt").exists()
+        ds.series[3, 0, 5] = np.nan
+        with pytest.raises(FloatingPointError):
+            pretrain(ds, tiny_cfg(pretrain_epochs=2, seed=5), out_dir=tmp_path)
+        seeds = [load_checkpoint(p)[0]["meta"]["train_config"]["seed"] for p in tmp_path.glob("*.ckpt")]
+        assert 0 not in seeds
+        assert (tmp_path / "log.jsonl").exists()
+
     def test_dataset_dims_must_match_config(self):
         rng = np.random.default_rng(12)
         ds = labeled_dataset(rng, channels=3)

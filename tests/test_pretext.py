@@ -25,7 +25,22 @@ from chants.pretext import (
     nvp_truncation_count,
     reverse_neg_mode,
 )
-from chants.tensor import Tensor, constant
+from chants.tensor import (
+    Tensor,
+    add,
+    constant,
+    div,
+    exp,
+    gelu,
+    log,
+    matmul,
+    mul,
+    sqrt,
+    tensor_sum,
+    transpose,
+)
+
+from fdcheck import check_gradients
 
 
 def tiny_encoder(channels=2, steps=4, width=4, depth=1, heads=1, seed=0):
@@ -169,7 +184,9 @@ class TestCsBatch:
         flipped = reverse_neg_mode(batch)
         assert flipped.size == batch.size
         assert NEGATIVE not in flipped.polarity
-        assert all(len(flipped.positives_of(o)) == 4 for o in range(2))
+        for origin in range(2):
+            tags = [p for p, o in zip(flipped.polarity, flipped.origin) if o == origin]
+            assert tags.count(POSITIVE) == 4
         np.testing.assert_array_equal(flipped.samples, batch.samples)
 
 
@@ -263,6 +280,112 @@ class TestCsLoss:
         loss.backward()
         assert enc.params.w_time.grad is not None
         assert np.abs(enc.params.w_time.grad).max() > 0
+
+
+# The op-by-op composition the fused contrastive node replaced, kept as its reference.
+
+
+def composed_contrastive_loss(projections, batch, tau):
+    n = batch.size
+    norms = sqrt(add(tensor_sum(mul(projections, projections), axis=-1, keepdims=True), constant(1e-24)))
+    unit = div(projections, norms)
+    sims = mul(matmul(unit, transpose(unit)), constant(1.0 / tau))
+    anchors = sorted((i for i, p in enumerate(batch.polarity) if p == ORIGINAL), key=lambda i: batch.origin[i])
+    select = np.zeros((len(anchors), n))
+    self_mask = np.zeros((len(anchors), n))
+    pos_mask = np.zeros((len(anchors), n))
+    for row, a in enumerate(anchors):
+        select[row, a] = 1.0
+        self_mask[row, a] = -1e30
+        for i, p in enumerate(batch.polarity):
+            if p == POSITIVE and batch.origin[i] == batch.origin[a]:
+                pos_mask[row, i] = 1.0
+    anchor_rows = add(matmul(constant(select), sims), constant(self_mask))
+    shift = constant(anchor_rows.data.max(axis=-1, keepdims=True))
+    lse = add(log(tensor_sum(exp(add(anchor_rows, mul(constant(-1.0), shift))), axis=-1, keepdims=True)), shift)
+    pos_sum = tensor_sum(mul(anchor_rows, constant(pos_mask)), axis=-1, keepdims=True)
+    per_anchor = add(mul(lse, constant(pos_mask.sum(axis=-1, keepdims=True))), mul(pos_sum, constant(-1.0)))
+    return mul(tensor_sum(per_anchor), constant(1.0 / len(anchors)))
+
+
+def composed_cs_loss(encoder, batch, heads, weights, *, rng, train):
+    flat = encoder.encode_batch(batch.samples, rng=rng, train=train).flat
+    hidden = gelu(add(matmul(flat, heads.cs_w1), heads.cs_b1))
+    projections = add(matmul(hidden, heads.cs_w2), heads.cs_b2)
+    return composed_contrastive_loss(projections, batch, weights.tau)
+
+
+def cs_batch_of(kind, rng):
+    b = 1 if kind == "single" else 3
+    batch = build_cs_batch(rng.normal(size=(b, 2, 6)), AugmentConfig(), rng, include_negatives=kind != "no_neg")
+    return reverse_neg_mode(batch) if kind == "reverse_neg" else batch
+
+
+class TestFusedContrastiveNode:
+    @pytest.mark.parametrize("kind", ["standard", "no_neg", "reverse_neg", "single"])
+    def test_matches_the_composition_in_value_and_every_leaf_gradient(self, kind):
+        config = EncoderConfig(channels=2, steps=6, width=8, depth=1, heads=2, dropout=0.2)
+        enc = Encoder(init_cat_params(config, np.random.default_rng(40)), config)
+        heads = init_pretext_heads(config, np.random.default_rng(41))
+        batch = cs_batch_of(kind, np.random.default_rng(42))
+        leaves = {**enc.params.trainable(), **heads.named()}
+        results = []
+        for loss_fn in (cs_loss, composed_cs_loss):
+            for t in leaves.values():
+                t.zero_grad()
+            loss = loss_fn(enc, batch, heads, LossWeights(tau=0.2), rng=np.random.default_rng(43), train=True)
+            value = loss.item()
+            loss.backward()
+            results.append((value, {k: t.grad for k, t in leaves.items()}))
+        (value, grads), (want_value, want_grads) = results
+        assert abs(value - want_value) <= 1e-12 * abs(want_value)
+        assert grads.keys() == want_grads.keys()
+        for k, want in want_grads.items():
+            if want is None:
+                assert grads[k] is None, k
+                continue
+            np.testing.assert_allclose(grads[k], want, rtol=0, atol=1e-12 * np.abs(want).max(), err_msg=k)
+        assert heads.cs_w1.grad is not None and enc.params.w_time.grad is not None
+
+    def test_loss_and_projection_head_are_two_tape_nodes(self):
+        enc = tiny_encoder(channels=2, steps=6)
+        heads = init_pretext_heads(enc.config, np.random.default_rng(47))
+        loss = cs_loss(enc, cs_batch_of("standard", np.random.default_rng(48)), heads, LossWeights())
+        (projections,) = loss._parents
+        flat, *head_weights = projections._parents
+        assert head_weights == [heads.cs_w1, heads.cs_b1, heads.cs_w2, heads.cs_b2]
+        assert flat.shape == (15, enc.flat_dim)
+
+    @pytest.mark.parametrize("kind", ["standard", "no_neg", "reverse_neg", "single"])
+    def test_gradient_passes_the_finite_difference_check(self, kind):
+        rng = np.random.default_rng(44)
+        batch = cs_batch_of(kind, rng)
+        rows = rng.normal(size=(batch.size, 5))
+        check_gradients(lambda p: contrastive_loss_from_projections(p, batch, tau=0.3), [rows])
+
+    def test_zero_projection_row_warns_and_scores_similarity_zero(self):
+        rng = np.random.default_rng(45)
+        batch = cs_batch_of("standard", rng)
+        rows = rng.normal(size=(batch.size, 4))
+        rows[1] = 0.0
+        with pytest.warns(RuntimeWarning, match="zero projection row"):
+            loss = contrastive_loss_from_projections(constant(rows), batch, tau=0.5)
+        # row 1 is a positive of anchor 0 at similarity 0, the reference's value too
+        want = composed_contrastive_loss(constant(rows), batch, tau=0.5).item()
+        assert math.isfinite(loss.item()) and abs(loss.item() - want) <= 1e-12 * abs(want)
+
+    def test_anchor_without_positives_is_rejected(self):
+        batch = CsBatch(
+            samples=np.zeros((6, 1, 2)),
+            origin=np.repeat([0, 1], 3),
+            polarity=[ORIGINAL, POSITIVE, NEGATIVE, ORIGINAL, NEGATIVE, NEGATIVE],
+        )
+        rows = np.random.default_rng(46).normal(size=(6, 4))
+        with pytest.raises(ConfigError, match="anchor 3 has no positives"):
+            contrastive_loss_from_projections(constant(rows), batch, tau=0.2)
+        no_anchor = CsBatch(samples=batch.samples, origin=batch.origin, polarity=[POSITIVE] * 6)
+        with pytest.raises(ConfigError, match="no originals"):
+            contrastive_loss_from_projections(constant(rows), no_anchor, tau=0.2)
 
 
 class TestNvpLoss:
