@@ -32,11 +32,13 @@ from .encoder import CatParams, Encoder, EncoderConfig, _glorot, init_cat_params
 from .errors import ConfigError
 from .optim import adam_step, init_adam_state
 from .pretext import (
+    CsBatch,
     LossWeights,
     PretextHeads,
     build_cs_batch,
     combined_loss,
-    cs_loss,
+    contrastive_loss_from_projections,
+    cs_projections,
     init_pretext_heads,
     make_ntp_instances,
     ntp_loss,
@@ -245,9 +247,7 @@ def fit(
             loss.backward()
             del loss
             grads = {k: t.grad for k, t in trainables.items() if t.grad is not None}
-            new_values, state = adam_step({k: t.data for k, t in trainables.items()}, grads, state)
-            for k, t in trainables.items():
-                t.data = new_values[k]
+            adam_step({k: t.data for k, t in trainables.items()}, grads, state)  # in place
             if log is not None:
                 log.append({"epoch": epoch, "step": step, **fields})
             losses.append(value)
@@ -297,6 +297,46 @@ def _ntp_per_sample(encoder: Encoder, groups, heads: PretextHeads, rng: np.rando
     return total / len(groups)
 
 
+def _cs_grad_cache(
+    encoder: Encoder, batch: CsBatch, heads: PretextHeads, rng: np.random.Generator, weights: LossWeights
+) -> float:
+    """The CS loss over ``batch``, with ``weights.alpha2`` times its gradient added to the leaves.
+
+    Gradient caching (Gao et al. 2021, arXiv 2101.06983) over origin groups,
+    an origin group being one original with its augmentations (a contiguous
+    run of ``batch.origin``):
+    1. encode and project the batch without a graph, one group at a time;
+    2. take the loss on a leaf holding the stacked projections and
+       backpropagate ``weights.alpha2`` to that leaf only;
+    3. encode each group again with a graph and backpropagate its rows of
+       the cached projection gradient through it.
+    Only one group's graph is alive at a time. Both passes see the dropout
+    masks of one whole-batch pass and ``rng`` ends where ``cs_loss`` would
+    leave it (:class:`MicroBatchMasks`), so the value and the gradients are
+    those of ``cs_loss`` up to rounding. A non-finite loss raises
+    ``FloatingPointError`` before any backward.
+    """
+    bounds = [0, *(np.flatnonzero(np.diff(batch.origin)) + 1), batch.size]
+    groups = list(zip(bounds[:-1], bounds[1:]))
+    masks = MicroBatchMasks(rng, [hi - lo for lo, hi in groups])
+
+    def project(j: int) -> Tensor:
+        masks.select(j)
+        lo, hi = groups[j]
+        return cs_projections(encoder, batch.samples[lo:hi], heads, rng=masks, train=True)
+
+    with no_grad():
+        cached = Tensor(np.concatenate([project(j).data for j in range(len(groups))]), requires_grad=True)
+    loss = contrastive_loss_from_projections(cached, batch, weights.tau)
+    value = loss.item()
+    if not math.isfinite(value):
+        raise FloatingPointError(f"non-finite CS loss {value}")
+    loss.backward(np.asarray(weights.alpha2))
+    for j, (lo, hi) in enumerate(groups):
+        project(j).backward(cached.grad[lo:hi])
+    return value
+
+
 def pretrain(
     ds: MtsDataset,
     cfg: TrainConfig,
@@ -310,11 +350,19 @@ def pretrain(
     originals, combine the two losses with their weights (a weight of 0
     skips its task; ablation flags drop the negatives, flip them to
     positives, or swap the trend task for value regression), and take one
-    Adam step. Next-trend prediction runs one source sample at a time, each
-    sample's ``k_ntp`` truncations backpropagated before the next are
-    encoded, with the dropout masks one whole-batch pass would draw; the
-    step's gradient is that of the whole batch, up to rounding, and its
-    graph holds one sample's truncations instead of B·``k_ntp``.
+    Adam step. Both tasks keep one source sample's graph alive at a time,
+    with the dropout masks one whole-batch pass would draw, and the step's
+    gradient is that of the whole batch, up to rounding:
+    - next-trend prediction runs one source sample at a time, each sample's
+      ``k_ntp`` truncations backpropagated before the next are encoded
+      (:func:`_ntp_per_sample`);
+    - contextual similarity runs one origin group (an original and its
+      augmentations) at a time through gradient caching: the batch is
+      projected without a graph, the loss's gradient with respect to the
+      projections is cached, and each group is encoded again with a graph
+      to backpropagate its rows of that gradient (:func:`_cs_grad_cache`).
+    The ``use_nvp`` variant (next-value regression) builds its whole-batch
+    graph as before.
 
     Checkpoints are written per epoch when ``out_dir`` is given, keeping the
     last two and the best, and as ``checkpoint.ckpt`` at the end; the
@@ -366,7 +414,8 @@ def pretrain(
             )
             if cfg.reverse_neg:
                 cs_batch = reverse_neg_mode(cs_batch)
-            cs_part = cs_loss(encoder, cs_batch, heads, weights, rng=rng_drop, train=True)
+            # already backpropagated: the value joins the combined loss as a constant
+            cs_part = constant(_cs_grad_cache(encoder, cs_batch, heads, rng_drop, weights))
         else:
             cs_part = constant(0.0)
         combined = combined_loss(ntp_part, cs_part, weights)

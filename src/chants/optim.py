@@ -1,7 +1,8 @@
 """Adam optimizer over named parameter trees.
 
-``adam_step`` is a pure function: it never mutates its inputs and two calls
-with equal arguments return equal results, which is what makes seeded
+``adam_step`` updates the parameters and the moments in place, so a step
+holds no second copy of them. Its arithmetic is fixed, so two runs with
+equal inputs end in bitwise-equal arrays, which is what makes seeded
 training runs bitwise reproducible.
 """
 
@@ -44,48 +45,47 @@ def adam_step(
     params: Mapping[str, np.ndarray],
     grads: Mapping[str, np.ndarray],
     state: AdamState,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update.
+) -> tuple[Mapping[str, np.ndarray], AdamState]:
+    """One bias-corrected Adam update, in place; returns ``(params, state)``.
 
-    Returns fresh parameter and state dicts. A missing gradient counts as
-    zero; a NaN or infinite gradient aborts with the offending parameter
-    named.
+    Each parameter array and its two moments are updated in place, with the
+    operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g², p = p -
+    lr (m / bc1) / (sqrt(v / bc2) + eps) in that order, so the results are
+    bitwise those of the formula. A missing gradient counts as zero. Every
+    gradient is checked before any array changes: a gradient of the wrong
+    shape raises ``ShapeError`` and a NaN or infinite one raises
+    ``FloatingPointError`` naming the parameter, and either leaves the
+    parameters and the state as they were.
     """
-    t = state.step_count + 1
+    checked: dict[str, np.ndarray] = {}
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            continue
+        g = np.asarray(g, dtype=np.float64)
+        if g.shape != p.shape:
+            raise ShapeError(f"gradient for '{name}' has shape {g.shape}, parameter has {p.shape}")
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient for parameter '{name}'")
+        checked[name] = g
+
+    state.step_count += 1
+    t = state.step_count
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-
-    new_params: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_v: dict[str, np.ndarray] = {}
-    for name in params:
-        p = params[name]
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
-        else:
-            g = np.asarray(g, dtype=np.float64)
-            if g.shape != p.shape:
-                raise ShapeError(
-                    f"gradient for '{name}' has shape {g.shape}, parameter has {p.shape}"
-                )
-            if not np.isfinite(g).all():
-                raise FloatingPointError(f"non-finite gradient for parameter '{name}'")
-        m = b1 * state.first_moment[name] + (1.0 - b1) * g
-        v = b2 * state.second_moment[name] + (1.0 - b2) * (g * g)
-        update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
-        new_params[name] = p - update
-        new_m[name] = m
-        new_v[name] = v
-
-    next_state = AdamState(
-        step_count=t,
-        first_moment=new_m,
-        second_moment=new_v,
-        lr=state.lr,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        epsilon=state.epsilon,
-    )
-    return new_params, next_state
+    for name, p in params.items():
+        g = checked[name] if name in checked else np.zeros_like(p)
+        m, v = state.first_moment[name], state.second_moment[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        denom = v / bc2
+        np.sqrt(denom, out=denom)
+        denom += state.epsilon
+        update = m / bc1
+        update *= state.lr
+        update /= denom
+        p -= update
+    return params, state

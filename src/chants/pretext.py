@@ -48,6 +48,7 @@ __all__ = [
     "combined_loss",
     "contrastive_loss_from_projections",
     "cs_loss",
+    "cs_projections",
     "init_pretext_heads",
     "make_ntp_instances",
     "ntp_loss",
@@ -270,6 +271,14 @@ def contrastive_loss_from_projections(
     return contrastive_loss(projections, anchors, positives, tau)
 
 
+def cs_projections(
+    encoder: Encoder, samples: np.ndarray, heads: PretextHeads, *, rng=None, train: bool = False
+) -> Tensor:
+    """Encode ``samples`` and project each flat representation (affine, GELU, affine)."""
+    rep = encoder.encode_batch(samples, rng=rng, train=train)
+    return ffn(rep.flat, heads.cs_w1, heads.cs_b1, heads.cs_w2, heads.cs_b2)
+
+
 def cs_loss(
     encoder: Encoder,
     batch: CsBatch,
@@ -279,9 +288,12 @@ def cs_loss(
     rng: np.random.Generator | None = None,
     train: bool = False,
 ) -> Tensor:
-    """Encode and project the whole batch (affine, GELU, affine), then apply the similarity loss."""
-    rep = encoder.encode_batch(batch.samples, rng=rng, train=train)
-    projections = ffn(rep.flat, heads.cs_w1, heads.cs_b1, heads.cs_w2, heads.cs_b2)
+    """Project the whole batch in one graph, then apply the similarity loss.
+
+    The whole-batch reference: pretraining computes the same value and
+    gradients one origin group at a time (``harness._cs_grad_cache``).
+    """
+    projections = cs_projections(encoder, batch.samples, heads, rng=rng, train=train)
     return contrastive_loss_from_projections(projections, batch, weights.tau)
 
 

@@ -377,16 +377,20 @@ class MicroBatchMasks:
     leading size ``rows[j]``, selected by :meth:`select`) its rows of the
     masks that one forward pass over all the micro-batches stacked in order
     would draw. When micro-batch 0 reaches a dropout site, the site's whole
-    boolean mask is drawn from ``rng`` one micro-batch's rows at a time: the
-    same values as one ``rng.random`` call over the whole batch, without its
+    mask is drawn from ``rng`` one micro-batch's rows at a time: the same
+    values as one ``rng.random`` call over the whole batch, without its
     float64 buffer, and ``rng`` ends where the whole-batch pass would leave
-    it. Later micro-batches must reach the same sites with the same shapes.
+    it. Each site's mask is kept bit-packed along its last axis (one bit
+    per element) and a micro-batch's rows are unpacked when served. Later
+    micro-batches must reach the same sites with the same shapes; so may
+    any number of later passes, which see the same masks again (gradient
+    caching encodes each micro-batch twice).
     """
 
     def __init__(self, rng: np.random.Generator, rows: Sequence[int]):
         self.rng = rng
         self.offsets = np.cumsum([0, *rows])
-        self.masks: list[np.ndarray] = []
+        self.masks: list[tuple[np.ndarray, int]] = []  # (packed mask, width of its last axis)
         self.batch = 0
         self.site = 0
 
@@ -395,19 +399,21 @@ class MicroBatchMasks:
         self.batch, self.site = batch, 0
 
     def keep(self, shape, rate: float) -> np.ndarray:
+        shape = tuple(shape)
         lo, hi = self.offsets[self.batch], self.offsets[self.batch + 1]
         if self.site == len(self.masks):
             if self.batch != 0:
                 raise ShapeError(f"micro-batch {self.batch} reached a dropout site micro-batch 0 did not")
-            mask = np.empty((self.offsets[-1], *shape[1:]), dtype=bool)
+            packed = np.empty((self.offsets[-1], *shape[1:-1], -(-shape[-1] // 8)), dtype=np.uint8)
             for start, stop in zip(self.offsets[:-1], self.offsets[1:]):
-                np.greater_equal(self.rng.random((stop - start, *shape[1:])), rate, out=mask[start:stop])
-            self.masks.append(mask)
-        mask = self.masks[self.site][lo:hi]
-        if mask.shape != tuple(shape):
-            raise ShapeError(f"dropout site {self.site} has shape {tuple(shape)}, its mask rows {mask.shape}")
+                packed[start:stop] = np.packbits(self.rng.random((stop - start, *shape[1:])) >= rate, axis=-1)
+            self.masks.append((packed, shape[-1]))
+        packed, width = self.masks[self.site]
+        rows = (hi - lo, *packed.shape[1:-1], width)
+        if rows != shape:
+            raise ShapeError(f"dropout site {self.site} has shape {shape}, its mask rows {rows}")
         self.site += 1
-        return mask
+        return np.unpackbits(packed[lo:hi], axis=-1, count=width).view(bool)
 
 
 def _keep_mask(shape, rate: float, rng, train: bool) -> np.ndarray | None:
@@ -433,8 +439,9 @@ def dropout(a, rate: float, rng, train: bool) -> Tensor:
 
     ``rng`` is a generator, or a :class:`MicroBatchMasks` when a batch runs
     as micro-batches that must see the masks of one whole-batch pass; that
-    is how pretraining's next-trend prediction runs, one source sample at a
-    time, with the masks drawn as in one pass over the whole batch.
+    is how pretraining runs next-trend prediction one source sample at a
+    time and contextual similarity one origin group at a time, with the
+    masks drawn as in one pass over the whole batch.
     """
     a = constant(a)
     keep = _keep_mask(a.data.shape, rate, rng, train)
@@ -669,17 +676,18 @@ def contrastive_loss(projections, anchors, positives, tau: float) -> Tensor:
     ``projections`` is (n, k); ``anchors`` holds the m distinct indices of
     the anchor rows and ``positives`` is an (m, n) boolean mask of each
     anchor's c_a positives. Rows are scaled to unit length u (with
-    ``_NORM_FLOOR`` under the root, so a zero row warns and has similarity
-    0 to every row) and s = u_A u^T / tau. The loss is the mean over
-    anchors of c_a * logsumexp of s_a over every row but the anchor itself,
-    minus the sum of s_a over its positives. One tape node; backward keeps
+    ``_NORM_FLOOR`` under the root, so a zero row warns, has similarity 0
+    to every row and gets a zero gradient) and s = u_A u^T / tau. The loss
+    is the mean over anchors of c_a * logsumexp of s_a over every row but
+    the anchor itself, minus the sum of s_a over its positives. One tape node; backward keeps
     the unit rows, their norms and the masked softmax.
     """
     projections = constant(projections)
     if projections.ndim != 2:
         raise ShapeError(f"contrastive_loss expects (n, k) projections, got {projections.shape}")
     p = projections.data
-    if (np.abs(p).sum(axis=-1) == 0.0).any():
+    zero = np.abs(p).sum(axis=-1) == 0.0
+    if zero.any():
         warnings.warn("zero projection row: its similarities are defined as 0", RuntimeWarning)
     norm = np.sqrt((p * p).sum(axis=-1, keepdims=True) + _NORM_FLOOR)
     unit = p / norm
@@ -702,6 +710,7 @@ def contrastive_loss(projections, anchors, positives, tau: float) -> Tensor:
         d_unit[anchors] += d_sims @ unit
         d_unit -= unit * (unit * d_unit).sum(axis=-1, keepdims=True)
         d_unit /= norm
+        d_unit[zero] = 0.0  # the constant-0 row, not 1/_NORM_FLOOR times the others
         _accum(projections, d_unit)
 
     return _make(out_data, (projections,), backward)

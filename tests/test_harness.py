@@ -17,6 +17,7 @@ from chants.errors import ConfigError
 from chants.harness import (
     Metrics,
     TrainConfig,
+    _cs_grad_cache,
     _ntp_per_sample,
     compute_metrics,
     extract_features,
@@ -35,6 +36,7 @@ from chants.pretext import (
     init_pretext_heads,
     make_ntp_instances,
     ntp_loss,
+    reverse_neg_mode,
 )
 from chants.tensor import Tensor, constant, mul, tensor_sum
 
@@ -243,7 +245,9 @@ class TestPretrain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(at_backward) == 4 * 5  # 4 steps, each B = 4 NTP micro-batches and CS
+        # 4 steps, each: B = 4 NTP micro-batches, the CS loss on its cached
+        # projections, B = 4 CS origin groups, and the combined loss
+        assert len(at_backward) == 4 * 10
         ratio = peak / max(at_backward)
         assert ratio < 1.5, f"peak is {ratio:.2f}x the largest traced memory at the start of backward"
 
@@ -270,6 +274,51 @@ class TestPretrain:
 
         ratio = traced_peak(8) / traced_peak(2)
         assert ratio < 1.6, f"peak at B=8 is {ratio:.2f}x that at B=2"
+
+    def test_cs_memory_does_not_grow_with_the_batch(self):
+        # with NTP off, a step's graph is one origin group's five samples, so
+        # quadrupling B adds only the per-batch inputs, the cached projections
+        # and the packed dropout masks
+        def traced_peak(batch):
+            rng = np.random.default_rng(23)
+            ds = labeled_dataset(rng, m=8, channels=4, steps=32)
+            cfg = TrainConfig(
+                encoder=EncoderConfig(channels=4, steps=32, width=16, depth=1, heads=2, dropout=0.1),
+                weights=LossWeights(alpha1=0.0),
+                pretrain_batch=batch,
+                pretrain_epochs=1,
+                seed=0,
+            )
+            tracemalloc.start()
+            try:
+                pretrain(ds, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ratio = traced_peak(8) / traced_peak(2)
+        assert ratio < 1.6, f"peak at B=8 is {ratio:.2f}x that at B=2"
+
+    def test_non_finite_cs_loss_aborts_before_any_backward(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        ds = labeled_dataset(rng, m=8)
+        ds.series[:, 1, 2] = np.nan
+        calls = {"backward": 0, "adam": 0}
+        backward, adam_step = Tensor.backward, harness.adam_step
+
+        def counted_backward(tensor, grad=None):
+            calls["backward"] += 1
+            return backward(tensor, grad)
+
+        def counted_adam_step(*args, **kwargs):
+            calls["adam"] += 1
+            return adam_step(*args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "backward", counted_backward)
+        monkeypatch.setattr(harness, "adam_step", counted_adam_step)
+        with pytest.raises(FloatingPointError, match="non-finite CS loss nan"):
+            pretrain(ds, tiny_cfg(pretrain_epochs=1, weights=LossWeights(alpha1=0.0)))
+        assert calls == {"backward": 0, "adam": 0}
 
     def test_non_finite_ntp_part_aborts_before_its_backward(self, monkeypatch):
         rng = np.random.default_rng(24)
@@ -358,6 +407,45 @@ def test_per_sample_ntp_matches_one_whole_batch_pass():
     for name, grad in want_grads.items():
         np.testing.assert_allclose(got_grads[name], grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max(), err_msg=name)
     assert got_cs == want_cs
+
+
+@pytest.mark.parametrize("kind", ["standard", "no_neg_augment", "reverse_neg", "single"])
+def test_cs_grad_cache_matches_one_whole_batch_pass(kind):
+    # reference: cs_loss over the whole batch in one graph, one backward; a
+    # draw after it shows where each run leaves the dropout rng
+    cfg = EncoderConfig(channels=3, steps=16, width=8, depth=2, heads=2, dropout=0.2)
+    rng = np.random.default_rng(29)
+    params = init_cat_params(cfg, rng)
+    heads = init_pretext_heads(cfg, rng)
+    encoder = Encoder(params, cfg)
+    leaves = {**params.trainable(), **heads.named()}
+    xs = rng.normal(size=(1 if kind == "single" else 3, 3, 16))
+    batch = build_cs_batch(xs, AugmentConfig(), rng, include_negatives=kind != "no_neg_augment")
+    if kind == "reverse_neg":
+        batch = reverse_neg_mode(batch)
+    weights = LossWeights(alpha2=1.5, tau=0.2)
+
+    def run(cs):
+        for t in leaves.values():
+            t.zero_grad()
+        rng_drop = np.random.default_rng(30)
+        value = cs(rng_drop)
+        grads = {k: t.grad for k, t in leaves.items() if t.grad is not None}
+        return value, grads, rng_drop.random(4)
+
+    def whole_batch(rng_drop):
+        loss = cs_loss(encoder, batch, heads, weights, rng=rng_drop, train=True)
+        mul(loss, constant(weights.alpha2)).backward()
+        return loss.item()
+
+    want, want_grads, want_next = run(whole_batch)
+    got, got_grads, got_next = run(lambda rng_drop: _cs_grad_cache(encoder, batch, heads, rng_drop, weights))
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert got_grads.keys() == want_grads.keys()
+    assert "heads.cs.w1" in got_grads and "embed.w_time" in got_grads
+    for name, grad in want_grads.items():
+        np.testing.assert_allclose(got_grads[name], grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max(), err_msg=name)
+    np.testing.assert_array_equal(got_next, want_next)
 
 
 class TestSupervisedBaseline:

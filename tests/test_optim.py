@@ -41,18 +41,55 @@ def test_repeated_runs_are_bitwise_identical():
         assert first[k].tobytes() == second[k].tobytes()
 
 
-def test_pure_function_does_not_mutate_inputs():
-    params = {"w": np.array([1.0, 2.0])}
-    grads = {"w": np.array([0.5, -0.5])}
-    state = init_adam_state(params, lr=0.01)
-    before_p = params["w"].copy()
-    before_m = state.first_moment["w"].copy()
-    out1, s1 = adam_step(params, grads, state)
-    out2, s2 = adam_step(params, grads, state)
-    np.testing.assert_array_equal(params["w"], before_p)
-    np.testing.assert_array_equal(state.first_moment["w"], before_m)
-    np.testing.assert_array_equal(out1["w"], out2["w"])
-    assert s1.step_count == s2.step_count == 1
+def reference_adam(params, grads, steps, lr):
+    """The update as a pure formula: fresh arrays every step."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    params = dict(params)
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v2 = {k: np.zeros_like(v) for k, v in params.items()}
+    for t in range(1, steps + 1):
+        bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+        for k in params:
+            g = grads.get(k, np.zeros_like(params[k]))
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v2[k] = b2 * v2[k] + (1.0 - b2) * (g * g)
+            params[k] = params[k] - lr * (m[k] / bc1) / (np.sqrt(v2[k] / bc2) + eps)
+    return params, m, v2
+
+
+def test_in_place_update_is_bitwise_the_pure_formula():
+    rng = np.random.default_rng(12)
+    p0 = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=5), "frozen": rng.normal(size=2)}
+    grads = {"a": rng.normal(size=(4, 3)), "b": rng.normal(scale=1e-3, size=5)}
+    want, want_m, want_v = reference_adam(p0, grads, steps=7, lr=3e-3)
+    params = {k: v.copy() for k, v in p0.items()}
+    arrays = dict(params)
+    state = init_adam_state(params, lr=3e-3)
+    for _ in range(7):
+        out, out_state = adam_step(params, grads, state)
+        assert out is params and out_state is state
+    assert state.step_count == 7
+    for k in p0:
+        assert params[k] is arrays[k], f"{k} was replaced, not updated in place"
+        assert params[k].tobytes() == want[k].tobytes(), k
+        assert state.first_moment[k].tobytes() == want_m[k].tobytes(), k
+        assert state.second_moment[k].tobytes() == want_v[k].tobytes(), k
+
+
+def test_non_finite_gradient_mutates_nothing():
+    rng = np.random.default_rng(13)
+    params = {"a": rng.normal(size=3), "b": rng.normal(size=2)}
+    state = init_adam_state(params, lr=0.1)
+    adam_step(params, {"a": np.ones(3), "b": np.ones(2)}, state)
+    before = ({k: v.copy() for k, v in params.items()}, {k: v.copy() for k, v in state.first_moment.items()},
+              {k: v.copy() for k, v in state.second_moment.items()})
+    # "a" comes first and is valid: it must not be updated before "b" is checked
+    with pytest.raises(FloatingPointError, match="'b'"):
+        adam_step(params, {"a": np.ones(3), "b": np.array([1.0, np.nan])}, state)
+    assert state.step_count == 1
+    for now, then in zip((params, state.first_moment, state.second_moment), before):
+        for k in then:
+            np.testing.assert_array_equal(now[k], then[k], err_msg=k)
 
 
 def test_nan_gradient_aborts_naming_parameter():

@@ -374,6 +374,18 @@ class TestFusedContrastiveNode:
         want = composed_contrastive_loss(constant(rows), batch, tau=0.5).item()
         assert math.isfinite(loss.item()) and abs(loss.item() - want) <= 1e-12 * abs(want)
 
+    def test_zero_projection_row_gets_a_zero_gradient(self):
+        rng = np.random.default_rng(45)
+        batch = cs_batch_of("standard", rng)
+        rows = rng.normal(size=(batch.size, 4))
+        rows[1] = 0.0
+        leaf = Tensor(rows, requires_grad=True)
+        with pytest.warns(RuntimeWarning, match="zero projection row"):
+            loss = contrastive_loss_from_projections(leaf, batch, tau=0.5)
+        loss.backward()
+        assert np.all(leaf.grad[1] == 0.0)
+        assert np.isfinite(leaf.grad).all() and np.abs(leaf.grad).max() < 10.0
+
     def test_anchor_without_positives_is_rejected(self):
         batch = CsBatch(
             samples=np.zeros((6, 1, 2)),

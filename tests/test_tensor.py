@@ -9,6 +9,7 @@ import pytest
 from chants.errors import ConfigError, ShapeError
 from chants.tensor import (
     AttnWeights,
+    MicroBatchMasks,
     Tensor,
     add,
     constant,
@@ -488,3 +489,44 @@ class TestAutodiffPlumbing:
         out = dropout(a, 0.3, rng, train=True)
         tensor_sum(out).backward()
         np.testing.assert_array_equal(a.grad, out.data)
+
+
+class TestMicroBatchMasks:
+    @staticmethod
+    def boolean_masks(rng, rows, shapes, rate):
+        """The unpacked reference: each site's whole mask as one boolean array."""
+        offsets = np.cumsum([0, *rows])
+        masks = []
+        for shape in shapes:
+            mask = np.empty((offsets[-1], *shape), dtype=bool)
+            for start, stop in zip(offsets[:-1], offsets[1:]):
+                np.greater_equal(rng.random((stop - start, *shape)), rate, out=mask[start:stop])
+            masks.append(mask)
+        return [[m[lo:hi] for m in masks] for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+    def test_packed_masks_serve_bitwise_the_boolean_masks_on_every_pass(self):
+        rows, shapes, rate = [3, 1, 5, 2], [(4, 13), (7,), (2, 3, 8), (1,)], 0.3
+        want = self.boolean_masks(np.random.default_rng(50), rows, shapes, rate)
+        rng = np.random.default_rng(50)
+        masks = MicroBatchMasks(rng, rows)
+        for _ in range(2):  # a second pass (gradient caching) sees the same masks
+            for j, n in enumerate(rows):
+                masks.select(j)
+                for site, shape in enumerate(shapes):
+                    got = masks.keep((n, *shape), rate)
+                    assert got.dtype == bool and got.shape == (n, *shape)
+                    np.testing.assert_array_equal(got, want[j][site])
+        reference_rng = np.random.default_rng(50)
+        self.boolean_masks(reference_rng, rows, shapes, rate)
+        assert rng.random() == reference_rng.random()
+
+    def test_a_site_with_another_shape_is_rejected(self):
+        masks = MicroBatchMasks(np.random.default_rng(51), [2, 2])
+        masks.keep((2, 9), 0.5)
+        masks.select(1)
+        with pytest.raises(ShapeError, match="dropout site 0"):
+            masks.keep((2, 10), 0.5)
+        masks.select(1)
+        masks.keep((2, 9), 0.5)
+        with pytest.raises(ShapeError, match="micro-batch 1 reached a dropout site"):
+            masks.keep((2, 9), 0.5)
