@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Mapping
 
@@ -45,7 +46,12 @@ def save_checkpoint(path, manifest: dict, arrays: Mapping[str, np.ndarray]) -> N
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read back a manifest and its named arrays; validates sizes strictly."""
+    """Read back a manifest and its named arrays; validates the manifest and sizes strictly.
+
+    The manifest must be a JSON object whose ``arrays`` object maps each
+    name to a list of non-negative ints; anything else, a truncated array or
+    trailing bytes raise ``CheckpointError``.
+    """
     path = Path(path)
     raw = path.read_bytes()
     if raw[: len(_MAGIC)] != _MAGIC:
@@ -58,11 +64,13 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt manifest") from exc
     offset += blob_len
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("arrays", {}), dict):
+        raise CheckpointError(f"{path}: corrupt manifest (not an object with an 'arrays' object)")
     arrays: dict[str, np.ndarray] = {}
-    for name in sorted(manifest.get("arrays", {})):
-        shape = tuple(manifest["arrays"][name])
-        count = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * count
+    for name, shape in sorted(manifest.get("arrays", {}).items()):
+        if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+            raise CheckpointError(f"{path}: array '{name}' has shape {shape!r}, not a list of non-negative ints")
+        end = offset + 8 * math.prod(shape)
         if end > len(raw):
             raise CheckpointError(f"{path}: truncated array '{name}'")
         arrays[name] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape).copy()
@@ -104,9 +112,9 @@ def load_encoder(path) -> tuple[CatParams, EncoderConfig, dict, dict[str, np.nda
         raise CheckpointError(f"{path}: not an encoder checkpoint")
     try:
         config = EncoderConfig(**manifest["config"])
-    except (KeyError, TypeError) as exc:
+        params = init_cat_params(config, np.random.default_rng(0))
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: bad config block: {exc}") from exc
-    params = init_cat_params(config, np.random.default_rng(0))
     named = params.named()
     for name, tensor in named.items():
         key = f"params.{name}"

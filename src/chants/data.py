@@ -31,6 +31,7 @@ __all__ = [
     "parse_ts",
     "serialize_ts",
     "subsample",
+    "subsample_rows",
     "train_test_split",
     "znormalize",
 ]
@@ -341,14 +342,18 @@ def denormalize(ds: MtsDataset, stats: NormStats) -> MtsDataset:
 # ---------------------------------------------------------------------------
 
 
-def subsample(ds: MtsDataset, fraction: float, seed: int) -> MtsDataset:
-    """Stratified subsample: max(1, floor(fraction * count)) per class."""
+def subsample_rows(ds: MtsDataset, fraction: float, seed: int) -> np.ndarray:
+    """Sorted row indices of the stratified subsample of ``ds``.
+
+    max(1, floor(fraction * count)) rows per class, drawn without
+    replacement; every row at fraction 1.
+    """
     if not 0.0 < fraction <= 1.0:
         raise DataError(f"fraction must lie in (0, 1], got {fraction}")
     if ds.labels is None:
         raise DataError("subsample needs a labeled dataset")
     if fraction == 1.0:
-        return ds
+        return np.arange(ds.size)
     rng = np.random.default_rng([seed, 0x5B5A])
     keep: list[np.ndarray] = []
     for cls in range(ds.class_count):
@@ -357,7 +362,14 @@ def subsample(ds: MtsDataset, fraction: float, seed: int) -> MtsDataset:
             continue
         take = max(1, int(fraction * idx.size))
         keep.append(rng.choice(idx, size=take, replace=False))
-    chosen = np.sort(np.concatenate(keep))
+    return np.sort(np.concatenate(keep))
+
+
+def subsample(ds: MtsDataset, fraction: float, seed: int) -> MtsDataset:
+    """Stratified subsample: the rows :func:`subsample_rows` picks (``ds`` itself at fraction 1)."""
+    chosen = subsample_rows(ds, fraction, seed)
+    if fraction == 1.0:
+        return ds
     return replace(ds, series=ds.series[chosen], labels=ds.labels[chosen])
 
 

@@ -4,8 +4,10 @@ probing, a supervised-from-scratch baseline, metrics, and the few-shot sweep.
 Every run is a pure function of (seed, config, dataset): rng streams are
 derived from the seed per purpose, so identical runs produce identical loss
 logs and bitwise-identical checkpoints. The three trainers share one update
-loop, :func:`fit`. Pretraining logs one record per step (``epoch``, ``step``,
-``ntp_loss``, ``cs_loss``, ``combined``) to ``log.jsonl``; its checkpoints
+loop, :func:`fit`. Pretraining builds no graph of more than ``MICRO_BATCH``
+encoded series, whatever the batch size and ``k_ntp``, and logs one record
+per step (``epoch``, ``step``, ``ntp_loss``, ``cs_loss``, ``combined``) to
+``log.jsonl``; its checkpoints
 carry the ``TrainConfig`` and any normalization stats, so a checkpoint is all
 ``probe`` and ``fewshot`` need. :func:`train_config_from_dict` is the one way
 to build a ``TrainConfig`` from plain values.
@@ -21,19 +23,20 @@ import typing
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .augment import AugmentConfig
 from .checkpoint import save_encoder
-from .data import MtsDataset, NormStats, batches, subsample
+from .data import MtsDataset, NormStats, batches, subsample, subsample_rows
 from .encoder import CatParams, Encoder, EncoderConfig, _glorot, init_cat_params
 from .errors import ConfigError
 from .optim import adam_step, init_adam_state
 from .pretext import (
     CsBatch,
     LossWeights,
+    NtpInstance,
     PretextHeads,
     build_cs_batch,
     combined_loss,
@@ -42,7 +45,8 @@ from .pretext import (
     init_pretext_heads,
     make_ntp_instances,
     ntp_loss,
-    nvp_loss,
+    nvp_instances,
+    nvp_squared_error,
     reverse_neg_mode,
 )
 from .tensor import MicroBatchMasks, Tensor, add, constant, cross_entropy, matmul, no_grad
@@ -270,31 +274,99 @@ def fit(
 # ---------------------------------------------------------------------------
 
 
-def _ntp_per_sample(encoder: Encoder, groups, heads: PretextHeads, rng: np.random.Generator, weight: float) -> float:
+MICRO_BATCH = 5
+"""Most series that pretraining encodes in one graph: one CS origin group,
+an original with its two positives and two negatives."""
+
+
+def _spans(rows: int) -> list[tuple[int, int]]:
+    """``rows`` rows cut into runs of at most ``MICRO_BATCH``, as [lo, hi) pairs."""
+    return [(lo, min(lo + MICRO_BATCH, rows)) for lo in range(0, rows, MICRO_BATCH)]
+
+
+def _backprop_micro_batches(
+    masks: MicroBatchMasks,
+    spans: Sequence[tuple[int, int]],
+    part: Callable[[int, int], Tensor],
+    grad: Callable[[int, int], np.ndarray],
+    describe: Callable[[int, float], str],
+) -> float:
+    """Backpropagate ``grad(lo, hi)`` through ``part(lo, hi)`` for each span of rows in turn.
+
+    Micro-batch j, the rows ``spans[j]``, is served its rows of the dropout
+    masks of one pass over all the spans stacked in order (``masks``), so
+    only one micro-batch's graph is alive at a time and the gradients add up
+    to those of that one pass, up to rounding. A part with a non-finite
+    entry raises ``FloatingPointError`` with ``describe(j, value)`` before its
+    backward. Returns the sum of every part's entries, its ``value`` (the
+    summed loss, when the parts are scalar losses).
+    """
+    total = 0.0
+    for j, (lo, hi) in enumerate(spans):
+        masks.select(j)
+        out = part(lo, hi)
+        value = float(out.data.sum())
+        if not np.isfinite(out.data).all():
+            raise FloatingPointError("non-finite " + describe(j, value))
+        out.backward(grad(lo, hi))
+        total += value
+    return total
+
+
+def _ntp_in_micro_batches(
+    encoder: Encoder, groups: Sequence[Sequence[NtpInstance]], heads: PretextHeads, rng: np.random.Generator, weight: float
+) -> float:
     """The NTP loss over ``groups``, with ``weight`` times its gradient added to the leaves.
 
-    Runs one source sample at a time: that sample's truncations form one
-    micro-batch, whose loss is backpropagated with weight ``weight / B``
-    (B = ``len(groups)``) as soon as it is built, so only one micro-batch's
-    graph is alive at a time.
-    The NTP loss is a sum over samples divided by B, so the summed values
-    and gradients are those of ``ntp_loss`` over all B groups at once, up to
-    rounding. Dropout masks are those of that single pass and ``rng`` ends
-    where it would leave it (:class:`MicroBatchMasks`). A non-finite part
-    raises ``FloatingPointError`` before its backward.
+    Each source sample's truncations are cut into micro-batches of at most
+    ``MICRO_BATCH``, whose loss is backpropagated with weight ``weight / B``
+    (B = ``len(groups)``) as soon as it is built. The NTP loss is a sum over
+    truncations divided by B, so the summed values and gradients are those of
+    ``ntp_loss`` over all B groups at once, up to rounding, and ``rng`` ends
+    where that pass would leave it. A non-finite part raises
+    ``FloatingPointError`` naming its source sample before its backward.
     """
-    masks = MicroBatchMasks(rng, [len(g) for g in groups])
-    scale = np.asarray(weight / len(groups))
-    total = 0.0
+    flat = [inst for group in groups for inst in group]
+    spans, samples, start = [], [], 0
     for j, group in enumerate(groups):
-        masks.select(j)
-        part = ntp_loss(encoder, [group], heads, rng=masks, train=True)
-        value = part.item()
-        if not math.isfinite(value):
-            raise FloatingPointError(f"non-finite NTP loss {value} on source sample {j} of the batch")
-        part.backward(scale)
-        total += value
+        for lo, hi in _spans(len(group)):
+            spans.append((start + lo, start + hi))
+            samples.append(j)
+        start += len(group)
+    masks = MicroBatchMasks(rng, [hi - lo for lo, hi in spans])
+    total = _backprop_micro_batches(
+        masks,
+        spans,
+        lambda lo, hi: ntp_loss(encoder, [flat[lo:hi]], heads, rng=masks, train=True),
+        lambda lo, hi: np.asarray(weight / len(groups)),
+        lambda j, value: f"NTP loss {value} on source sample {samples[j]} of the batch",
+    )
     return total / len(groups)
+
+
+def _nvp_in_micro_batches(
+    encoder: Encoder, xs: np.ndarray, heads: PretextHeads, rng: np.random.Generator, weight: float
+) -> float:
+    """The NVP loss over the samples ``xs``, with ``weight`` times its gradient added to the leaves.
+
+    Draws every truncation point from ``rng`` first, as ``nvp_loss`` does,
+    then encodes the truncated copies in micro-batches of at most
+    ``MICRO_BATCH`` with the dropout masks that ``nvp_loss``'s one pass
+    draws from ``rng`` next, so the value, the gradients and where ``rng``
+    ends are those of ``nvp_loss``, up to rounding. A non-finite part raises
+    ``FloatingPointError`` before its backward.
+    """
+    truncated, targets = nvp_instances(xs, rng)
+    spans = _spans(len(truncated))
+    masks = MicroBatchMasks(rng, [hi - lo for lo, hi in spans])
+    total = _backprop_micro_batches(
+        masks,
+        spans,
+        lambda lo, hi: nvp_squared_error(encoder, truncated[lo:hi], targets[lo:hi], heads, rng=masks, train=True),
+        lambda lo, hi: np.asarray(weight / len(xs)),
+        lambda j, value: f"NVP loss {value} on truncations {spans[j][0]} to {spans[j][1] - 1} of the batch",
+    )
+    return total / len(xs)
 
 
 def _cs_grad_cache(
@@ -302,38 +374,43 @@ def _cs_grad_cache(
 ) -> float:
     """The CS loss over ``batch``, with ``weights.alpha2`` times its gradient added to the leaves.
 
-    Gradient caching (Gao et al. 2021, arXiv 2101.06983) over origin groups,
-    an origin group being one original with its augmentations (a contiguous
-    run of ``batch.origin``):
-    1. encode and project the batch without a graph, one group at a time;
+    Gradient caching (Gao et al. 2021, arXiv 2101.06983) over micro-batches
+    of at most ``MICRO_BATCH`` consecutive rows (for the standard batch, one
+    original with its four augmentations each):
+    1. encode and project the batch without a graph, one micro-batch at a time;
     2. take the loss on a leaf holding the stacked projections and
        backpropagate ``weights.alpha2`` to that leaf only;
-    3. encode each group again with a graph and backpropagate its rows of
-       the cached projection gradient through it.
-    Only one group's graph is alive at a time. Both passes see the dropout
-    masks of one whole-batch pass and ``rng`` ends where ``cs_loss`` would
-    leave it (:class:`MicroBatchMasks`), so the value and the gradients are
-    those of ``cs_loss`` up to rounding. A non-finite loss raises
-    ``FloatingPointError`` before any backward.
+    3. encode each micro-batch again with a graph and backpropagate its rows
+       of the cached projection gradient through it.
+    Both passes see the dropout masks of one whole-batch pass and ``rng``
+    ends where ``cs_loss`` would leave it (:class:`MicroBatchMasks`), so the
+    value and the gradients are those of ``cs_loss`` up to rounding. A
+    non-finite loss raises ``FloatingPointError`` before any backward.
     """
-    bounds = [0, *(np.flatnonzero(np.diff(batch.origin)) + 1), batch.size]
-    groups = list(zip(bounds[:-1], bounds[1:]))
-    masks = MicroBatchMasks(rng, [hi - lo for lo, hi in groups])
+    spans = _spans(batch.size)
+    masks = MicroBatchMasks(rng, [hi - lo for lo, hi in spans])
 
-    def project(j: int) -> Tensor:
-        masks.select(j)
-        lo, hi = groups[j]
+    def project(lo: int, hi: int) -> Tensor:
         return cs_projections(encoder, batch.samples[lo:hi], heads, rng=masks, train=True)
 
+    rows = []
     with no_grad():
-        cached = Tensor(np.concatenate([project(j).data for j in range(len(groups))]), requires_grad=True)
+        for j, (lo, hi) in enumerate(spans):
+            masks.select(j)
+            rows.append(project(lo, hi).data)
+    cached = Tensor(np.concatenate(rows), requires_grad=True)
     loss = contrastive_loss_from_projections(cached, batch, weights.tau)
     value = loss.item()
     if not math.isfinite(value):
         raise FloatingPointError(f"non-finite CS loss {value}")
     loss.backward(np.asarray(weights.alpha2))
-    for j, (lo, hi) in enumerate(groups):
-        project(j).backward(cached.grad[lo:hi])
+    _backprop_micro_batches(
+        masks,
+        spans,
+        project,
+        lambda lo, hi: cached.grad[lo:hi],
+        lambda j, value: f"CS projections (sum {value}) of rows {spans[j][0]} to {spans[j][1] - 1} of the batch",
+    )
     return value
 
 
@@ -350,19 +427,20 @@ def pretrain(
     originals, combine the two losses with their weights (a weight of 0
     skips its task; ablation flags drop the negatives, flip them to
     positives, or swap the trend task for value regression), and take one
-    Adam step. Both tasks keep one source sample's graph alive at a time,
-    with the dropout masks one whole-batch pass would draw, and the step's
-    gradient is that of the whole batch, up to rounding:
-    - next-trend prediction runs one source sample at a time, each sample's
-      ``k_ntp`` truncations backpropagated before the next are encoded
-      (:func:`_ntp_per_sample`);
-    - contextual similarity runs one origin group (an original and its
-      augmentations) at a time through gradient caching: the batch is
+    Adam step. No graph holds more than ``MICRO_BATCH`` (5) encoded series:
+    every task runs in micro-batches, each backpropagated before the next is
+    encoded, with the dropout masks one whole-batch pass would draw, so the
+    step's gradient is that of the whole batch, up to rounding:
+    - next-trend prediction cuts each source sample's ``k_ntp`` truncations
+      into micro-batches (:func:`_ntp_in_micro_batches`);
+    - the ``use_nvp`` variant (next-value regression) draws every
+      truncation first, then encodes them in micro-batches
+      (:func:`_nvp_in_micro_batches`);
+    - contextual similarity runs through gradient caching: the batch is
       projected without a graph, the loss's gradient with respect to the
-      projections is cached, and each group is encoded again with a graph
-      to backpropagate its rows of that gradient (:func:`_cs_grad_cache`).
-    The ``use_nvp`` variant (next-value regression) builds its whole-batch
-    graph as before.
+      projections is cached, and each micro-batch (for the standard batch,
+      one original and its augmentations) is encoded again with a graph to
+      backpropagate its rows of that gradient (:func:`_cs_grad_cache`).
 
     Checkpoints are written per epoch when ``out_dir`` is given, keeping the
     last two and the best, and as ``checkpoint.ckpt`` at the end; the
@@ -399,13 +477,14 @@ def pretrain(
     weights = cfg.weights
 
     def step_loss(batch):
+        # each part is backpropagated as it is computed: its value joins the
+        # combined loss as a constant
         if weights.alpha1 > 0.0:
             if cfg.use_nvp:
-                ntp_part = nvp_loss(encoder, batch.x, rng_ntp, heads, train=True)
+                ntp_part = constant(_nvp_in_micro_batches(encoder, batch.x, heads, rng_ntp, weights.alpha1))
             else:
                 groups = [make_ntp_instances(x, cfg.k_ntp, rng_ntp) for x in batch.x]
-                # already backpropagated: the value joins the combined loss as a constant
-                ntp_part = constant(_ntp_per_sample(encoder, groups, heads, rng_drop, weights.alpha1))
+                ntp_part = constant(_ntp_in_micro_batches(encoder, groups, heads, rng_drop, weights.alpha1))
         else:
             ntp_part = constant(0.0)
         if weights.alpha2 > 0.0:
@@ -414,7 +493,6 @@ def pretrain(
             )
             if cfg.reverse_neg:
                 cs_batch = reverse_neg_mode(cs_batch)
-            # already backpropagated: the value joins the combined loss as a constant
             cs_part = constant(_cs_grad_cache(encoder, cs_batch, heads, rng_drop, weights))
         else:
             cs_part = constant(0.0)
@@ -512,6 +590,42 @@ def _predict(features: np.ndarray, w: np.ndarray, b: np.ndarray, present: np.nda
     return logits.argmax(axis=1)
 
 
+def _probe_features(
+    feats_train: np.ndarray,
+    labels_train: np.ndarray,
+    feats_test: np.ndarray,
+    labels_test: np.ndarray,
+    class_count: int,
+    cfg: TrainConfig,
+) -> Metrics:
+    """Train one affine head on the train features and score the test features.
+
+    Classes absent from the training labels trigger a warning and are masked
+    so they are never predicted, scoring their test samples wrong.
+    """
+    present = np.zeros(class_count, dtype=bool)
+    present[np.unique(labels_train)] = True
+    missing = sorted(int(v) for v in set(np.unique(labels_test)) - set(np.unique(labels_train)))
+    if missing:
+        warnings.warn(
+            f"classes {missing} appear in the test split but not in training; "
+            "they will always be scored wrong",
+            RuntimeWarning,
+        )
+    w, b = train_linear_head(
+        feats_train,
+        labels_train,
+        class_count,
+        lr=cfg.probe_lr,
+        batch_size=cfg.probe_batch,
+        epochs=cfg.probe_epochs,
+        patience=cfg.early_stop_patience,
+        seed=cfg.seed,
+    )
+    pred = _predict(feats_test, w, b, present)
+    return compute_metrics(pred, labels_test, class_count)
+
+
 def linear_probe(
     ds_train: MtsDataset,
     ds_test: MtsDataset,
@@ -530,27 +644,7 @@ def linear_probe(
     encoder = Encoder(encoder_params, cfg.encoder)
     feats_train = extract_features(encoder, ds_train.series)
     feats_test = extract_features(encoder, ds_test.series)
-    present = np.zeros(k, dtype=bool)
-    present[np.unique(ds_train.labels)] = True
-    missing = sorted(int(v) for v in set(np.unique(ds_test.labels)) - set(np.unique(ds_train.labels)))
-    if missing:
-        warnings.warn(
-            f"classes {missing} appear in the test split but not in training; "
-            "they will always be scored wrong",
-            RuntimeWarning,
-        )
-    w, b = train_linear_head(
-        feats_train,
-        ds_train.labels,
-        k,
-        lr=cfg.probe_lr,
-        batch_size=cfg.probe_batch,
-        epochs=cfg.probe_epochs,
-        patience=cfg.early_stop_patience,
-        seed=cfg.seed,
-    )
-    pred = _predict(feats_test, w, b, present)
-    return compute_metrics(pred, ds_test.labels, k)
+    return _probe_features(feats_train, ds_train.labels, feats_test, ds_test.labels, k, cfg)
 
 
 def supervised_baseline(
@@ -607,7 +701,12 @@ def fewshot_sweep(
     """Frozen-probe vs supervised-from-scratch at each label fraction.
 
     Each cell repeats over ``repeats`` seeds (cfg.seed + 0..repeats-1) and
-    reports mean and population std of accuracy and macro-F1.
+    reports mean and population std of accuracy and macro-F1. Each repeat
+    trains on the stratified subsample of ``ds_train`` that
+    :func:`subsample` draws for its seed. The frozen encoder's features are
+    extracted once per sweep, and each probe takes its subsample's rows of
+    them: the same features, row for row, that :func:`linear_probe` on the
+    subsample extracts.
     """
     fractions = list(fractions)
     if not fractions:
@@ -617,17 +716,26 @@ def fewshot_sweep(
     for f in fractions:
         if not 0.0 < f <= 1.0:
             raise ConfigError(f"fraction {f} outside (0, 1]")
+    picks = {(f, r): subsample_rows(ds_train, f, seed=cfg.seed + r) for f in fractions for r in range(repeats)}
+    if ds_test.labels is None:
+        raise ConfigError("fewshot_sweep needs a labeled test split")
+    class_count = max(ds_train.class_count, ds_test.class_count)
+    encoder = Encoder(encoder_params, cfg.encoder)
+    feats_train = extract_features(encoder, ds_train.series)
+    feats_test = extract_features(encoder, ds_test.series)
     rows: list[dict] = []
     for fraction in fractions:
         for mode in ("probe", "supervised"):
             accs, mf1s = [], []
             for k in range(repeats):
                 run_cfg = dataclasses.replace(cfg, seed=cfg.seed + k)
-                small = subsample(ds_train, fraction, seed=run_cfg.seed)
                 if mode == "probe":
-                    metrics = linear_probe(small, ds_test, encoder_params, run_cfg)
+                    pick = picks[fraction, k]
+                    metrics = _probe_features(
+                        feats_train[pick], ds_train.labels[pick], feats_test, ds_test.labels, class_count, run_cfg
+                    )
                 else:
-                    metrics = supervised_baseline(small, ds_test, run_cfg)
+                    metrics = supervised_baseline(subsample(ds_train, fraction, seed=run_cfg.seed), ds_test, run_cfg)
                 accs.append(metrics.accuracy)
                 mf1s.append(metrics.macro_f1)
             rows.append(

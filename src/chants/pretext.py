@@ -52,7 +52,9 @@ __all__ = [
     "init_pretext_heads",
     "make_ntp_instances",
     "ntp_loss",
+    "nvp_instances",
     "nvp_loss",
+    "nvp_squared_error",
     "nvp_truncation_count",
     "reverse_neg_mode",
 ]
@@ -291,7 +293,7 @@ def cs_loss(
     """Project the whole batch in one graph, then apply the similarity loss.
 
     The whole-batch reference: pretraining computes the same value and
-    gradients one origin group at a time (``harness._cs_grad_cache``).
+    gradients a few rows at a time (``harness._cs_grad_cache``).
     """
     projections = cs_projections(encoder, batch.samples, heads, rng=rng, train=train)
     return contrastive_loss_from_projections(projections, batch, weights.tau)
@@ -302,23 +304,18 @@ def nvp_truncation_count(steps: int) -> int:
     return math.ceil(0.15 * (steps - 1))
 
 
-def nvp_loss(
-    encoder: Encoder,
-    xs: np.ndarray,
-    rng: np.random.Generator,
-    heads: PretextHeads,
-    *,
-    train: bool = False,
-) -> Tensor:
-    """Next-value regression baseline: squared error on the step after the cut.
+def nvp_instances(xs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated copies of each (C, T) sample in ``xs`` and the values after each cut.
 
-    15% of the possible truncation points are sampled per sample; the squared
-    errors are summed over channels and points and averaged over the batch.
+    Each sample in turn draws ``nvp_truncation_count(T)`` distinct
+    truncation points t from ``rng``; its copy cut at t has steps t+1..T
+    zeroed and the target x[:, t]. Returns the stacked copies (n, C, T) and
+    targets (n, C), grouped by sample.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim == 2:
-        xs = xs[None]
-    batch, channels, steps = xs.shape
+    if xs.ndim != 3:
+        raise ShapeError(f"expected samples of shape (B, C, T), got {xs.shape}")
+    steps = xs.shape[-1]
     if steps < 3:
         raise ConfigError(f"next-value instances need at least 3 steps, got {steps}")
     n_points = nvp_truncation_count(steps)
@@ -331,12 +328,49 @@ def nvp_loss(
             cut[:, t:] = 0.0
             truncated.append(cut)
             targets.append(x[:, t])
-    rep = encoder.encode_batch(np.stack(truncated), rng=rng, train=train)
+    return np.stack(truncated), np.stack(targets)
+
+
+def nvp_squared_error(
+    encoder: Encoder,
+    truncated: np.ndarray,
+    targets: np.ndarray,
+    heads: PretextHeads,
+    *,
+    rng=None,
+    train: bool = False,
+) -> Tensor:
+    """Squared error of the value head on each cut copy's next value, summed over copies and channels."""
+    rep = encoder.encode_batch(truncated, rng=rng, train=train)
     n, rows, d = rep.per_channel.shape
     pred = add(matmul(reshape(rep.per_channel, (n * rows, d)), heads.nvp_w), heads.nvp_b)
-    target = constant(np.concatenate(targets)[:, None])
-    err = add(pred, mul(target, constant(-1.0)))
-    return mul(tensor_sum(mul(err, err)), constant(1.0 / batch))
+    err = add(pred, mul(constant(targets.reshape(-1, 1)), constant(-1.0)))
+    return tensor_sum(mul(err, err))
+
+
+def nvp_loss(
+    encoder: Encoder,
+    xs: np.ndarray,
+    rng: np.random.Generator,
+    heads: PretextHeads,
+    *,
+    train: bool = False,
+) -> Tensor:
+    """Next-value regression baseline: squared error on the step after the cut.
+
+    15% of the possible truncation points are sampled per sample
+    (:func:`nvp_instances`); the squared errors are summed over channels and
+    points and averaged over the batch. ``rng`` draws the points, then the
+    dropout masks. The whole-batch reference: pretraining computes the same
+    value and gradients a few truncations at a time
+    (``harness._nvp_in_micro_batches``).
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim == 2:
+        xs = xs[None]
+    truncated, targets = nvp_instances(xs, rng)
+    err = nvp_squared_error(encoder, truncated, targets, heads, rng=rng, train=train)
+    return mul(err, constant(1.0 / xs.shape[0]))
 
 
 def combined_loss(ntp, cs, weights: LossWeights):

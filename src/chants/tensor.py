@@ -439,19 +439,23 @@ def dropout(a, rate: float, rng, train: bool) -> Tensor:
 
     ``rng`` is a generator, or a :class:`MicroBatchMasks` when a batch runs
     as micro-batches that must see the masks of one whole-batch pass; that
-    is how pretraining runs next-trend prediction one source sample at a
-    time and contextual similarity one origin group at a time, with the
-    masks drawn as in one pass over the whole batch.
+    is how pretraining runs each pretext task a few series at a time, with
+    the masks drawn as in one pass over the whole batch.
     """
     a = constant(a)
     keep = _keep_mask(a.data.shape, rate, rng, train)
     if keep is None:
         return a
     scale = 1.0 / (1.0 - rate)
-    out_data = a.data * (keep * scale)
+    # times the mask, then times the scale: bitwise a * (keep * scale),
+    # without a float64 copy of the mask
+    out_data = a.data * keep
+    out_data *= scale
 
     def backward(g):
-        _accum(a, g * (keep * scale))
+        d = g * keep
+        d *= scale
+        _accum(a, d)
 
     return _make(out_data, (a,), backward)
 
@@ -613,7 +617,8 @@ def ffn(x, w1, b1, w2, b2, *, rate: float = 0.0, rng=None, train: bool = False) 
     keep = _keep_mask(z.shape, rate, rng, train)
     if keep is not None:
         scale = 1.0 / (1.0 - rate)
-        hidden *= keep * scale
+        hidden *= keep
+        hidden *= scale
     out_data = np.matmul(hidden, w2.data)
     out_data += b2.data
     if not taping:
@@ -626,7 +631,8 @@ def ffn(x, w1, b1, w2, b2, *, rate: float = 0.0, rng=None, train: bool = False) 
             _accum(w2, _weight_grad(hidden, g))
         d = np.matmul(g, w2.data.T)
         if keep is not None:
-            d *= keep * scale
+            d *= keep
+            d *= scale
         d *= slope
         if b1.requires_grad:
             _accum(b1, d)

@@ -14,6 +14,7 @@ import chants.cli
 from chants.checkpoint import load_checkpoint, load_encoder, save_encoder
 from chants.cli import main, read_config_file
 from chants.data import make_synthetic_fixture, parse_ts, serialize_ts, znormalize
+from chants.errors import CheckpointError
 from chants.harness import train_config_from_dict
 
 CHANNELS, STEPS = 3, 12
@@ -41,6 +42,12 @@ def write_fixture(path, m=24, channels=CHANNELS, steps=STEPS, seed=5):
 def write_config(path, text=TINY_CONFIG):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def with_first_shape(manifest, shape):
+    """``manifest`` with the shape of its first array replaced by ``shape``."""
+    first = sorted(manifest["arrays"])[0]
+    return {**manifest, "arrays": {**manifest["arrays"], first: shape}}
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +136,41 @@ class TestExitCodes:
         ckpt.write_bytes(b"not a checkpoint at all")
         assert main(["probe", str(ckpt), str(data), str(tmp_path / "out")]) == 4
         assert "bad magic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: with_first_shape(m, [-2, -1]),
+            lambda m: with_first_shape(m, [-1, 2]),
+            lambda m: with_first_shape(m, "xy"),
+            lambda m: with_first_shape(m, [2.0, 3]),
+            lambda m: {**m, "arrays": [1]},
+            lambda m: [m],
+            lambda m: {**m, "config": {**m["config"], "width": 8.0}},
+            lambda m: {**m, "config": {**m["config"], "depth": -1}},
+        ],
+        ids=[
+            "negative-shape",
+            "negative-leading-dim",
+            "string-shape",
+            "float-dim",
+            "arrays-list",
+            "manifest-list",
+            "float-width",
+            "negative-depth",
+        ],
+    )
+    def test_corrupt_manifest_exits_4(self, pretrained, tmp_path, capsys, edit):
+        data, run = pretrained
+        raw = (run / "checkpoint.ckpt").read_bytes()
+        size = int.from_bytes(raw[8:16], "little")
+        blob = json.dumps(edit(json.loads(raw[16 : 16 + size]))).encode()
+        ckpt = tmp_path / "corrupt.ckpt"
+        ckpt.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + size :])
+        with pytest.raises(CheckpointError):
+            load_encoder(ckpt)
+        assert main(["probe", str(ckpt), str(data), str(tmp_path / "out")]) == 4
+        assert "corrupt.ckpt" in capsys.readouterr().err
 
     def test_checkpoint_shape_differing_from_the_data_exits_4(self, pretrained, tmp_path, capsys):
         _, run = pretrained

@@ -18,7 +18,8 @@ from chants.harness import (
     Metrics,
     TrainConfig,
     _cs_grad_cache,
-    _ntp_per_sample,
+    _ntp_in_micro_batches,
+    _nvp_in_micro_batches,
     compute_metrics,
     extract_features,
     fewshot_sweep,
@@ -36,6 +37,7 @@ from chants.pretext import (
     init_pretext_heads,
     make_ntp_instances,
     ntp_loss,
+    nvp_loss,
     reverse_neg_mode,
 )
 from chants.tensor import Tensor, constant, mul, tensor_sum
@@ -245,58 +247,59 @@ class TestPretrain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 4 steps, each: B = 4 NTP micro-batches, the CS loss on its cached
-        # projections, B = 4 CS origin groups, and the combined loss
+        # 4 steps, each: 4 NTP micro-batches (one per source sample, k_ntp = 4),
+        # the CS loss on its cached projections, 4 CS micro-batches (20 rows),
+        # and the combined loss
         assert len(at_backward) == 4 * 10
         ratio = peak / max(at_backward)
         assert ratio < 1.5, f"peak is {ratio:.2f}x the largest traced memory at the start of backward"
 
-    def test_ntp_memory_does_not_grow_with_the_batch(self):
-        # with CS off, a step's graph is one source sample's truncations, so
-        # quadrupling B adds only the per-batch inputs and dropout masks
-        def traced_peak(batch):
-            rng = np.random.default_rng(23)
-            ds = labeled_dataset(rng, m=8, channels=4, steps=32)
-            cfg = TrainConfig(
-                encoder=EncoderConfig(channels=4, steps=32, width=16, depth=1, heads=2, dropout=0.1),
-                weights=LossWeights(alpha2=0.0),
-                k_ntp=8,
-                pretrain_batch=batch,
-                pretrain_epochs=1,
-                seed=0,
-            )
-            tracemalloc.start()
-            try:
-                pretrain(ds, cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    @staticmethod
+    def traced_peak(batch, **kw):
+        """tracemalloc peak of one epoch of 8 samples at C=4, T=32, width 16, dropout 0.1."""
+        rng = np.random.default_rng(23)
+        ds = labeled_dataset(rng, m=8, channels=4, steps=32)
+        cfg = TrainConfig(
+            encoder=EncoderConfig(channels=4, steps=32, width=16, depth=1, heads=2, dropout=0.1),
+            pretrain_batch=batch,
+            pretrain_epochs=1,
+            seed=0,
+            **kw,
+        )
+        tracemalloc.start()
+        try:
+            pretrain(ds, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
-        ratio = traced_peak(8) / traced_peak(2)
+    def test_ntp_memory_does_not_grow_with_the_batch(self):
+        # with CS off, a step's graph is one micro-batch of a source sample's
+        # truncations, so quadrupling B adds only the per-batch inputs and
+        # dropout masks
+        ntp_only = dict(weights=LossWeights(alpha2=0.0), k_ntp=8)
+        ratio = self.traced_peak(8, **ntp_only) / self.traced_peak(2, **ntp_only)
+        assert ratio < 1.6, f"peak at B=8 is {ratio:.2f}x that at B=2"
+
+    def test_ntp_memory_does_not_grow_with_k_ntp(self):
+        # a source sample's truncations run MICRO_BATCH at a time, so tripling
+        # k_ntp adds only the truncated inputs and their packed dropout masks
+        ntp_only = dict(weights=LossWeights(alpha2=0.0))
+        ratio = self.traced_peak(4, k_ntp=15, **ntp_only) / self.traced_peak(4, k_ntp=5, **ntp_only)
+        assert ratio < 1.3, f"peak at k_ntp=15 is {ratio:.2f}x that at k_ntp=5"
+
+    def test_nvp_memory_does_not_grow_with_the_batch(self):
+        # value regression encodes its truncations MICRO_BATCH at a time too
+        nvp_only = dict(weights=LossWeights(alpha2=0.0), use_nvp=True)
+        ratio = self.traced_peak(8, **nvp_only) / self.traced_peak(2, **nvp_only)
         assert ratio < 1.6, f"peak at B=8 is {ratio:.2f}x that at B=2"
 
     def test_cs_memory_does_not_grow_with_the_batch(self):
-        # with NTP off, a step's graph is one origin group's five samples, so
+        # with NTP off, a step's graph is one micro-batch of five samples, so
         # quadrupling B adds only the per-batch inputs, the cached projections
         # and the packed dropout masks
-        def traced_peak(batch):
-            rng = np.random.default_rng(23)
-            ds = labeled_dataset(rng, m=8, channels=4, steps=32)
-            cfg = TrainConfig(
-                encoder=EncoderConfig(channels=4, steps=32, width=16, depth=1, heads=2, dropout=0.1),
-                weights=LossWeights(alpha1=0.0),
-                pretrain_batch=batch,
-                pretrain_epochs=1,
-                seed=0,
-            )
-            tracemalloc.start()
-            try:
-                pretrain(ds, cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        ratio = traced_peak(8) / traced_peak(2)
+        cs_only = dict(weights=LossWeights(alpha1=0.0))
+        ratio = self.traced_peak(8, **cs_only) / self.traced_peak(2, **cs_only)
         assert ratio < 1.6, f"peak at B=8 is {ratio:.2f}x that at B=2"
 
     def test_non_finite_cs_loss_aborts_before_any_backward(self, monkeypatch):
@@ -341,6 +344,22 @@ class TestPretrain:
             pretrain(ds, tiny_cfg(pretrain_epochs=1))
         assert calls == {"backward": 0, "adam": 0}
 
+    def test_non_finite_nvp_part_aborts_before_its_backward(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        ds = labeled_dataset(rng, m=8)
+        ds.series[:, 0, 0] = np.nan  # every truncated copy keeps step 0
+        calls = {"backward": 0}
+        backward = Tensor.backward
+
+        def counted_backward(tensor, grad=None):
+            calls["backward"] += 1
+            return backward(tensor, grad)
+
+        monkeypatch.setattr(Tensor, "backward", counted_backward)
+        with pytest.raises(FloatingPointError, match="non-finite NVP loss nan on truncations 0 to 4 of the batch"):
+            pretrain(ds, tiny_cfg(pretrain_epochs=1, use_nvp=True))
+        assert calls == {"backward": 0}
+
     def test_reused_out_dir_keeps_only_this_runs_epoch_checkpoints(self, tmp_path):
         rng = np.random.default_rng(25)
         ds = labeled_dataset(rng, m=8)
@@ -374,7 +393,8 @@ class TestPretrain:
 
 def test_per_sample_ntp_matches_one_whole_batch_pass():
     # reference: ntp_loss over all groups in one graph, one backward; the CS
-    # loss drawn after it shows where each run leaves the dropout rng
+    # loss drawn after it shows where each run leaves the dropout rng. With
+    # k_ntp = 7 each source sample splits into micro-batches of 5 and 2.
     cfg = EncoderConfig(channels=3, steps=16, width=8, depth=2, heads=2, dropout=0.2)
     rng = np.random.default_rng(26)
     params = init_cat_params(cfg, rng)
@@ -382,7 +402,8 @@ def test_per_sample_ntp_matches_one_whole_batch_pass():
     encoder = Encoder(params, cfg)
     leaves = {**params.trainable(), **heads.named()}
     xs = rng.normal(size=(3, 3, 16))
-    groups = [make_ntp_instances(x, 4, rng) for x in xs]
+    groups = [make_ntp_instances(x, 7, rng) for x in xs]
+    assert harness.MICRO_BATCH == 5
     cs_batch = build_cs_batch(xs, AugmentConfig(), rng)
     weights = LossWeights(alpha1=2.0)
 
@@ -401,12 +422,49 @@ def test_per_sample_ntp_matches_one_whole_batch_pass():
         return loss.item()
 
     want, want_grads, want_cs = run(whole_batch)
-    got, got_grads, got_cs = run(lambda rng_drop: _ntp_per_sample(encoder, groups, heads, rng_drop, weights.alpha1))
+    got, got_grads, got_cs = run(lambda rng_drop: _ntp_in_micro_batches(encoder, groups, heads, rng_drop, weights.alpha1))
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     assert got_grads.keys() == want_grads.keys()
     for name, grad in want_grads.items():
         np.testing.assert_allclose(got_grads[name], grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max(), err_msg=name)
     assert got_cs == want_cs
+
+
+def test_micro_batched_nvp_matches_one_whole_batch_pass():
+    # reference: nvp_loss over the whole batch in one graph, one backward; a
+    # draw after it shows where each run leaves the rng that drew the
+    # truncation points and the dropout masks. 3 samples at T = 16 give
+    # 3 * 3 = 9 truncations, micro-batches of 5 and 4.
+    cfg = EncoderConfig(channels=3, steps=16, width=8, depth=2, heads=2, dropout=0.2)
+    rng = np.random.default_rng(31)
+    params = init_cat_params(cfg, rng)
+    heads = init_pretext_heads(cfg, rng)
+    encoder = Encoder(params, cfg)
+    leaves = {**params.trainable(), **heads.named()}
+    xs = rng.normal(size=(3, 3, 16))
+    weight = 2.0
+
+    def run(nvp):
+        for t in leaves.values():
+            t.zero_grad()
+        rng_ntp = np.random.default_rng(32)
+        value = nvp(rng_ntp)
+        grads = {k: t.grad for k, t in leaves.items() if t.grad is not None}
+        return value, grads, rng_ntp.random(4)
+
+    def whole_batch(rng_ntp):
+        loss = nvp_loss(encoder, xs, rng_ntp, heads, train=True)
+        mul(loss, constant(weight)).backward()
+        return loss.item()
+
+    want, want_grads, want_next = run(whole_batch)
+    got, got_grads, got_next = run(lambda rng_ntp: _nvp_in_micro_batches(encoder, xs, heads, rng_ntp, weight))
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert got_grads.keys() == want_grads.keys()
+    assert "heads.nvp.w" in got_grads and "embed.w_time" in got_grads
+    for name, grad in want_grads.items():
+        np.testing.assert_allclose(got_grads[name], grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max(), err_msg=name)
+    np.testing.assert_array_equal(got_next, want_next)
 
 
 @pytest.mark.parametrize("kind", ["standard", "no_neg_augment", "reverse_neg", "single"])
@@ -576,19 +634,75 @@ class TestFewshotSweep:
         seen = []
 
         def stub(mode):
-            def train_and_score(small, ds_test, *args):
-                seen.append((mode, small.size))
+            def train_and_score(train, *args):
+                # the probe gets the subsample's feature rows, the supervised run the subsample
+                seen.append((mode, train.shape[0] if mode == "probe" else train.size))
                 return Metrics(accuracy=0.5, macro_f1=0.25, per_class_f1=np.zeros(2), confusion=np.zeros((2, 2)))
 
             return train_and_score
 
-        monkeypatch.setattr(harness, "linear_probe", stub("probe"))
+        monkeypatch.setattr(harness, "_probe_features", stub("probe"))
         monkeypatch.setattr(harness, "supervised_baseline", stub("supervised"))
         rows = fewshot_sweep(train, test, params, cfg, fractions, repeats=1)
         modes = ("probe", "supervised")
         assert [(r["fraction"], r["mode"]) for r in rows] == [(f, m) for f in fractions for m in modes]
         assert all(r["acc_mean"] == 0.5 and r["mf1_mean"] == 0.25 and r["acc_std"] == 0.0 for r in rows)
         assert seen == [(m, subsample(train, f, seed=cfg.seed).size) for f in fractions for m in modes]
+
+    def test_features_are_extracted_once_and_rows_match_one_probe_per_cell(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        train = labeled_dataset(rng, m=30, k=3)
+        test = labeled_dataset(rng, m=10, k=3)
+        cfg = tiny_cfg(probe_epochs=3)
+        params = init_cat_params(cfg.encoder, np.random.default_rng(31))
+        fractions, repeats = [0.2, 0.5, 1.0], 2
+        head_inputs = []  # the training features of every probe head, in order
+        train_head = harness.train_linear_head
+
+        def recorded_train_head(features, labels, *args, **kwargs):
+            head_inputs.append((features.tobytes(), labels.tobytes()))
+            return train_head(features, labels, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_linear_head", recorded_train_head)
+
+        want = []  # the reference: linear_probe on each cell's subsample, extracting it anew
+        for fraction in fractions:
+            for mode in ("probe", "supervised"):
+                scores = []
+                for k in range(repeats):
+                    run_cfg = dataclasses.replace(cfg, seed=cfg.seed + k)
+                    small = subsample(train, fraction, seed=run_cfg.seed)
+                    if mode == "probe":
+                        metrics = linear_probe(small, test, params, run_cfg)
+                    else:
+                        metrics = supervised_baseline(small, test, run_cfg)
+                    scores.append((metrics.accuracy, metrics.macro_f1))
+                acc, mf1 = np.array(scores).T
+                want.append(
+                    {
+                        "fraction": fraction,
+                        "mode": mode,
+                        "acc_mean": float(np.mean(acc)),
+                        "acc_std": float(np.std(acc)),
+                        "mf1_mean": float(np.mean(mf1)),
+                        "mf1_std": float(np.std(mf1)),
+                    }
+                )
+        want_head_inputs, head_inputs[:] = head_inputs[:], []
+
+        extracted = []
+        extract = harness.extract_features
+
+        def counted_extract(encoder, series, *args, **kwargs):
+            extracted.append(series.shape[0])
+            return extract(encoder, series, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "extract_features", counted_extract)
+        assert fewshot_sweep(train, test, params, cfg, fractions, repeats=repeats) == want
+        # each probe head trains on bitwise the features extracting its subsample alone gives
+        assert head_inputs == want_head_inputs
+        # train and test once for the probes, then each supervised run's test split
+        assert extracted == [30, 10] + [10] * (len(fractions) * repeats)
 
     def test_rejects_bad_fractions(self):
         rng = np.random.default_rng(17)

@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from chants.errors import ConfigError, ShapeError
 from chants.tensor import (
@@ -489,6 +490,40 @@ class TestAutodiffPlumbing:
         out = dropout(a, 0.3, rng, train=True)
         tensor_sum(out).backward()
         np.testing.assert_array_equal(a.grad, out.data)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * 0 and max * scale
+    @pytest.mark.parametrize("rate", [0.05, 0.1, 0.2, 0.5, 0.9])
+    def test_dropout_is_bitwise_the_float64_mask_formula(self, rate):
+        # the boolean mask, then the scale: bitwise x * (keep * scale), also
+        # for infinities, NaN, signed zeros, subnormals and the largest float
+        rng = np.random.default_rng(11)
+        f64 = np.finfo(np.float64)
+        special = [np.inf, -np.inf, np.nan, 0.0, -0.0, f64.smallest_subnormal, -f64.tiny / 3, f64.max, -f64.max]
+        x = np.concatenate([np.repeat(special, 100), rng.normal(size=3100) * 10.0 ** rng.integers(-300, 300, 3100)])
+        x = x.reshape(40, 100)
+        g = rng.permutation(x.ravel()).reshape(x.shape)
+        scale = 1.0 / (1.0 - rate)
+        keep = np.random.default_rng(12).random(x.shape) >= rate
+
+        a = Tensor(x, requires_grad=True)
+        out = dropout(a, rate, np.random.default_rng(12), train=True)
+        out.backward(g)
+        assert out.data.tobytes() == (x * (keep * scale)).tobytes()
+        assert a.grad.tobytes() == (g * (keep * scale)).tobytes()
+
+        # the FFN's dropout, after its GELU, in forward and backward
+        w1, b1, w2, b2 = rng.normal(size=(100, 8)), rng.normal(size=8), rng.normal(size=(8, 3)), rng.normal(size=3)
+        xs, gs = rng.normal(size=(40, 100)), rng.normal(size=(40, 3))
+        keep = np.random.default_rng(13).random((40, 8)) >= rate
+        w1_leaf = Tensor(w1, requires_grad=True)
+        out = ffn(constant(xs), w1_leaf, b1, w2, b2, rate=rate, rng=np.random.default_rng(13), train=True)
+        out.backward(gs)
+        z = xs @ w1 + b1
+        cdf = ndtr(z)
+        hidden = cdf * z * (keep * scale)
+        assert out.data.tobytes() == (hidden @ w2 + b2).tobytes()
+        d = (gs @ w2.T) * (keep * scale) * (cdf + z * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi))
+        np.testing.assert_allclose(w1_leaf.grad, xs.T @ d, rtol=1e-12, atol=0.0)
 
 
 class TestMicroBatchMasks:
