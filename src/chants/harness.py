@@ -31,7 +31,7 @@ from .augment import AugmentConfig
 from .checkpoint import save_encoder
 from .data import MtsDataset, NormStats, batches, subsample, subsample_rows
 from .encoder import CatParams, Encoder, EncoderConfig, _glorot, init_cat_params
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .optim import adam_step, init_adam_state
 from .pretext import (
     CsBatch,
@@ -49,7 +49,7 @@ from .pretext import (
     nvp_squared_error,
     reverse_neg_mode,
 )
-from .tensor import MicroBatchMasks, Tensor, add, constant, cross_entropy, matmul, no_grad
+from .tensor import MicroBatchMasks, Tensor, constant, cross_entropy, no_grad
 
 logger = logging.getLogger(__name__)
 
@@ -229,18 +229,24 @@ def fit(
     ``step_loss(batch)`` returns the scalar loss and the fields to log with
     it; once a step's update is taken, ``{"epoch", "step", **fields}`` is
     appended to ``log`` (when given). A non-finite loss raises
-    ``FloatingPointError`` before backward. After each epoch
-    ``on_epoch(epoch, mean loss, steps so far)`` runs, and the run stops once
-    the mean has not improved for ``patience`` epochs.
+    ``FloatingPointError`` before backward, and an epoch that yields no
+    batch raises ``ConfigError``. After each epoch ``on_epoch(epoch, mean
+    loss, steps so far)`` runs, and the run stops once the mean has not
+    improved for ``patience`` epochs. The name -> array mapping that Adam
+    updates in place is built once per run (so nothing may rebind a
+    trainable's ``data`` during it), and a step costs one forward, one
+    backward and one ``adam_step``.
     """
-    state = init_adam_state({k: t.data for k, t in trainables.items()}, lr=lr)
+    named = list(trainables.items())
+    arrays = {k: t.data for k, t in named}
+    state = init_adam_state(arrays, lr=lr)
     best = math.inf
     stale = 0
     step = 0
     for epoch in range(epochs):
         losses: list[float] = []
         for batch in epoch_batches(epoch):
-            for t in trainables.values():
+            for _, t in named:
                 t.zero_grad()
             loss, fields = step_loss(batch)
             value = loss.item()
@@ -250,12 +256,13 @@ def fit(
             # refers to it from here on
             loss.backward()
             del loss
-            grads = {k: t.grad for k, t in trainables.items() if t.grad is not None}
-            adam_step({k: t.data for k, t in trainables.items()}, grads, state)  # in place
+            adam_step(arrays, {k: t.grad for k, t in named if t.grad is not None}, state)  # in place
             if log is not None:
                 log.append({"epoch": epoch, "step": step, **fields})
             losses.append(value)
             step += 1
+        if not losses:
+            raise ConfigError(f"epoch {epoch} yielded no batch")
         epoch_mean = float(np.mean(losses))
         if on_epoch is not None:
             on_epoch(epoch, epoch_mean, step)
@@ -568,17 +575,39 @@ def train_linear_head(
     patience: int,
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Train one affine layer with cross entropy on fixed features."""
+    """Train one affine layer with cross entropy on fixed features; return (w, b).
+
+    ``features`` is (n, d) with n >= 1 and ``labels`` holds n integers in
+    [0, ``class_count``). Each epoch gathers its shuffled rows once and
+    slices its batches of ``batch_size`` rows from them; a step is one tape
+    node (:func:`chants.tensor.cross_entropy`) and one ``adam_step``. Bad
+    shapes raise ``ShapeError`` and an empty set of rows or a batch size
+    under 1 raises ``ConfigError``, before any step; a label outside
+    [0, ``class_count``) raises ``IndexError`` at the first step, before
+    any update.
+    """
+    features = np.asarray(features)
+    labels = np.asarray(labels)
+    if features.ndim != 2:
+        raise ShapeError(f"train_linear_head needs (n, d) features, got shape {features.shape}")
     n, dim = features.shape
+    if labels.shape != (n,):
+        raise ShapeError(f"train_linear_head got {n} feature rows but labels of shape {labels.shape}")
+    if n == 0:
+        raise ConfigError("train_linear_head needs at least one feature row")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     w = _glorot(np.random.default_rng([seed, 10]), dim, class_count)
     b = Tensor(np.zeros(class_count), requires_grad=True)
 
     def epoch_batches(epoch: int):
         order = np.random.default_rng([seed, 11, epoch]).permutation(n)
-        return (order[start : start + batch_size] for start in range(0, n, batch_size))
+        rows, targets = features[order], labels[order]
+        return ((rows[lo : lo + batch_size], targets[lo : lo + batch_size]) for lo in range(0, n, batch_size))
 
-    def step_loss(idx):
-        return cross_entropy(add(matmul(constant(features[idx]), w), b), labels[idx]), {}
+    def step_loss(batch):
+        rows, targets = batch
+        return cross_entropy(rows, w, b, targets), {}
 
     fit({"w": w, "b": b}, lr=lr, epochs=epochs, patience=patience, epoch_batches=epoch_batches, step_loss=step_loss)
     return w.data, b.data
@@ -665,7 +694,7 @@ def supervised_baseline(
 
     def step_loss(batch):
         flat = encoder.encode_batch(batch.x, rng=rng_drop, train=True).flat
-        return cross_entropy(add(matmul(flat, head_w), head_b), batch.labels), {}
+        return cross_entropy(flat, head_w, head_b, batch.labels), {}
 
     fit(
         {**params.trainable(), "head.w": head_w, "head.b": head_b},

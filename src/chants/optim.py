@@ -51,9 +51,11 @@ def adam_step(
     Each parameter array and its two moments are updated in place, with the
     operations of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g², p = p -
     lr (m / bc1) / (sqrt(v / bc2) + eps) in that order, so the results are
-    bitwise those of the formula. A missing gradient counts as zero. Every
-    gradient is checked before any array changes: a gradient of the wrong
-    shape raises ``ShapeError`` and a NaN or infinite one raises
+    bitwise those of the formula. A parameter's update allocates two
+    temporaries (the gradient term, reused for the denominator, and the
+    update) instead of a fresh array per operation. A missing gradient counts
+    as zero. Every gradient is checked before any array changes: a gradient
+    of the wrong shape raises ``ShapeError`` and a NaN or infinite one raises
     ``FloatingPointError`` naming the parameter, and either leaves the
     parameters and the state as they were.
     """
@@ -65,27 +67,32 @@ def adam_step(
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.shape:
             raise ShapeError(f"gradient for '{name}' has shape {g.shape}, parameter has {p.shape}")
-        if not np.isfinite(g).all():
+        if np.count_nonzero(np.isfinite(g)) != g.size:
             raise FloatingPointError(f"non-finite gradient for parameter '{name}'")
         checked[name] = g
 
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.epsilon
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     for name, p in params.items():
-        g = checked[name] if name in checked else np.zeros_like(p)
+        g = checked.get(name)
+        if g is None:
+            g = np.zeros_like(p)
         m, v = state.first_moment[name], state.second_moment[name]
+        term = g * (1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += term
+        np.multiply(g, g, term)
+        term *= 1.0 - b2
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        denom = v / bc2
-        np.sqrt(denom, out=denom)
-        denom += state.epsilon
+        v += term
+        denom = np.divide(v, bc2, term)
+        np.sqrt(denom, denom)
+        denom += eps
         update = m / bc1
-        update *= state.lr
+        update *= lr
         update /= denom
         p -= update
     return params, state

@@ -237,8 +237,7 @@ def ntp_loss(
     labels = np.concatenate([inst.labels for inst in flat_instances])
     rep = encoder.encode_batch(stack, rng=rng, train=train)
     n, rows, d = rep.per_channel.shape
-    logits = add(matmul(reshape(rep.per_channel, (n * rows, d)), heads.ntp_w), heads.ntp_b)
-    ce_mean = cross_entropy(logits, labels)
+    ce_mean = cross_entropy(reshape(rep.per_channel, (n * rows, d)), heads.ntp_w, heads.ntp_b, labels)
     total_terms = n * rows
     return mul(ce_mean, constant(total_terms / len(groups)))
 

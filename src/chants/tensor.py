@@ -10,13 +10,16 @@ Backward runs once per graph: as each interior node passes its gradient on,
 the node's ``.grad``, backward closure and parents are dropped, so a graph's
 activations are freed while backward runs and a second backward through the
 same graph raises. Leaves keep their ``.grad``. The encoder's blocks (layer
-norm, attention, the FFN), cross entropy and the contrastive-similarity
-loss are single tape nodes with closed-form backward. The rest of the
-package uses only ``matmul``, ``add``, ``mul``, ``reshape``, ``transpose``,
-``tensor_sum`` and ``dropout``. ``div``, ``sqrt``, ``exp``, ``log``,
-``softmax`` and ``gelu`` have no caller in the package: they stay because
-the benchmark's tracer patches them by name, and the tests compose the
-fused kernels' references from them.
+norm, attention, the FFN), the contrastive-similarity loss and the
+classifier head with its cross entropy (``cross_entropy(x, w, b, labels)``,
+which the NTP head, the linear probe and the supervised baseline all call)
+are single tape nodes with closed-form backward; a probe step's graph is
+that one node over leaves, which backward runs without a topological sort.
+The rest of the package uses only ``matmul``, ``add``, ``mul``,
+``reshape``, ``transpose``, ``tensor_sum`` and ``dropout``. ``div``,
+``sqrt``, ``exp``, ``log``, ``softmax`` and ``gelu`` have no caller in the
+package: they stay because the benchmark's tracer patches them by name,
+and the tests compose the fused kernels' references from them.
 """
 
 from __future__ import annotations
@@ -113,16 +116,25 @@ class Tensor:
         Runs once per graph. Each interior node drops its ``.grad``, its
         backward closure and its parents as soon as it has passed its gradient
         on, so the graph is freed while backward runs; a second call through
-        any part of it raises ``RuntimeError``. Leaves keep ``.grad``.
+        any part of it raises ``RuntimeError``. Leaves keep ``.grad``. A node
+        whose parents are all leaves runs its closure directly, with no sort.
         """
         if grad is None:
             if self.data.size != 1:
                 raise ShapeError(
                     f"backward() without an explicit gradient needs a scalar, got shape {self.shape}"
                 )
-            grad = np.ones_like(self.data)
+            grad = np.ones(self.data.shape)
         else:
             grad = np.asarray(grad, dtype=np.float64)
+
+        backward = self._backward
+        if backward is not None and backward is not _freed and all(p._backward is None for p in self._parents):
+            # one node over leaves (a classifier head's loss): nothing to sort
+            self.grad = grad if self.grad is None else self.grad + grad
+            backward(self.grad)
+            self.grad, self._backward, self._parents = None, _freed, ()
+            return
 
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -192,6 +204,8 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to ``shape``."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -644,36 +658,55 @@ def ffn(x, w1, b1, w2, b2, *, rate: float = 0.0, rng=None, train: bool = False) 
     return _make(out_data, parents, backward)
 
 
-def cross_entropy(logits, labels) -> Tensor:
-    """Mean negative log softmax probability of the true class.
+def cross_entropy(x, w, b, labels) -> Tensor:
+    """Affine classifier head and its mean softmax cross entropy, as one node.
 
-    ``logits`` is (n, k); ``labels`` is n integers in [0, k). One tape node
-    with the softmax fused in.
+    The logits are ``x @ w + b`` for (n, d) rows ``x``, a (d, k) matrix ``w``
+    and a (k,) bias ``b``; the loss is the mean over the n rows of the
+    negative log softmax probability of the row's label, one of n integers
+    in [0, k). One tape node; backward keeps the softmax numerators and
+    their sums, and gives ``x``, ``w`` and ``b`` their gradients in closed
+    form, bitwise those of the composed matmul, add and cross entropy.
     """
-    logits = constant(logits)
-    if logits.ndim != 2:
-        raise ShapeError(f"cross_entropy expects (n, k) logits, got {logits.shape}")
+    x, w, b = parents = (constant(x), constant(w), constant(b))
+    x_data, w_data = x.data, w.data
+    if x_data.ndim != 2 or w_data.ndim != 2 or x_data.shape[1] != w_data.shape[0] or b.shape != w_data.shape[1:]:
+        raise ShapeError(
+            f"cross_entropy needs (n, d) rows, a (d, k) matrix and a (k,) bias, got {x.shape}, {w.shape}, {b.shape}"
+        )
+    n, k = x_data.shape[0], w_data.shape[1]
+    if n == 0:
+        raise ShapeError("cross_entropy needs at least one row")
     labels = np.asarray(labels, dtype=np.int64)
-    n, k = logits.shape
     if labels.shape != (n,):
-        raise ShapeError(f"cross_entropy got {n} logit rows but labels of shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        bad = labels[(labels < 0) | (labels >= k)][0]
+        raise ShapeError(f"cross_entropy got {n} rows but labels of shape {labels.shape}")
+    onehot = np.equal.outer(labels, np.arange(k))  # a row without its True has a bad label
+    if np.count_nonzero(onehot) != n:
+        bad = labels[~onehot.any(axis=1)][0]
         raise IndexError(f"label {bad} outside [0, {k})")
-    shift = logits.data.max(axis=-1, keepdims=True)
-    e = np.exp(logits.data - shift)
-    total = e.sum(axis=-1, keepdims=True)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), labels] = 1.0
-    log_probs = logits.data - (np.log(total) + shift)
-    out_data = (log_probs * onehot).sum() * (-1.0 / n)
+    # ufunc reductions, bitwise the ndarray methods without their Python wrappers
+    log_probs = np.matmul(x_data, w_data)
+    log_probs += b.data  # the logits, turned into log probabilities in place
+    shift = np.maximum.reduce(log_probs, axis=-1, keepdims=True)
+    e = log_probs - shift
+    np.exp(e, out=e)
+    total = np.add.reduce(e, axis=-1, keepdims=True)
+    log_probs -= np.log(total) + shift
+    log_probs *= onehot  # times 1.0 or 0.0
+    out_data = np.add.reduce(log_probs, axis=None) * (-1.0 / n)
 
     def backward(g):
-        # (softmax - onehot) * g / n, in the rounding of the composed ops
+        # d(logits) = (softmax - onehot) * g / n, in the rounding of the composed ops
         g_true = g * (-1.0 / n)
-        _accum(logits, g_true * onehot + (-g_true / total) * e)
+        d = g_true * onehot + (-g_true / total) * e
+        if b.requires_grad:
+            _accum(b, np.add.reduce(d, axis=0))
+        if w.requires_grad:
+            _accum(w, np.matmul(x_data.T, d))
+        if x.requires_grad:
+            _accum(x, np.matmul(d, w_data.T))
 
-    return _make(out_data, (logits,), backward)
+    return _make(out_data, parents, backward)
 
 
 def contrastive_loss(projections, anchors, positives, tau: float) -> Tensor:

@@ -4,6 +4,7 @@ building a training config from plain values."""
 import dataclasses
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from chants import harness
 from chants.augment import AugmentConfig
 from chants.checkpoint import load_checkpoint
 from chants.data import MtsDataset, make_synthetic_fixture, subsample, train_test_split, znormalize
-from chants.encoder import Encoder, EncoderConfig, init_cat_params
-from chants.errors import ConfigError
+from chants.encoder import Encoder, EncoderConfig, _glorot, init_cat_params
+from chants.errors import ConfigError, ShapeError
 from chants.harness import (
     Metrics,
     TrainConfig,
@@ -40,7 +41,9 @@ from chants.pretext import (
     nvp_loss,
     reverse_neg_mode,
 )
-from chants.tensor import Tensor, constant, mul, tensor_sum
+from chants.tensor import Tensor, constant, cross_entropy, mul, tensor_sum
+
+from test_tensor import composed_head
 
 
 def tiny_cfg(channels=2, steps=8, width=8, depth=1, heads=2, **kw):
@@ -561,6 +564,102 @@ def test_head_and_supervised_training_abort_on_a_non_finite_loss():
     train.series[5, 0, 2] = np.nan
     with pytest.raises(FloatingPointError, match="non-finite loss"):
         supervised_baseline(train, labeled_dataset(rng, m=4), tiny_cfg(probe_epochs=1))
+
+
+def reference_linear_head(features, labels, k, *, lr, batch_size, epochs, seed):
+    """The head as trained before the fused node: matmul, add and the composed
+    cross entropy on the tape, then the Adam formula on fresh arrays."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    n, dim = features.shape
+    w = _glorot(np.random.default_rng([seed, 10]), dim, k)
+    b = Tensor(np.zeros(k), requires_grad=True)
+    moments = {"w": [np.zeros_like(w.data), np.zeros_like(w.data)], "b": [np.zeros(k), np.zeros(k)]}
+    t = 0
+    for epoch in range(epochs):
+        order = np.random.default_rng([seed, 11, epoch]).permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            w.zero_grad(), b.zero_grad()
+            composed_head(constant(features[idx]), w, b, labels[idx]).backward()
+            t += 1
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for name, leaf in (("w", w), ("b", b)):
+                m, v = moments[name]
+                m = b1 * m + (1.0 - b1) * leaf.grad
+                v = b2 * v + (1.0 - b2) * (leaf.grad * leaf.grad)
+                moments[name] = [m, v]
+                leaf.data = leaf.data - lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    return w.data, b.data
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_linear_head_is_bitwise_the_composed_head_with_the_adam_formula(seed):
+    rng = np.random.default_rng([23, seed])
+    features = rng.normal(size=(30, 12))
+    labels = rng.integers(0, 3, size=30)
+    kw = dict(lr=0.01, batch_size=4, epochs=6, seed=seed)  # 8 steps an epoch, the last of 2 rows
+    w, b = train_linear_head(features, labels, 3, patience=7, **kw)
+    want_w, want_b = reference_linear_head(features, labels, 3, **kw)
+    assert w.tobytes() == want_w.tobytes()
+    assert b.tobytes() == want_b.tobytes()
+
+
+def test_a_head_step_is_one_tape_node_and_one_adam_step(monkeypatch):
+    counts = {"backward": 0, "nodes": 0, "adam": 0}
+    backward, adam_step = Tensor.backward, harness.adam_step
+
+    def counted_backward(tensor, grad=None):
+        counts["backward"] += 1
+        todo, seen = [tensor], set()
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                counts["nodes"] += node._backward is not None
+                todo.extend(node._parents)
+        return backward(tensor, grad)
+
+    def counted_adam_step(*args, **kwargs):
+        counts["adam"] += 1
+        return adam_step(*args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "backward", counted_backward)
+    monkeypatch.setattr(harness, "adam_step", counted_adam_step)
+    features = np.random.default_rng(24).normal(size=(4, 6))
+    train_linear_head(features, [0, 1, 1, 0], 2, lr=0.01, batch_size=4, epochs=1, patience=1, seed=0)
+    assert counts == {"backward": 1, "nodes": 1, "adam": 1}
+
+
+HEAD = dict(lr=0.01, batch_size=4, epochs=2, patience=2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: train_linear_head(np.zeros((0, 3)), np.zeros(0, dtype=int), 2, **HEAD), ConfigError),
+        (lambda: train_linear_head(np.zeros((4, 3)), np.zeros(3, dtype=int), 2, **HEAD), ShapeError),
+        (lambda: train_linear_head(np.zeros((4, 3)), np.zeros(4, dtype=int), 2, **{**HEAD, "batch_size": 0}), ConfigError),
+        (lambda: train_linear_head(np.zeros(4), np.zeros(4, dtype=int), 2, **HEAD), ShapeError),
+        (lambda: cross_entropy(np.zeros((0, 3)), np.zeros((3, 2)), np.zeros(2), []), ShapeError),
+        (
+            lambda: fit(
+                {"w": Tensor(np.ones(2), requires_grad=True)}, lr=0.1, epochs=2, patience=2,
+                epoch_batches=lambda epoch: iter(()), step_loss=None,
+            ),
+            ConfigError,
+        ),
+    ],
+    ids=["no-rows", "label-count", "batch-size-0", "1-d-features", "cross-entropy-no-rows", "fit-empty-epoch"],
+)
+def test_bad_head_training_input_fails_loudly_before_any_step(call, error, monkeypatch):
+    steps = []
+    adam_step = harness.adam_step
+    monkeypatch.setattr(harness, "adam_step", lambda *args: steps.append(1) or adam_step(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "Mean of empty slice" on the way
+        with pytest.raises(error):
+            call()
+    assert steps == []
 
 
 class TestTrainConfigFromDict:

@@ -35,12 +35,14 @@ from chants.tensor import (
     log,
     matmul,
     mul,
+    reshape,
     sqrt,
     tensor_sum,
     transpose,
 )
 
 from fdcheck import check_gradients
+from test_tensor import composed_head
 
 
 def tiny_encoder(channels=2, steps=4, width=4, depth=1, heads=1, seed=0):
@@ -152,6 +154,29 @@ class TestNtpLoss:
         w.data[0, 0] += h
         numeric = (up - down) / (2 * h)
         assert abs(numeric - w.grad[0, 0]) < 1e-4 * max(1.0, abs(numeric))
+
+    def test_value_and_every_leaf_gradient_are_bitwise_the_composed_head(self):
+        enc = tiny_encoder(channels=3, steps=6)
+        heads = init_pretext_heads(enc.config, np.random.default_rng(18))
+        rng = np.random.default_rng(19)
+        groups = [make_ntp_instances(x, 3, rng) for x in rng.normal(size=(2, 3, 6))]
+        leaves = {**enc.params.named(), **heads.named()}
+
+        def run(loss):
+            for leaf in leaves.values():
+                leaf.zero_grad()
+            loss.backward()
+            return loss.data.tobytes(), {k: None if t.grad is None else t.grad.tobytes() for k, t in leaves.items()}
+
+        fused = run(ntp_loss(enc, groups, heads))
+        flat = [inst for g in groups for inst in g]
+        rep = enc.encode_batch(np.stack([inst.truncated for inst in flat]))
+        n, rows, d = rep.per_channel.shape
+        labels = np.concatenate([inst.labels for inst in flat])
+        ce = composed_head(reshape(rep.per_channel, (n * rows, d)), heads.ntp_w, heads.ntp_b, labels)
+        composed = run(mul(ce, constant(n * rows / len(groups))))
+        assert fused[1]["heads.ntp.w"] is not None
+        assert fused == composed
 
 
 class TestCsBatch:

@@ -248,27 +248,51 @@ class TestFfn:
         check_gradients(fn, args)
 
 
+def identity_head(logits, labels):
+    """The fused head on logits: x @ I + 0 is exact for finite x."""
+    k = logits.shape[-1]
+    return cross_entropy(logits, np.eye(k), np.zeros(k), labels)
+
+
 class TestCrossEntropy:
     def test_confident_correct_prediction(self):
-        loss = cross_entropy(constant([[1e9, 0.0]]), [0])
+        loss = identity_head(constant([[1e9, 0.0]]), [0])
         assert abs(loss.item()) < 1e-12
 
     def test_uniform_two_way(self):
-        loss = cross_entropy(constant([[0.0, 0.0]]), [1])
+        loss = identity_head(constant([[0.0, 0.0]]), [1])
         assert abs(loss.item() - math.log(2.0)) < 1e-12
 
     def test_uniform_fourteen_way(self):
-        loss = cross_entropy(constant(np.zeros((3, 14))), [0, 5, 13])
+        loss = identity_head(constant(np.zeros((3, 14))), [0, 5, 13])
         assert abs(loss.item() - math.log(14.0)) < 1e-12
 
     def test_out_of_range_label(self):
         with pytest.raises(IndexError):
-            cross_entropy(constant(np.zeros((2, 3))), [0, 3])
+            identity_head(constant(np.zeros((2, 3))), [0, 3])
+        with pytest.raises(IndexError):
+            identity_head(constant(np.zeros((2, 3))), [-1, 0])
+
+    @pytest.mark.parametrize(
+        "x, w, b, labels",
+        [
+            (np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2), [0, 1]),
+            (np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(3), [0, 1]),
+            (np.zeros(3), np.zeros((3, 2)), np.zeros(2), [0]),
+            (np.zeros((2, 3)), np.zeros((3, 2)), np.zeros(2), [0]),
+        ],
+        ids=["inner-dims", "bias", "1-d-rows", "label-count"],
+    )
+    def test_bad_shapes_raise(self, x, w, b, labels):
+        with pytest.raises(ShapeError):
+            cross_entropy(x, w, b, labels)
 
     def test_gradcheck(self):
-        logits = RNG.normal(size=(4, 5))
+        # with respect to the rows, the weights and the bias
+        rng = np.random.default_rng(36)
         labels = [0, 3, 2, 4]
-        check_gradients(lambda x: cross_entropy(x, labels), [logits])
+        arrays = [rng.normal(size=(4, 6)), rng.normal(size=(6, 5)), rng.normal(size=5)]
+        check_gradients(lambda x, w, b: cross_entropy(x, w, b, labels), arrays)
 
 
 # The op-by-op compositions that the fused kernels replaced, kept as references.
@@ -320,6 +344,11 @@ def composed_cross_entropy(logits, labels):
     onehot[np.arange(n), labels] = 1.0
     log_probs = add(logits, mul(constant(-1.0), composed_logsumexp(logits)))
     return mul(tensor_sum(mul(log_probs, constant(onehot))), constant(-1.0 / n))
+
+
+def composed_head(x, w, b, labels):
+    """The classifier head as the tape recorded it before the fused node."""
+    return composed_cross_entropy(add(matmul(x, w), b), labels)
 
 
 def assert_fused_matches_composed(fused, composed, arrays, tol=1e-12):
@@ -383,8 +412,9 @@ class TestFusedKernelsMatchComposition:
     def test_cross_entropy(self):
         rng = np.random.default_rng(35)
         labels = rng.integers(0, 5, size=7)
+        arrays = [rng.normal(size=(7, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)]
         assert_fused_matches_composed(
-            lambda x: cross_entropy(x, labels), lambda x: composed_cross_entropy(x, labels), [rng.normal(size=(7, 5))]
+            lambda *args: cross_entropy(*args, labels), lambda *args: composed_head(*args, labels), arrays
         )
 
 
@@ -455,6 +485,17 @@ class TestAutodiffPlumbing:
         # a new graph over the freed interior node is spent as well
         with pytest.raises(RuntimeError, match="already freed"):
             tensor_sum(mul(h, a)).backward()
+        np.testing.assert_array_equal(a.grad, first)
+
+    def test_one_node_over_leaves_is_freed_like_any_graph(self):
+        a = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(RNG.normal(size=3), requires_grad=True)
+        loss = cross_entropy(constant(np.eye(2)), a, b, [0, 2])
+        loss.backward()
+        first = a.grad.copy()
+        assert loss._parents == () and loss.grad is None
+        with pytest.raises(RuntimeError, match="already freed"):
+            loss.backward()
         np.testing.assert_array_equal(a.grad, first)
 
     def test_interior_tensor_is_unreachable_after_backward(self):
