@@ -555,13 +555,21 @@ def pretrain(
 
 
 def extract_features(encoder: Encoder, series: np.ndarray, chunk: int = 128) -> np.ndarray:
-    """Flat representations with no graph built; the encoder stays untouched."""
-    outs = []
+    """Flat representations with no graph built; the encoder stays untouched.
+
+    Returns a float64 (n, ``encoder.flat_dim``) array, filled ``chunk``
+    series at a time; zero series give a (0, flat_dim) array. ``chunk``
+    bounds only the attention and layer-norm arrays: the graph-free FFN
+    runs one series at a time whatever the chunk. A ``chunk`` that is not
+    an integer >= 1 raises ``ConfigError``.
+    """
+    if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
+        raise ConfigError(f"chunk must be an integer >= 1, got {chunk!r}")
+    features = np.empty((len(series), encoder.flat_dim))
     with no_grad():
-        for start in range(0, series.shape[0], chunk):
-            rep = encoder.encode_batch(series[start : start + chunk])
-            outs.append(rep.flat.data)
-    return np.concatenate(outs, axis=0)
+        for start in range(0, len(series), chunk):
+            features[start : start + chunk] = encoder.encode_batch(series[start : start + chunk]).flat.data
+    return features
 
 
 def train_linear_head(

@@ -15,11 +15,15 @@ classifier head with its cross entropy (``cross_entropy(x, w, b, labels)``,
 which the NTP head, the linear probe and the supervised baseline all call)
 are single tape nodes with closed-form backward; a probe step's graph is
 that one node over leaves, which backward runs without a topological sort.
-The rest of the package uses only ``matmul``, ``add``, ``mul``,
-``reshape``, ``transpose``, ``tensor_sum`` and ``dropout``. ``div``,
-``sqrt``, ``exp``, ``log``, ``softmax`` and ``gelu`` have no caller in the
-package: they stay because the benchmark's tracer patches them by name,
-and the tests compose the fused kernels' references from them.
+With no graph to build (feature extraction, the first gradient-caching
+pass of contrastive similarity), the FFN runs one series at a time, so it
+never holds more than one series' hidden layer; its output is bitwise that
+of the taped forward. The rest of the package uses only ``matmul``,
+``add``, ``mul``, ``reshape``, ``transpose``, ``tensor_sum`` and
+``dropout``. ``div``, ``sqrt``, ``exp``, ``log``, ``softmax`` and ``gelu``
+have no caller in the package: they stay because the benchmark's tracer
+patches them by name, and the tests compose the fused kernels' references
+from them.
 """
 
 from __future__ import annotations
@@ -613,26 +617,47 @@ def multi_head_attention(q_in, kv_in, weights, heads: int) -> Tensor:
     return _make(out_data, parents, backward)
 
 
+def _ffn_hidden(x, w1, b1, keep, scale: float, with_slope: bool):
+    """Dropped-out z * Phi(z) for z = x @ w1 + b1, and the GELU slope if asked."""
+    z = np.matmul(x, w1)
+    z += b1
+    hidden = ndtr(z)  # Phi(z), turned into z * Phi(z) in place once the slope is taken
+    slope = _gelu_slope(z, hidden) if with_slope else None
+    hidden *= z
+    if keep is not None:
+        hidden *= keep
+        hidden *= scale
+    return hidden, slope
+
+
 def ffn(x, w1, b1, w2, b2, *, rate: float = 0.0, rng=None, train: bool = False) -> Tensor:
     """Two affine maps with a GELU between; dropout after the activation.
 
     One tape node; backward keeps the hidden activations, the GELU slope
-    and the boolean dropout mask.
+    and the boolean dropout mask. With no tape node to record and ``x`` of
+    3 or more dims, it runs one series (one (L, D) matrix of
+    ``x.reshape(-1, L, D)``) at a time into one preallocated output, so at
+    most one series' (L, 4D) hidden layer is alive; the dropout mask is
+    still drawn for the whole shape first, so ``rng`` advances as in one
+    whole pass, and the output is bitwise that of the taped forward.
     """
     x, w1, b1, w2, b2 = parents = tuple(constant(t) for t in (x, w1, b1, w2, b2))
     if x.ndim < 2 or x.shape[-1] != w1.shape[0] or w1.shape[-1] != w2.shape[0]:
         raise ShapeError(f"ffn shapes disagree: x {x.shape}, w1 {w1.shape}, w2 {w2.shape}")
     taping = _taping(parents)
-    z = np.matmul(x.data, w1.data)
-    z += b1.data
-    hidden = ndtr(z)  # Phi(z), turned into z * Phi(z) in place once the slope is taken
-    slope = _gelu_slope(z, hidden) if taping else None
-    hidden *= z
-    keep = _keep_mask(z.shape, rate, rng, train)
-    if keep is not None:
-        scale = 1.0 / (1.0 - rate)
-        hidden *= keep
-        hidden *= scale
+    keep = _keep_mask((*x.shape[:-1], w1.shape[-1]), rate, rng, train)
+    scale = 1.0 / (1.0 - rate) if keep is not None else 1.0
+    if not taping and x.ndim > 2:
+        *lead, length, width = x.shape
+        series = x.data.reshape(math.prod(lead), length, width)
+        keeps = [None] * len(series) if keep is None else keep.reshape(len(series), length, w1.shape[-1])
+        out_data = np.empty((len(series), length, w2.shape[-1]))
+        for x_i, keep_i, out_i in zip(series, keeps, out_data):
+            hidden, _ = _ffn_hidden(x_i, w1.data, b1.data, keep_i, scale, False)
+            np.matmul(hidden, w2.data, out=out_i)
+            out_i += b2.data
+        return Tensor(out_data.reshape(*lead, length, w2.shape[-1]))
+    hidden, slope = _ffn_hidden(x.data, w1.data, b1.data, keep, scale, taping)
     out_data = np.matmul(hidden, w2.data)
     out_data += b2.data
     if not taping:

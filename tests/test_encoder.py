@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import chants.encoder as encoder_module
+import chants.tensor as tensor_module
 from chants.checkpoint import load_encoder, save_encoder
 from chants.encoder import (
     CatParams,
@@ -19,7 +20,7 @@ from chants.encoder import (
 )
 from chants.errors import CheckpointError, ConfigError, ShapeError
 from chants.pretext import init_pretext_heads
-from chants.tensor import Tensor, constant, flop_estimate, tensor_sum
+from chants.tensor import Tensor, constant, flop_estimate, no_grad, tensor_sum
 
 from fdcheck import numeric_gradient, relative_error
 
@@ -290,6 +291,38 @@ def _check_every_parameter_gradient(config, seed):
         analytic = tensor.grad if tensor.grad is not None else np.zeros_like(numeric)
         err = relative_error(analytic, numeric)
         assert err < 1e-3, f"{name}: relative error {err:.2e}"
+
+
+@pytest.fixture
+def phi_shapes(monkeypatch):
+    """Shape of every array the FFN's Phi is evaluated on, in call order."""
+    shapes = []
+    phi = tensor_module.ndtr
+
+    def recording(z):
+        shapes.append(z.shape)
+        return phi(z)
+
+    monkeypatch.setattr(tensor_module, "ndtr", recording)
+    return shapes
+
+
+class TestGraphFreeFfn:
+    def test_encode_without_a_graph_holds_one_series_hidden_layer_at_a_time(self, phi_shapes):
+        config, params = make(channels=3, steps=7, depth=2)
+        xs = np.random.default_rng(8).normal(size=(4, 3, 7))
+        with no_grad():
+            Encoder(params, config).encode_batch(xs)
+        # two towers per layer, one Phi call per series
+        assert len(phi_shapes) == 2 * config.depth * 4
+        assert all(len(shape) == 2 and shape[0] <= max(7, 3) for shape in phi_shapes)
+
+    def test_a_taped_encode_evaluates_phi_once_per_tower(self, phi_shapes):
+        config, params = make(channels=3, steps=7, depth=2)
+        xs = np.random.default_rng(8).normal(size=(4, 3, 7))
+        rep = Encoder(params, config).encode_batch(xs)
+        assert rep.flat.requires_grad
+        assert phi_shapes == [(4, 7, 4 * config.width), (4, 3, 4 * config.width)] * config.depth
 
 
 class TestEndToEndGradient:

@@ -828,8 +828,27 @@ def test_extract_features_builds_no_graph():
     rng = np.random.default_rng(19)
     cfg = tiny_cfg()
     params = init_cat_params(cfg.encoder, rng)
-    from chants.encoder import Encoder
-
     feats = extract_features(Encoder(params, cfg.encoder), rng.normal(size=(5, 2, 8)))
     assert feats.shape == (5, 16)
     assert all(t.grad is None for t in params.named().values())
+
+
+@pytest.mark.parametrize("count, chunk", [(5, 1), (5, 2), (5, 5), (5, 128), (0, 3), (0, 128)])
+def test_extract_features_fills_every_row_chunk_by_chunk(count, chunk):
+    rng = np.random.default_rng(20)
+    cfg = tiny_cfg()
+    encoder = Encoder(init_cat_params(cfg.encoder, rng), cfg.encoder)
+    series = rng.normal(size=(count, 2, 8))
+    feats = extract_features(encoder, series, chunk=chunk)
+    assert feats.dtype == np.float64 and feats.shape == (count, encoder.flat_dim)
+    for i, row in enumerate(feats):
+        np.testing.assert_array_equal(row, extract_features(encoder, series[i : i + 1])[0])
+
+
+@pytest.mark.parametrize("chunk", [0, -1, 2.5, True, "4"])
+def test_extract_features_rejects_a_chunk_that_is_not_an_integer_of_at_least_one(chunk):
+    cfg = tiny_cfg()
+    encoder = Encoder(init_cat_params(cfg.encoder, np.random.default_rng(21)), cfg.encoder)
+    for count in (0, 3):
+        with pytest.raises(ConfigError, match="chunk"):
+            extract_features(encoder, np.zeros((count, 2, 8)), chunk=chunk)

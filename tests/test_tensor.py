@@ -247,6 +247,44 @@ class TestFfn:
         assert not np.allclose(plain, dropped)
         check_gradients(fn, args)
 
+    @pytest.mark.parametrize("masks", ["off", "generator", "micro_batches"])
+    @pytest.mark.parametrize("shape", [(5, 4), (3, 5, 4), (2, 3, 5, 4), (0, 5, 4)])
+    def test_graph_free_forward_is_bitwise_the_taped_forward(self, shape, masks):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=shape)
+        weights = [rng.normal(size=(4, 16)), rng.normal(size=16), rng.normal(size=(16, 4)), rng.normal(size=4)]
+        rows = [shape[0] // 2, shape[0] - shape[0] // 2]
+
+        def run(xs, source, taped):
+            kwargs = {} if source is None else dict(rate=0.3, rng=source, train=True)
+            leaf = Tensor(xs, requires_grad=True)
+            if taped:
+                out = ffn(leaf, *weights, **kwargs)
+                assert out.requires_grad
+            else:
+                with no_grad():
+                    out = ffn(leaf, *weights, **kwargs)
+                assert not out.requires_grad
+            return out.data
+
+        def forward(taped):
+            gen = np.random.default_rng(15)
+            if masks == "micro_batches":
+                source = MicroBatchMasks(gen, rows)
+                parts = []
+                for j, (lo, hi) in enumerate(zip(np.cumsum([0, *rows]), np.cumsum(rows))):
+                    source.select(j)
+                    parts.append(run(x[lo:hi], source, taped))
+                out = np.concatenate(parts)
+            else:
+                out = run(x, gen if masks == "generator" else None, taped)
+            return out, gen.random()
+
+        (taped, taped_next), (free, free_next) = forward(True), forward(False)
+        assert free.shape == taped.shape == x.shape
+        assert free.tobytes() == taped.tobytes()
+        assert free_next == taped_next
+
 
 def identity_head(logits, labels):
     """The fused head on logits: x @ I + 0 is exact for finite x."""
