@@ -207,7 +207,14 @@ def _probe_setup(args):
     return params, cfg, train, test
 
 
+def _check_fraction(fraction: float) -> None:
+    if not 0.0 < fraction <= 1.0:
+        raise ConfigError(f"fraction {fraction} outside (0, 1]")
+
+
 def cmd_probe(args) -> int:
+    if args.fraction is not None:
+        _check_fraction(args.fraction)
     params, cfg, train, test = _probe_setup(args)
     if args.fraction is not None:
         train = subsample(train, args.fraction, seed=cfg.seed)
@@ -221,8 +228,7 @@ def cmd_probe(args) -> int:
 
 def cmd_fewshot(args) -> int:
     for fraction in args.fractions:
-        if not 0.0 < fraction <= 1.0:
-            raise ConfigError(f"fraction {fraction} outside (0, 1]")
+        _check_fraction(fraction)
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     params, cfg, train, test = _probe_setup(args)

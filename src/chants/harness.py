@@ -4,13 +4,16 @@ probing, a supervised-from-scratch baseline, metrics, and the few-shot sweep.
 Every run is a pure function of (seed, config, dataset): rng streams are
 derived from the seed per purpose, so identical runs produce identical loss
 logs and bitwise-identical checkpoints. The three trainers share one update
-loop, :func:`fit`. Pretraining builds no graph of more than ``MICRO_BATCH``
-encoded series, whatever the batch size and ``k_ntp``, and logs one record
+loop, :func:`fit`. Neither pretraining nor feature extraction passes the
+encoder more than ``MICRO_BATCH`` series in one call, with a graph or
+without: pretraining builds no graph of more, whatever the batch size and
+``k_ntp``, and extraction encodes no more at a time (the supervised
+baseline encodes one ``probe_batch`` per step). Pretraining logs one record
 per step (``epoch``, ``step``, ``ntp_loss``, ``cs_loss``, ``combined``) to
-``log.jsonl``; its checkpoints
-carry the ``TrainConfig`` and any normalization stats, so a checkpoint is all
-``probe`` and ``fewshot`` need. :func:`train_config_from_dict` is the one way
-to build a ``TrainConfig`` from plain values.
+``log.jsonl``; its checkpoints carry the ``TrainConfig`` and any
+normalization stats, so a checkpoint is all ``probe`` and ``fewshot`` need.
+:func:`train_config_from_dict` is the one way to build a ``TrainConfig``
+from plain values.
 """
 
 from __future__ import annotations
@@ -282,8 +285,10 @@ def fit(
 
 
 MICRO_BATCH = 5
-"""Most series that pretraining encodes in one graph: one CS origin group,
-an original with its two positives and two negatives."""
+"""Most series that pretraining or feature extraction passes the encoder in
+one call, with a graph or without: one CS origin group, an original with
+its two positives and two negatives. Pretraining builds no graph of more,
+and :func:`extract_features` encodes no more at a time."""
 
 
 def _spans(rows: int) -> list[tuple[int, int]]:
@@ -554,21 +559,25 @@ def pretrain(
 # ---------------------------------------------------------------------------
 
 
-def extract_features(encoder: Encoder, series: np.ndarray, chunk: int = 128) -> np.ndarray:
+def extract_features(encoder: Encoder, series: np.ndarray, chunk: int = MICRO_BATCH) -> np.ndarray:
     """Flat representations with no graph built; the encoder stays untouched.
 
-    Returns a float64 (n, ``encoder.flat_dim``) array, filled ``chunk``
-    series at a time; zero series give a (0, flat_dim) array. ``chunk``
-    bounds only the attention and layer-norm arrays: the graph-free FFN
-    runs one series at a time whatever the chunk. A ``chunk`` that is not
+    Returns a float64 (n, ``encoder.flat_dim``) array, filled by encoding
+    ``min(chunk, MICRO_BATCH)`` series at a time; zero series give a
+    (0, flat_dim) array. The encoder never mixes series, so every block
+    size gives bitwise the same rows. ``chunk`` can only shrink the block
+    below ``MICRO_BATCH``, and so the chunk-sized attention and layer-norm
+    arrays with it (the graph-free FFN runs one series at a time whatever
+    the block); a larger ``chunk`` changes nothing. A ``chunk`` that is not
     an integer >= 1 raises ``ConfigError``.
     """
     if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
         raise ConfigError(f"chunk must be an integer >= 1, got {chunk!r}")
+    block = min(int(chunk), MICRO_BATCH)
     features = np.empty((len(series), encoder.flat_dim))
     with no_grad():
-        for start in range(0, len(series), chunk):
-            features[start : start + chunk] = encoder.encode_batch(series[start : start + chunk]).flat.data
+        for start in range(0, len(series), block):
+            features[start : start + block] = encoder.encode_batch(series[start : start + block]).flat.data
     return features
 
 

@@ -122,6 +122,7 @@ class Tensor:
         on, so the graph is freed while backward runs; a second call through
         any part of it raises ``RuntimeError``. Leaves keep ``.grad``. A node
         whose parents are all leaves runs its closure directly, with no sort.
+        A ``grad`` whose shape is not the tensor's raises ``ShapeError``.
         """
         if grad is None:
             if self.data.size != 1:
@@ -131,6 +132,10 @@ class Tensor:
             grad = np.ones(self.data.shape)
         else:
             grad = np.asarray(grad, dtype=np.float64)
+            if grad.shape != self.data.shape:
+                raise ShapeError(
+                    f"backward() got a gradient of shape {grad.shape} for a tensor of shape {self.shape}"
+                )
 
         backward = self._backward
         if backward is not None and backward is not _freed and all(p._backward is None for p in self._parents):

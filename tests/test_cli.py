@@ -295,3 +295,15 @@ def test_fewshot_rejects_zero_repeats_before_loading_anything(tmp_path, capsys):
     assert main(argv) == 2
     assert "--repeats" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("fraction", ["0", "-0.5", "1.5", "nan"])
+def test_probe_rejects_a_fraction_outside_zero_one_before_loading_anything(tmp_path, capsys, fraction):
+    out_dir = tmp_path / "out"
+    argv = [
+        "probe", str(tmp_path / "missing.ckpt"), str(tmp_path / "missing.ts"), str(out_dir),
+        "--fraction", fraction,
+    ]
+    assert main(argv) == 2
+    assert "outside (0, 1]" in capsys.readouterr().err
+    assert not out_dir.exists()

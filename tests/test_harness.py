@@ -845,6 +845,42 @@ def test_extract_features_fills_every_row_chunk_by_chunk(count, chunk):
         np.testing.assert_array_equal(row, extract_features(encoder, series[i : i + 1])[0])
 
 
+def record_encoder_calls(monkeypatch) -> list[int]:
+    """The number of series of every later ``Encoder.encode_batch`` call, in order."""
+    sizes = []
+    encode_batch = Encoder.encode_batch
+
+    def recorded(self, xs, *args, **kwargs):
+        sizes.append(len(xs))
+        return encode_batch(self, xs, *args, **kwargs)
+
+    monkeypatch.setattr(Encoder, "encode_batch", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("chunk", [64, 128, None])
+def test_extract_features_encodes_at_most_micro_batch_series_per_call(monkeypatch, chunk):
+    rng = np.random.default_rng(22)
+    cfg = tiny_cfg(depth=2)
+    encoder = Encoder(init_cat_params(cfg.encoder, rng), cfg.encoder)
+    series = rng.normal(size=(23, 2, 8))
+    one_by_one = np.concatenate([extract_features(encoder, series[i : i + 1], chunk=1) for i in range(23)])
+    sizes = record_encoder_calls(monkeypatch)
+    feats = extract_features(encoder, series) if chunk is None else extract_features(encoder, series, chunk=chunk)
+    assert sizes == [5, 5, 5, 5, 3] and harness.MICRO_BATCH == 5
+    assert feats.tobytes() == one_by_one.tobytes()
+
+
+def test_linear_probe_encodes_at_most_micro_batch_series_per_call(monkeypatch):
+    rng = np.random.default_rng(23)
+    cfg = tiny_cfg()
+    params = init_cat_params(cfg.encoder, rng)
+    train, test = labeled_dataset(rng, m=24), labeled_dataset(rng, m=13)
+    sizes = record_encoder_calls(monkeypatch)
+    linear_probe(train, test, params, cfg)
+    assert sizes == [5, 5, 5, 5, 4] + [5, 5, 3]
+
+
 @pytest.mark.parametrize("chunk", [0, -1, 2.5, True, "4"])
 def test_extract_features_rejects_a_chunk_that_is_not_an_integer_of_at_least_one(chunk):
     cfg = tiny_cfg()

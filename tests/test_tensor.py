@@ -525,6 +525,26 @@ class TestAutodiffPlumbing:
             tensor_sum(mul(h, a)).backward()
         np.testing.assert_array_equal(a.grad, first)
 
+    @pytest.mark.parametrize(
+        "build, bad",
+        [
+            # one node over leaves, which backward runs with no sort
+            (lambda w, b: cross_entropy(constant(np.eye(2)), w, b, [0, 2]), np.ones(2)),
+            # an interior node under the output, so backward sorts the graph
+            (lambda w, b: add(matmul(constant(np.eye(2)), w), b), np.ones((1, 3))),
+        ],
+        ids=["all-leaf", "sorted"],
+    )
+    def test_a_gradient_of_another_shape_is_rejected(self, build, bad):
+        w = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(RNG.normal(size=3), requires_grad=True)
+        out = build(w, b)
+        with pytest.raises(ShapeError, match="gradient of shape"):
+            out.backward(bad)
+        assert w.grad is None and b.grad is None
+        out.backward(np.ones(out.shape))  # the graph is still whole
+        assert w.grad.shape == w.shape and b.grad.shape == b.shape
+
     def test_one_node_over_leaves_is_freed_like_any_graph(self):
         a = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(RNG.normal(size=3), requires_grad=True)
