@@ -50,7 +50,6 @@ from .optim import AdamState, adam_step, init_adam_state
 from .pretext import (
     CsBatch,
     LossWeights,
-    NtpInstance,
     PretextHeads,
     build_cs_batch,
     combined_loss,

@@ -252,6 +252,8 @@ _STRATEGIES = {"interval": interval_adjust, "sync": sync_permute, "async": async
 
 
 def cmd_augment_preview(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     ds = _load_data(args)
     if not 0 <= args.index < ds.size:
         raise ConfigError(f"sample index {args.index} outside [0, {ds.size})")

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check of
+every config dataclass."""
+
+import dataclasses
+import math
 
 
 class ChantsError(Exception):
@@ -19,3 +23,12 @@ class DataError(ChantsError, ValueError):
 
 class CheckpointError(ChantsError, ValueError):
     """Unreadable, corrupt, or incompatible checkpoint file."""
+
+
+def check_finite(config) -> None:
+    """Raise ``ConfigError`` if a float field of the dataclass ``config`` (or a float in a tuple field) is not finite."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, float) and not math.isfinite(item):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")

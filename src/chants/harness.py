@@ -34,12 +34,11 @@ from .augment import AugmentConfig
 from .checkpoint import save_encoder
 from .data import MtsDataset, NormStats, batches, subsample, subsample_rows
 from .encoder import CatParams, Encoder, EncoderConfig, _glorot, init_cat_params
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, check_finite
 from .optim import adam_step, init_adam_state
 from .pretext import (
     CsBatch,
     LossWeights,
-    NtpInstance,
     PretextHeads,
     build_cs_batch,
     combined_loss,
@@ -49,7 +48,7 @@ from .pretext import (
     make_ntp_instances,
     ntp_loss,
     nvp_instances,
-    nvp_squared_error,
+    nvp_loss,
     reverse_neg_mode,
 )
 from .tensor import MicroBatchMasks, Tensor, constant, cross_entropy, no_grad
@@ -96,6 +95,7 @@ class TrainConfig:
     use_nvp: bool = False
 
     def __post_init__(self):
+        check_finite(self)
         for name in ("pretrain_lr", "probe_lr", "supervised_lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
@@ -104,6 +104,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.early_stop_patience < 1:
             raise ConfigError("early_stop_patience must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _coerce(key: str, value, kind):
@@ -325,60 +327,29 @@ def _backprop_micro_batches(
     return total
 
 
-def _ntp_in_micro_batches(
-    encoder: Encoder, groups: Sequence[Sequence[NtpInstance]], heads: PretextHeads, rng: np.random.Generator, weight: float
+def _truncations_in_micro_batches(
+    encoder: Encoder, heads: PretextHeads, task: str, loss: Callable[..., Tensor],
+    truncated: np.ndarray, targets: np.ndarray, rng: np.random.Generator, weight: float,
 ) -> float:
-    """The NTP loss over ``groups``, with ``weight`` times its gradient added to the leaves.
+    """The summed ``loss`` over the truncated copies, with ``weight`` times its gradient added to the leaves.
 
-    Each source sample's truncations are cut into micro-batches of at most
-    ``MICRO_BATCH``, whose loss is backpropagated with weight ``weight / B``
-    (B = ``len(groups)``) as soon as it is built. The NTP loss is a sum over
-    truncations divided by B, so the summed values and gradients are those of
-    ``ntp_loss`` over all B groups at once, up to rounding, and ``rng`` ends
-    where that pass would leave it. A non-finite part raises
-    ``FloatingPointError`` naming its source sample before its backward.
+    The copies run in micro-batches of at most ``MICRO_BATCH`` consecutive
+    rows, each with its rows of the dropout masks that one ``loss`` pass
+    over all of them would draw from ``rng``. The loss is a sum over copies,
+    so the summed values and gradients are those of that one pass, up to
+    rounding, and ``rng`` ends where it would leave it. A non-finite part
+    raises ``FloatingPointError`` naming ``task`` and its rows before its
+    backward.
     """
-    flat = [inst for group in groups for inst in group]
-    spans, samples, start = [], [], 0
-    for j, group in enumerate(groups):
-        for lo, hi in _spans(len(group)):
-            spans.append((start + lo, start + hi))
-            samples.append(j)
-        start += len(group)
-    masks = MicroBatchMasks(rng, [hi - lo for lo, hi in spans])
-    total = _backprop_micro_batches(
-        masks,
-        spans,
-        lambda lo, hi: ntp_loss(encoder, [flat[lo:hi]], heads, rng=masks, train=True),
-        lambda lo, hi: np.asarray(weight / len(groups)),
-        lambda j, value: f"NTP loss {value} on source sample {samples[j]} of the batch",
-    )
-    return total / len(groups)
-
-
-def _nvp_in_micro_batches(
-    encoder: Encoder, xs: np.ndarray, heads: PretextHeads, rng: np.random.Generator, weight: float
-) -> float:
-    """The NVP loss over the samples ``xs``, with ``weight`` times its gradient added to the leaves.
-
-    Draws every truncation point from ``rng`` first, as ``nvp_loss`` does,
-    then encodes the truncated copies in micro-batches of at most
-    ``MICRO_BATCH`` with the dropout masks that ``nvp_loss``'s one pass
-    draws from ``rng`` next, so the value, the gradients and where ``rng``
-    ends are those of ``nvp_loss``, up to rounding. A non-finite part raises
-    ``FloatingPointError`` before its backward.
-    """
-    truncated, targets = nvp_instances(xs, rng)
     spans = _spans(len(truncated))
     masks = MicroBatchMasks(rng, [hi - lo for lo, hi in spans])
-    total = _backprop_micro_batches(
+    return _backprop_micro_batches(
         masks,
         spans,
-        lambda lo, hi: nvp_squared_error(encoder, truncated[lo:hi], targets[lo:hi], heads, rng=masks, train=True),
-        lambda lo, hi: np.asarray(weight / len(xs)),
-        lambda j, value: f"NVP loss {value} on truncations {spans[j][0]} to {spans[j][1] - 1} of the batch",
+        lambda lo, hi: loss(encoder, truncated[lo:hi], targets[lo:hi], heads, rng=masks, train=True),
+        lambda lo, hi: np.asarray(weight),
+        lambda j, value: f"{task} loss {value} on truncations {spans[j][0]} to {spans[j][1] - 1} of the batch",
     )
-    return total / len(xs)
 
 
 def _cs_grad_cache(
@@ -443,11 +414,10 @@ def pretrain(
     every task runs in micro-batches, each backpropagated before the next is
     encoded, with the dropout masks one whole-batch pass would draw, so the
     step's gradient is that of the whole batch, up to rounding:
-    - next-trend prediction cuts each source sample's ``k_ntp`` truncations
-      into micro-batches (:func:`_ntp_in_micro_batches`);
-    - the ``use_nvp`` variant (next-value regression) draws every
-      truncation first, then encodes them in micro-batches
-      (:func:`_nvp_in_micro_batches`);
+    - next-trend prediction (``k_ntp`` cuts per sample) and its ``use_nvp``
+      variant, next-value regression, draw every truncation of the batch
+      first, then encode the flat list of copies in micro-batches
+      (:func:`_truncations_in_micro_batches`);
     - contextual similarity runs through gradient caching: the batch is
       projected without a graph, the loss's gradient with respect to the
       projections is cached, and each micro-batch (for the standard batch,
@@ -492,11 +462,16 @@ def pretrain(
         # each part is backpropagated as it is computed: its value joins the
         # combined loss as a constant
         if weights.alpha1 > 0.0:
+            # NVP draws its dropout masks after its truncation points, from rng_ntp
             if cfg.use_nvp:
-                ntp_part = constant(_nvp_in_micro_batches(encoder, batch.x, heads, rng_ntp, weights.alpha1))
+                task, loss, rng = "NVP", nvp_loss, rng_ntp
+                truncated, targets = nvp_instances(batch.x, rng_ntp)
             else:
-                groups = [make_ntp_instances(x, cfg.k_ntp, rng_ntp) for x in batch.x]
-                ntp_part = constant(_ntp_in_micro_batches(encoder, groups, heads, rng_drop, weights.alpha1))
+                task, loss, rng = "NTP", ntp_loss, rng_drop
+                truncated, targets = make_ntp_instances(batch.x, cfg.k_ntp, rng_ntp)
+            b = len(batch.x)
+            part = _truncations_in_micro_batches(encoder, heads, task, loss, truncated, targets, rng, weights.alpha1 / b)
+            ntp_part = constant(part / b)
         else:
             ntp_part = constant(0.0)
         if weights.alpha2 > 0.0:
@@ -685,7 +660,7 @@ def linear_probe(
     are masked so they are never predicted, scoring their test samples wrong.
     """
     if ds_train.labels is None or ds_test.labels is None:
-        raise ConfigError("linear_probe needs labeled train and test splits")
+        raise DataError("linear_probe needs labeled train and test splits")
     k = max(ds_train.class_count, ds_test.class_count)
     encoder = Encoder(encoder_params, cfg.encoder)
     feats_train = extract_features(encoder, ds_train.series)
@@ -700,7 +675,7 @@ def supervised_baseline(
 ) -> Metrics:
     """Train encoder plus head end to end with cross entropy, then score."""
     if ds_train.labels is None or ds_test.labels is None:
-        raise ConfigError("supervised_baseline needs labeled train and test splits")
+        raise DataError("supervised_baseline needs labeled train and test splits")
     k = max(ds_train.class_count, ds_test.class_count)
     rng_init = np.random.default_rng([cfg.seed, 20])
     rng_drop = np.random.default_rng([cfg.seed, 21])
@@ -764,7 +739,7 @@ def fewshot_sweep(
             raise ConfigError(f"fraction {f} outside (0, 1]")
     picks = {(f, r): subsample_rows(ds_train, f, seed=cfg.seed + r) for f in fractions for r in range(repeats)}
     if ds_test.labels is None:
-        raise ConfigError("fewshot_sweep needs a labeled test split")
+        raise DataError("fewshot_sweep needs a labeled test split")
     class_count = max(ds_train.class_count, ds_test.class_count)
     encoder = Encoder(encoder_params, cfg.encoder)
     feats_train = extract_features(encoder, ds_train.series)

@@ -8,6 +8,12 @@ one jittered positive, one synchronously permuted positive, and two
 asynchronously permuted negatives each - and applies a temperature-scaled
 similarity loss whose anchors are the originals. A next-value regression
 task and a reversed-negative mode exist as baseline/ablation variants.
+
+Both truncation tasks cut their series through one function,
+:func:`_truncate`; their makers (:func:`make_ntp_instances`,
+:func:`nvp_instances`) return (truncated copies, targets) arrays, and their
+losses (:func:`ntp_loss`, :func:`nvp_loss`) take those arrays with one
+signature and sum over the copies they are given.
 """
 
 from __future__ import annotations
@@ -15,13 +21,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
 from .augment import AugmentConfig, async_permute, interval_adjust, sync_permute
 from .encoder import Encoder, EncoderConfig, _glorot, representation_rows
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_finite
 from .tensor import (
     Tensor,
     add,
@@ -40,7 +45,6 @@ __all__ = [
     "CsBatch",
     "LossWeights",
     "NEGATIVE",
-    "NtpInstance",
     "ORIGINAL",
     "POSITIVE",
     "PretextHeads",
@@ -54,7 +58,6 @@ __all__ = [
     "ntp_loss",
     "nvp_instances",
     "nvp_loss",
-    "nvp_squared_error",
     "nvp_truncation_count",
     "reverse_neg_mode",
 ]
@@ -75,6 +78,7 @@ class LossWeights:
     tau: float = 0.2
 
     def __post_init__(self):
+        check_finite(self)
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ConfigError(f"loss weights must be nonnegative, got {self.alpha1}, {self.alpha2}")
         if self.alpha1 == 0 and self.alpha2 == 0:
@@ -83,44 +87,52 @@ class LossWeights:
             raise ConfigError(f"temperature must be > 0, got {self.tau}")
 
 
-@dataclass
-class NtpInstance:
-    """One truncated sample: steps t+1..T zeroed, per-channel trend labels."""
+def _truncate(xs: np.ndarray, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cut each (C, T) sample of ``xs`` at ``count`` points t drawn from ``rng``.
 
-    truncated: np.ndarray  # (C, T) with the tail zero-padded
-    t: int  # truncation step, 1-indexed in [1, T-1]
-    labels: np.ndarray  # (C,) ints in {0, 1}; 1 means x[., t+1] >= x[., t]
+    Each sample in turn draws ``count`` distinct points from [1, T-1], or
+    draws with replacement (with a warning) when T - 1 < ``count``. Returns
+    the copies cut at t, which keep steps 0..t-1 and zero steps t..T-1,
+    grouped by sample (B * count, C, T), the points (B * count,) and the
+    values after each cut, x[:, t] (B * count, C).
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 3 or len(xs) == 0:
+        raise ShapeError(f"expected a nonempty batch of shape (B, C, T), got {xs.shape}")
+    steps = xs.shape[-1]
+    if steps < 3:
+        raise ConfigError(f"truncated instances need at least 3 steps, got {steps}")
+    if count < 1:
+        raise ConfigError(f"need at least one truncation point per sample, got {count}")
+    distinct = count <= steps - 1
+    if not distinct:
+        warnings.warn(
+            f"{count} truncation points exceed the {steps - 1} available; drawing with replacement",
+            RuntimeWarning,
+        )
+    points = np.concatenate(
+        [
+            rng.choice(np.arange(1, steps), size=count, replace=False) if distinct else rng.integers(1, steps, size=count)
+            for _ in xs
+        ]
+    )
+    source = np.repeat(np.arange(len(xs)), count)
+    truncated = np.where(np.arange(steps) < points[:, None, None], xs[source], 0.0)
+    return truncated, points, xs[source, :, points]
 
 
 def make_ntp_instances(
-    x: np.ndarray, k_ntp: int, rng: np.random.Generator
-) -> list[NtpInstance]:
-    """Draw k distinct truncation points and label the following step's trend.
+    xs: np.ndarray, k_ntp: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cut each (C, T) sample of ``xs`` at ``k_ntp`` points and label the following step's trend.
 
-    Falls back to drawing with replacement (with a warning) when the series
-    is too short to supply ``k_ntp`` distinct points.
+    Returns the truncated copies (B * k_ntp, C, T), grouped by sample, and
+    per-channel labels (B * k_ntp, C): 1 if x[:, t] >= x[:, t-1] for the cut
+    at t (a tie counts as a rise), else 0. See :func:`_truncate` for the draw.
     """
-    x = np.asarray(x, dtype=np.float64)
-    channels, steps = x.shape
-    if steps < 3:
-        raise ConfigError(f"next-trend instances need at least 3 steps, got {steps}")
-    if k_ntp < 1:
-        raise ConfigError(f"k_ntp must be >= 1, got {k_ntp}")
-    if k_ntp > steps - 1:
-        warnings.warn(
-            f"k_ntp={k_ntp} exceeds the {steps - 1} available truncation points; drawing with replacement",
-            RuntimeWarning,
-        )
-        ts = rng.integers(1, steps, size=k_ntp)
-    else:
-        ts = rng.choice(np.arange(1, steps), size=k_ntp, replace=False)
-    instances = []
-    for t in (int(v) for v in ts):
-        truncated = x.copy()
-        truncated[:, t:] = 0.0
-        labels = (x[:, t] >= x[:, t - 1]).astype(np.int64)
-        instances.append(NtpInstance(truncated=truncated, t=t, labels=labels))
-    return instances
+    truncated, points, following = _truncate(xs, k_ntp, rng)
+    before = truncated[np.arange(len(points)), :, points - 1]
+    return truncated, (following >= before).astype(np.int64)
 
 
 @dataclass
@@ -218,28 +230,21 @@ def init_pretext_heads(config: EncoderConfig, rng: np.random.Generator) -> Prete
 
 def ntp_loss(
     encoder: Encoder,
-    instances: Sequence[Sequence[NtpInstance]],
+    truncated: np.ndarray,
+    targets: np.ndarray,
     heads: PretextHeads,
     *,
     rng: np.random.Generator | None = None,
     train: bool = False,
 ) -> Tensor:
-    """Trend cross-entropy, summed over channels and truncation points.
+    """Trend cross-entropy of the (n, C, T) ``truncated`` copies against their (n, C) labels.
 
-    ``instances`` groups truncation instances by their source sample; the
-    per-sample sums are averaged over the batch.
+    Summed over channels and copies; pretraining divides by the batch size.
     """
-    groups = [list(g) for g in instances]
-    flat_instances = [inst for g in groups for inst in g]
-    if not flat_instances:
-        raise ConfigError("ntp_loss needs at least one instance")
-    stack = np.stack([inst.truncated for inst in flat_instances])
-    labels = np.concatenate([inst.labels for inst in flat_instances])
-    rep = encoder.encode_batch(stack, rng=rng, train=train)
+    rep = encoder.encode_batch(truncated, rng=rng, train=train)
     n, rows, d = rep.per_channel.shape
-    ce_mean = cross_entropy(reshape(rep.per_channel, (n * rows, d)), heads.ntp_w, heads.ntp_b, labels)
-    total_terms = n * rows
-    return mul(ce_mean, constant(total_terms / len(groups)))
+    ce_mean = cross_entropy(reshape(rep.per_channel, (n * rows, d)), heads.ntp_w, heads.ntp_b, targets.reshape(-1))
+    return mul(ce_mean, constant(n * rows))
 
 
 def contrastive_loss_from_projections(
@@ -304,72 +309,34 @@ def nvp_truncation_count(steps: int) -> int:
 
 
 def nvp_instances(xs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated copies of each (C, T) sample in ``xs`` and the values after each cut.
+    """Cut each (C, T) sample of ``xs`` at ``nvp_truncation_count(T)`` points, for the regression baseline.
 
-    Each sample in turn draws ``nvp_truncation_count(T)`` distinct
-    truncation points t from ``rng``; its copy cut at t has steps t+1..T
-    zeroed and the target x[:, t]. Returns the stacked copies (n, C, T) and
-    targets (n, C), grouped by sample.
+    Returns the truncated copies (n, C, T), grouped by sample, and the
+    targets, the values x[:, t] after each cut (n, C). See :func:`_truncate`
+    for the draw.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 3:
-        raise ShapeError(f"expected samples of shape (B, C, T), got {xs.shape}")
-    steps = xs.shape[-1]
-    if steps < 3:
-        raise ConfigError(f"next-value instances need at least 3 steps, got {steps}")
-    n_points = nvp_truncation_count(steps)
-    truncated = []
-    targets = []
-    for x in xs:
-        ts = rng.choice(np.arange(1, steps), size=n_points, replace=False)
-        for t in (int(v) for v in ts):
-            cut = x.copy()
-            cut[:, t:] = 0.0
-            truncated.append(cut)
-            targets.append(x[:, t])
-    return np.stack(truncated), np.stack(targets)
+    truncated, _, following = _truncate(xs, nvp_truncation_count(np.shape(xs)[-1]), rng)
+    return truncated, following
 
 
-def nvp_squared_error(
+def nvp_loss(
     encoder: Encoder,
     truncated: np.ndarray,
     targets: np.ndarray,
     heads: PretextHeads,
     *,
-    rng=None,
+    rng: np.random.Generator | None = None,
     train: bool = False,
 ) -> Tensor:
-    """Squared error of the value head on each cut copy's next value, summed over copies and channels."""
+    """Next-value regression baseline: squared error of the value head on the (n, C) ``targets``.
+
+    Summed over channels and copies; pretraining divides by the batch size.
+    """
     rep = encoder.encode_batch(truncated, rng=rng, train=train)
     n, rows, d = rep.per_channel.shape
     pred = add(matmul(reshape(rep.per_channel, (n * rows, d)), heads.nvp_w), heads.nvp_b)
     err = add(pred, mul(constant(targets.reshape(-1, 1)), constant(-1.0)))
     return tensor_sum(mul(err, err))
-
-
-def nvp_loss(
-    encoder: Encoder,
-    xs: np.ndarray,
-    rng: np.random.Generator,
-    heads: PretextHeads,
-    *,
-    train: bool = False,
-) -> Tensor:
-    """Next-value regression baseline: squared error on the step after the cut.
-
-    15% of the possible truncation points are sampled per sample
-    (:func:`nvp_instances`); the squared errors are summed over channels and
-    points and averaged over the batch. ``rng`` draws the points, then the
-    dropout masks. The whole-batch reference: pretraining computes the same
-    value and gradients a few truncations at a time
-    (``harness._nvp_in_micro_batches``).
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim == 2:
-        xs = xs[None]
-    truncated, targets = nvp_instances(xs, rng)
-    err = nvp_squared_error(encoder, truncated, targets, heads, rng=rng, train=train)
-    return mul(err, constant(1.0 / xs.shape[0]))
 
 
 def combined_loss(ntp, cs, weights: LossWeights):

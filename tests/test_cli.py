@@ -5,6 +5,7 @@ synthetic fixture, with a tiny config (width 8, depth 1, one epoch).
 """
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -307,3 +308,58 @@ def test_probe_rejects_a_fraction_outside_zero_one_before_loading_anything(tmp_p
     assert main(argv) == 2
     assert "outside (0, 1]" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def write_unlabeled(path):
+    ds = make_synthetic_fixture(m=12, channels=CHANNELS, steps=STEPS, seed=6)
+    serialize_ts(dataclasses.replace(ds, labels=None, class_count=0, label_names=None), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, unlabeled_test, flags",
+    [
+        ("probe", False, []),
+        ("probe", True, []),
+        ("probe", False, ["--fraction", "0.5"]),
+        ("fewshot", False, ["--fractions", "0.5", "--repeats", "1"]),
+        ("fewshot", True, ["--fractions", "0.5", "--repeats", "1"]),
+    ],
+)
+def test_an_unlabeled_split_exits_3_with_nothing_written(pretrained, tmp_path, capsys, command, unlabeled_test, flags):
+    data, run = pretrained
+    unlabeled = str(write_unlabeled(tmp_path / "unlabeled.ts"))
+    out_dir = tmp_path / "out"
+    argv = [command, str(run / "checkpoint.ckpt")]
+    argv += [str(data), str(out_dir), "--test", unlabeled] if unlabeled_test else [unlabeled, str(out_dir)]
+    assert main(argv + flags) == 3
+    assert "labeled" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "probe", "fewshot", "augment-preview"])
+def test_a_negative_seed_exits_2_with_nothing_written(pretrained, tmp_path, capsys, command):
+    data, run = pretrained
+    out = tmp_path / "out"
+    argv = {
+        "pretrain": ["pretrain", str(write_config(tmp_path / "neg.cfg", TINY_CONFIG + "seed = -1\n")), str(data), str(out)],
+        "probe": ["probe", str(run / "checkpoint.ckpt"), str(data), str(out), "--seed", "-1"],
+        "fewshot": ["fewshot", str(run / "checkpoint.ckpt"), str(data), str(out), "--fractions", "0.5", "--seed", "-2"],
+        "augment-preview": ["augment-preview", str(data), "sync", "-1", str(out)],
+    }[command]
+    assert main(argv) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["pretrain_lr = nan", "weights.tau = nan", "weights.alpha1 = nan", "aug.jitter_sigma = inf", "probe_lr = inf", "supervised_lr = -inf"],
+)
+def test_a_non_finite_config_float_exits_2_before_any_file_is_written(pretrained, tmp_path, capsys, line):
+    data, _ = pretrained
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "bad.cfg", TINY_CONFIG + line + "\n")
+    assert main(["pretrain", str(cfg), str(data), str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()

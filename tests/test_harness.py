@@ -19,8 +19,7 @@ from chants.harness import (
     Metrics,
     TrainConfig,
     _cs_grad_cache,
-    _ntp_in_micro_batches,
-    _nvp_in_micro_batches,
+    _truncations_in_micro_batches,
     compute_metrics,
     extract_features,
     fewshot_sweep,
@@ -38,6 +37,7 @@ from chants.pretext import (
     init_pretext_heads,
     make_ntp_instances,
     ntp_loss,
+    nvp_instances,
     nvp_loss,
     reverse_neg_mode,
 )
@@ -250,7 +250,7 @@ class TestPretrain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 4 steps, each: 4 NTP micro-batches (one per source sample, k_ntp = 4),
+        # 4 steps, each: 4 NTP micro-batches (16 truncations at k_ntp = 4),
         # the CS loss on its cached projections, 4 CS micro-batches (20 rows),
         # and the combined loss
         assert len(at_backward) == 4 * 10
@@ -277,16 +277,15 @@ class TestPretrain:
             tracemalloc.stop()
 
     def test_ntp_memory_does_not_grow_with_the_batch(self):
-        # with CS off, a step's graph is one micro-batch of a source sample's
-        # truncations, so quadrupling B adds only the per-batch inputs and
-        # dropout masks
+        # with CS off, a step's graph is one micro-batch of truncations, so
+        # quadrupling B adds only the per-batch inputs and dropout masks
         ntp_only = dict(weights=LossWeights(alpha2=0.0), k_ntp=8)
         ratio = self.traced_peak(8, **ntp_only) / self.traced_peak(2, **ntp_only)
         assert ratio < 1.6, f"peak at B=8 is {ratio:.2f}x that at B=2"
 
     def test_ntp_memory_does_not_grow_with_k_ntp(self):
-        # a source sample's truncations run MICRO_BATCH at a time, so tripling
-        # k_ntp adds only the truncated inputs and their packed dropout masks
+        # the truncations run MICRO_BATCH at a time, so tripling k_ntp adds
+        # only the truncated inputs and their packed dropout masks
         ntp_only = dict(weights=LossWeights(alpha2=0.0))
         ratio = self.traced_peak(4, k_ntp=15, **ntp_only) / self.traced_peak(4, k_ntp=5, **ntp_only)
         assert ratio < 1.3, f"peak at k_ntp=15 is {ratio:.2f}x that at k_ntp=5"
@@ -343,7 +342,7 @@ class TestPretrain:
 
         monkeypatch.setattr(Tensor, "backward", counted_backward)
         monkeypatch.setattr(harness, "adam_step", counted_adam_step)
-        with pytest.raises(FloatingPointError, match="non-finite NTP loss nan on source sample 0"):
+        with pytest.raises(FloatingPointError, match="non-finite NTP loss nan on truncations 0 to 4 of the batch"):
             pretrain(ds, tiny_cfg(pretrain_epochs=1))
         assert calls == {"backward": 0, "adam": 0}
 
@@ -394,10 +393,13 @@ class TestPretrain:
             pretrain(ds, tiny_cfg(channels=2))
 
 
-def test_per_sample_ntp_matches_one_whole_batch_pass():
-    # reference: ntp_loss over all groups in one graph, one backward; the CS
-    # loss drawn after it shows where each run leaves the dropout rng. With
-    # k_ntp = 7 each source sample splits into micro-batches of 5 and 2.
+@pytest.mark.parametrize("task", ["ntp", "nvp"])
+def test_micro_batched_truncations_match_one_whole_batch_pass(task):
+    # reference: the task's loss over every truncation in one graph, times
+    # 1/B, one backward; a draw after it shows where each run leaves the
+    # dropout rng. 3 samples at T = 16 give 3 * 7 = 21 NTP truncations
+    # (k_ntp = 7; micro-batches of 5, 5, 5, 5 and 1, which cross samples) and
+    # 3 * 3 = 9 NVP truncations (micro-batches of 5 and 4).
     cfg = EncoderConfig(channels=3, steps=16, width=8, depth=2, heads=2, dropout=0.2)
     rng = np.random.default_rng(26)
     params = init_cat_params(cfg, rng)
@@ -405,66 +407,37 @@ def test_per_sample_ntp_matches_one_whole_batch_pass():
     encoder = Encoder(params, cfg)
     leaves = {**params.trainable(), **heads.named()}
     xs = rng.normal(size=(3, 3, 16))
-    groups = [make_ntp_instances(x, 7, rng) for x in xs]
-    assert harness.MICRO_BATCH == 5
-    cs_batch = build_cs_batch(xs, AugmentConfig(), rng)
-    weights = LossWeights(alpha1=2.0)
+    if task == "ntp":
+        loss, (truncated, targets) = ntp_loss, make_ntp_instances(xs, 7, rng)
+    else:
+        loss, (truncated, targets) = nvp_loss, nvp_instances(xs, rng)
+    assert harness.MICRO_BATCH == 5 and len(truncated) % 5 != 0
+    weight = 2.0
 
-    def run(ntp):
+    def run(part):
         for t in leaves.values():
             t.zero_grad()
         rng_drop = np.random.default_rng(27)
-        value = ntp(rng_drop)
+        value = part(rng_drop)
         grads = {k: t.grad for k, t in leaves.items() if t.grad is not None}
-        cs = cs_loss(encoder, cs_batch, heads, weights, rng=rng_drop, train=True)
-        return value, grads, cs.item()
+        return value, grads, rng_drop.random(4)
 
     def whole_batch(rng_drop):
-        loss = ntp_loss(encoder, groups, heads, rng=rng_drop, train=True)
-        mul(loss, constant(weights.alpha1)).backward()
-        return loss.item()
+        mean = mul(loss(encoder, truncated, targets, heads, rng=rng_drop, train=True), constant(1 / len(xs)))
+        mul(mean, constant(weight)).backward()
+        return mean.item()
 
-    want, want_grads, want_cs = run(whole_batch)
-    got, got_grads, got_cs = run(lambda rng_drop: _ntp_in_micro_batches(encoder, groups, heads, rng_drop, weights.alpha1))
-    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert got_grads.keys() == want_grads.keys()
-    for name, grad in want_grads.items():
-        np.testing.assert_allclose(got_grads[name], grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max(), err_msg=name)
-    assert got_cs == want_cs
-
-
-def test_micro_batched_nvp_matches_one_whole_batch_pass():
-    # reference: nvp_loss over the whole batch in one graph, one backward; a
-    # draw after it shows where each run leaves the rng that drew the
-    # truncation points and the dropout masks. 3 samples at T = 16 give
-    # 3 * 3 = 9 truncations, micro-batches of 5 and 4.
-    cfg = EncoderConfig(channels=3, steps=16, width=8, depth=2, heads=2, dropout=0.2)
-    rng = np.random.default_rng(31)
-    params = init_cat_params(cfg, rng)
-    heads = init_pretext_heads(cfg, rng)
-    encoder = Encoder(params, cfg)
-    leaves = {**params.trainable(), **heads.named()}
-    xs = rng.normal(size=(3, 3, 16))
-    weight = 2.0
-
-    def run(nvp):
-        for t in leaves.values():
-            t.zero_grad()
-        rng_ntp = np.random.default_rng(32)
-        value = nvp(rng_ntp)
-        grads = {k: t.grad for k, t in leaves.items() if t.grad is not None}
-        return value, grads, rng_ntp.random(4)
-
-    def whole_batch(rng_ntp):
-        loss = nvp_loss(encoder, xs, rng_ntp, heads, train=True)
-        mul(loss, constant(weight)).backward()
-        return loss.item()
+    def micro_batched(rng_drop):
+        total = _truncations_in_micro_batches(
+            encoder, heads, task.upper(), loss, truncated, targets, rng_drop, weight / len(xs)
+        )
+        return total / len(xs)
 
     want, want_grads, want_next = run(whole_batch)
-    got, got_grads, got_next = run(lambda rng_ntp: _nvp_in_micro_batches(encoder, xs, heads, rng_ntp, weight))
+    got, got_grads, got_next = run(micro_batched)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     assert got_grads.keys() == want_grads.keys()
-    assert "heads.nvp.w" in got_grads and "embed.w_time" in got_grads
+    assert f"heads.{task}.w" in got_grads and "embed.w_time" in got_grads
     for name, grad in want_grads.items():
         np.testing.assert_allclose(got_grads[name], grad, rtol=1e-12, atol=1e-12 * np.abs(grad).max(), err_msg=name)
     np.testing.assert_array_equal(got_next, want_next)
@@ -702,6 +675,15 @@ class TestTrainConfigFromDict:
             ({"aug": {"segment_count_range": [1, 2, 3]}}, "'aug.segment_count_range'"),
             ({"weights": 1.0}, "'weights'"),
             ({"encoder": {"channels": 2}}, "steps"),
+            ({"pretrain_lr": float("nan")}, "pretrain_lr must be finite"),
+            ({"probe_lr": "inf"}, "probe_lr must be finite"),
+            ({"supervised_lr": -float("inf")}, "supervised_lr must be finite"),
+            ({"weights": {"alpha1": "nan"}}, "alpha1 must be finite"),
+            ({"weights": {"alpha2": float("inf")}}, "alpha2 must be finite"),
+            ({"weights": {"tau": float("nan")}}, "tau must be finite"),
+            ({"aug": {"jitter_sigma": " inf"}}, "jitter_sigma must be finite"),
+            ({"encoder": {"channels": 2, "steps": 8, "dropout": float("nan")}}, "dropout must be finite"),
+            ({"seed": -1}, "seed must be >= 0"),
         ],
     )
     def test_rejects_unknown_keys_and_mistyped_values(self, change, message):

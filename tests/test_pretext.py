@@ -1,5 +1,6 @@
 """Unit tests for the pretext tasks and their losses."""
 
+import copy
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from chants.pretext import (
     NEGATIVE,
     ORIGINAL,
     POSITIVE,
+    _truncate,
     build_cs_batch,
     combined_loss,
     contrastive_loss_from_projections,
@@ -21,6 +23,7 @@ from chants.pretext import (
     init_pretext_heads,
     make_ntp_instances,
     ntp_loss,
+    nvp_instances,
     nvp_loss,
     nvp_truncation_count,
     reverse_neg_mode,
@@ -54,41 +57,49 @@ def tiny_encoder(channels=2, steps=4, width=4, depth=1, heads=1, seed=0):
     return Encoder(params, config)
 
 
+def ntp_cuts(x, k, rng):
+    """(points, truncated copies, labels) of the (C, T) sample ``x`` cut at ``k`` points drawn from ``rng``."""
+    points = _truncate(x[None], k, copy.deepcopy(rng))[1]
+    truncated, labels = make_ntp_instances(x[None], k, rng)
+    return points, truncated, labels
+
+
 class TestMakeNtpInstances:
     def test_rise_label(self):
         x = np.array([[1.0, 2.0, 1.5]])
-        inst = [i for i in make_ntp_instances(x, 2, np.random.default_rng(0)) if i.t == 1]
-        assert inst and inst[0].labels[0] == 1  # 2.0 >= 1.0
+        points, _, labels = ntp_cuts(x, 2, np.random.default_rng(0))
+        assert labels[points == 1][0, 0] == 1  # 2.0 >= 1.0
 
     def test_tie_counts_as_rise(self):
         x = np.array([[2.0, 2.0, 1.0, 0.5]])
-        by_t = {i.t: i for i in make_ntp_instances(x, 3, np.random.default_rng(1))}
-        assert by_t[1].labels[0] == 1  # 2.0 >= 2.0
-        assert by_t[2].labels[0] == 0  # 1.0 < 2.0
+        points, _, labels = ntp_cuts(x, 3, np.random.default_rng(1))
+        by_t = dict(zip(points.tolist(), labels))
+        assert by_t[1][0] == 1  # 2.0 >= 2.0
+        assert by_t[2][0] == 0  # 1.0 < 2.0
 
     def test_constant_zero_sample(self):
-        x = np.zeros((3, 5))
-        for inst in make_ntp_instances(x, 4, np.random.default_rng(2)):
-            np.testing.assert_array_equal(inst.labels, np.ones(3, dtype=np.int64))
-            np.testing.assert_array_equal(inst.truncated, np.zeros((3, 5)))
+        truncated, labels = make_ntp_instances(np.zeros((1, 3, 5)), 4, np.random.default_rng(2))
+        np.testing.assert_array_equal(labels, np.ones((4, 3), dtype=np.int64))
+        np.testing.assert_array_equal(truncated, np.zeros((4, 3, 5)))
 
     def test_truncation_zeroes_the_tail_only(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(2, 8)) + 10.0
-        for inst in make_ntp_instances(x, 7, rng):
-            np.testing.assert_array_equal(inst.truncated[:, : inst.t], x[:, : inst.t])
-            np.testing.assert_array_equal(inst.truncated[:, inst.t :], 0.0)
+        points, truncated, _ = ntp_cuts(x, 7, rng)
+        for t, cut in zip(points, truncated):
+            np.testing.assert_array_equal(cut[:, :t], x[:, :t])
+            np.testing.assert_array_equal(cut[:, t:], 0.0)
 
     def test_points_are_distinct_when_possible(self):
         x = np.random.default_rng(4).normal(size=(1, 9))
-        ts = [i.t for i in make_ntp_instances(x, 8, np.random.default_rng(5))]
-        assert sorted(ts) == list(range(1, 9))
+        points, _, _ = ntp_cuts(x, 8, np.random.default_rng(5))
+        assert sorted(points.tolist()) == list(range(1, 9))
 
     def test_short_series_falls_back_with_warning(self):
-        x = np.random.default_rng(6).normal(size=(1, 4))
+        x = np.random.default_rng(6).normal(size=(1, 1, 4))
         with pytest.warns(RuntimeWarning, match="replacement"):
-            inst = make_ntp_instances(x, 10, np.random.default_rng(7))
-        assert len(inst) == 10
+            truncated, labels = make_ntp_instances(x, 10, np.random.default_rng(7))
+        assert truncated.shape == (10, 1, 4) and labels.shape == (10, 1)
 
     def test_brute_force_relabeling_oracle(self):
         # independent 1-indexed reformulation of the labeling rule
@@ -96,16 +107,27 @@ class TestMakeNtpInstances:
         checked = 0
         while checked < 250:
             x = np.round(rng.normal(size=(3, 8)), 2)
-            for inst in make_ntp_instances(x, 5, rng):
+            points, _, labels = ntp_cuts(x, 5, rng)
+            for t, label in zip(points, labels):
                 for j in range(3):
                     value = lambda pos1: x[j, pos1 - 1]
-                    expected = 1 if value(inst.t + 1) >= value(inst.t) else 0
-                    assert inst.labels[j] == expected
+                    expected = 1 if value(t + 1) >= value(t) else 0
+                    assert label[j] == expected
                     checked += 1
+
+    def test_a_batch_is_cut_as_its_samples_one_by_one(self):
+        # each sample draws its points in turn, so the copies and labels of a
+        # batch are those of its samples in order
+        xs = np.random.default_rng(47).normal(size=(3, 2, 9))
+        whole = make_ntp_instances(xs, 4, np.random.default_rng(48))
+        rng = np.random.default_rng(48)
+        parts = [make_ntp_instances(x[None], 4, rng) for x in xs]
+        for got, want in zip(whole, zip(*parts)):
+            np.testing.assert_array_equal(got, np.concatenate(want))
 
     def test_too_short_series_rejected(self):
         with pytest.raises(ConfigError):
-            make_ntp_instances(np.zeros((1, 2)), 1, np.random.default_rng(9))
+            make_ntp_instances(np.zeros((1, 1, 2)), 1, np.random.default_rng(9))
 
 
 class TestNtpLoss:
@@ -116,27 +138,27 @@ class TestNtpLoss:
         heads.ntp_b.data[:] = 0.0
         rng = np.random.default_rng(11)
         xs = rng.normal(size=(2, 3, 6))
-        groups = [make_ntp_instances(x, 4, rng) for x in xs]
-        loss = ntp_loss(enc, groups, heads)
-        assert abs(loss.item() - 4 * 3 * math.log(2.0)) < 1e-9
+        truncated, labels = make_ntp_instances(xs, 4, rng)
+        loss = ntp_loss(enc, truncated, labels, heads)
+        assert abs(loss.item() * (1 / len(xs)) - 4 * 3 * math.log(2.0)) < 1e-9
 
     def test_sixty_terms_for_six_channels_ten_points(self):
         enc = tiny_encoder(channels=6, steps=12)
         heads = init_pretext_heads(enc.config, np.random.default_rng(12))
         heads.ntp_w.data[:] = 0.0
         heads.ntp_b.data[:] = 0.0
-        x = np.random.default_rng(13).normal(size=(6, 12))
-        groups = [make_ntp_instances(x, 10, np.random.default_rng(14))]
-        loss = ntp_loss(enc, groups, heads)
+        x = np.random.default_rng(13).normal(size=(1, 6, 12))
+        truncated, labels = make_ntp_instances(x, 10, np.random.default_rng(14))
+        loss = ntp_loss(enc, truncated, labels, heads)
         assert abs(loss.item() - 60 * math.log(2.0)) < 1e-9
 
     def test_gradient_reaches_embeddings_and_layer_weights(self):
         enc = tiny_encoder()
         heads = init_pretext_heads(enc.config, np.random.default_rng(15))
         rng = np.random.default_rng(16)
-        x = rng.normal(size=(2, 4))
-        groups = [make_ntp_instances(x, 2, rng)]
-        loss = ntp_loss(enc, groups, heads)
+        x = rng.normal(size=(1, 2, 4))
+        truncated, labels = make_ntp_instances(x, 2, rng)
+        loss = ntp_loss(enc, truncated, labels, heads)
         loss.backward()
         named = enc.params.named()
         for key in ("embed.w_time", "embed.w_chan", "layers.0.time_attn.w_q", "layers.0.chan_ffn.w1"):
@@ -148,9 +170,9 @@ class TestNtpLoss:
         base = loss.item()
         h = 1e-5
         w.data[0, 0] += h
-        up = ntp_loss(enc, groups, heads).item()
+        up = ntp_loss(enc, truncated, labels, heads).item()
         w.data[0, 0] -= 2 * h
-        down = ntp_loss(enc, groups, heads).item()
+        down = ntp_loss(enc, truncated, labels, heads).item()
         w.data[0, 0] += h
         numeric = (up - down) / (2 * h)
         assert abs(numeric - w.grad[0, 0]) < 1e-4 * max(1.0, abs(numeric))
@@ -159,7 +181,7 @@ class TestNtpLoss:
         enc = tiny_encoder(channels=3, steps=6)
         heads = init_pretext_heads(enc.config, np.random.default_rng(18))
         rng = np.random.default_rng(19)
-        groups = [make_ntp_instances(x, 3, rng) for x in rng.normal(size=(2, 3, 6))]
+        truncated, labels = make_ntp_instances(rng.normal(size=(2, 3, 6)), 3, rng)
         leaves = {**enc.params.named(), **heads.named()}
 
         def run(loss):
@@ -168,13 +190,11 @@ class TestNtpLoss:
             loss.backward()
             return loss.data.tobytes(), {k: None if t.grad is None else t.grad.tobytes() for k, t in leaves.items()}
 
-        fused = run(ntp_loss(enc, groups, heads))
-        flat = [inst for g in groups for inst in g]
-        rep = enc.encode_batch(np.stack([inst.truncated for inst in flat]))
+        fused = run(ntp_loss(enc, truncated, labels, heads))
+        rep = enc.encode_batch(truncated)
         n, rows, d = rep.per_channel.shape
-        labels = np.concatenate([inst.labels for inst in flat])
-        ce = composed_head(reshape(rep.per_channel, (n * rows, d)), heads.ntp_w, heads.ntp_b, labels)
-        composed = run(mul(ce, constant(n * rows / len(groups))))
+        ce = composed_head(reshape(rep.per_channel, (n * rows, d)), heads.ntp_w, heads.ntp_b, labels.reshape(-1))
+        composed = run(mul(ce, constant(n * rows)))
         assert fused[1]["heads.ntp.w"] is not None
         assert fused == composed
 
@@ -432,7 +452,8 @@ class TestNvpLoss:
         heads.nvp_w.data[:] = 0.0
         heads.nvp_b.data[:] = 3.25
         xs = np.full((2, 2, 8), 3.25)
-        loss = nvp_loss(enc, xs, np.random.default_rng(29), heads)
+        truncated, targets = nvp_instances(xs, np.random.default_rng(29))
+        loss = nvp_loss(enc, truncated, targets, heads)
         assert loss.item() == 0.0
 
     def test_fifteen_percent_of_35_is_six(self):
@@ -442,7 +463,8 @@ class TestNvpLoss:
         enc = tiny_encoder(channels=2, steps=6)
         heads = init_pretext_heads(enc.config, np.random.default_rng(30))
         xs = np.random.default_rng(31).normal(size=(3, 2, 6))
-        assert nvp_loss(enc, xs, np.random.default_rng(32), heads).item() >= 0.0
+        truncated, targets = nvp_instances(xs, np.random.default_rng(32))
+        assert nvp_loss(enc, truncated, targets, heads).item() >= 0.0
 
 
 class TestCombinedLoss:
