@@ -26,7 +26,7 @@ class CheckpointError(ChantsError, ValueError):
 
 
 def check_finite(config) -> None:
-    """Raise ``ConfigError`` if a float field of the dataclass ``config`` (or a float in a tuple field) is not finite."""
+    """Raise ``ConfigError`` if a float field of the dataclass ``config``, or a float in a tuple, is not finite."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         for item in value if isinstance(value, tuple) else (value,):

@@ -470,7 +470,9 @@ def pretrain(
                 task, loss, rng = "NTP", ntp_loss, rng_drop
                 truncated, targets = make_ntp_instances(batch.x, cfg.k_ntp, rng_ntp)
             b = len(batch.x)
-            part = _truncations_in_micro_batches(encoder, heads, task, loss, truncated, targets, rng, weights.alpha1 / b)
+            part = _truncations_in_micro_batches(
+                encoder, heads, task, loss, truncated, targets, rng, weights.alpha1 / b
+            )
             ntp_part = constant(part / b)
         else:
             ntp_part = constant(0.0)

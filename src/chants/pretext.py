@@ -104,18 +104,15 @@ def _truncate(xs: np.ndarray, count: int, rng: np.random.Generator) -> tuple[np.
         raise ConfigError(f"truncated instances need at least 3 steps, got {steps}")
     if count < 1:
         raise ConfigError(f"need at least one truncation point per sample, got {count}")
-    distinct = count <= steps - 1
-    if not distinct:
+    if count <= steps - 1:
+        draws = [rng.choice(np.arange(1, steps), size=count, replace=False) for _ in xs]
+    else:
         warnings.warn(
             f"{count} truncation points exceed the {steps - 1} available; drawing with replacement",
             RuntimeWarning,
         )
-    points = np.concatenate(
-        [
-            rng.choice(np.arange(1, steps), size=count, replace=False) if distinct else rng.integers(1, steps, size=count)
-            for _ in xs
-        ]
-    )
+        draws = [rng.integers(1, steps, size=count) for _ in xs]
+    points = np.concatenate(draws)
     source = np.repeat(np.arange(len(xs)), count)
     truncated = np.where(np.arange(steps) < points[:, None, None], xs[source], 0.0)
     return truncated, points, xs[source, :, points]

@@ -341,8 +341,9 @@ def test_an_unlabeled_split_exits_3_with_nothing_written(pretrained, tmp_path, c
 def test_a_negative_seed_exits_2_with_nothing_written(pretrained, tmp_path, capsys, command):
     data, run = pretrained
     out = tmp_path / "out"
+    cfg = write_config(tmp_path / "neg.cfg", TINY_CONFIG + "seed = -1\n")
     argv = {
-        "pretrain": ["pretrain", str(write_config(tmp_path / "neg.cfg", TINY_CONFIG + "seed = -1\n")), str(data), str(out)],
+        "pretrain": ["pretrain", str(cfg), str(data), str(out)],
         "probe": ["probe", str(run / "checkpoint.ckpt"), str(data), str(out), "--seed", "-1"],
         "fewshot": ["fewshot", str(run / "checkpoint.ckpt"), str(data), str(out), "--fractions", "0.5", "--seed", "-2"],
         "augment-preview": ["augment-preview", str(data), "sync", "-1", str(out)],
@@ -354,7 +355,10 @@ def test_a_negative_seed_exits_2_with_nothing_written(pretrained, tmp_path, caps
 
 @pytest.mark.parametrize(
     "line",
-    ["pretrain_lr = nan", "weights.tau = nan", "weights.alpha1 = nan", "aug.jitter_sigma = inf", "probe_lr = inf", "supervised_lr = -inf"],
+    [
+        "pretrain_lr = nan", "weights.tau = nan", "weights.alpha1 = nan",
+        "aug.jitter_sigma = inf", "probe_lr = inf", "supervised_lr = -inf",
+    ],
 )
 def test_a_non_finite_config_float_exits_2_before_any_file_is_written(pretrained, tmp_path, capsys, line):
     data, _ = pretrained
