@@ -193,6 +193,11 @@ def _probe_setup(args):
         cfg = train_config_from_dict(snapshot)
     except ConfigError as exc:
         raise CheckpointError(f"{path}: bad training config: {exc}") from exc
+    if cfg.encoder != enc_config:
+        raise CheckpointError(
+            f"{path}: the parameters were saved under encoder config {enc_config}, "
+            f"but meta.train_config has {cfg.encoder}"
+        )
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     train, test = _load_splits(args)

@@ -24,7 +24,6 @@ __all__ = [
     "NormStats",
     "apply_norm_stats",
     "batches",
-    "denormalize",
     "load_dataset",
     "make_synthetic_fixture",
     "parse_csv",
@@ -331,12 +330,6 @@ def apply_norm_stats(ds: MtsDataset, stats: NormStats) -> MtsDataset:
     return replace(ds, series=series)
 
 
-def denormalize(ds: MtsDataset, stats: NormStats) -> MtsDataset:
-    scale = np.where(stats.std < _STD_FLOOR, 1.0, stats.std)
-    series = ds.series * scale[None, :, None] + stats.mean[None, :, None]
-    return replace(ds, series=series)
-
-
 # ---------------------------------------------------------------------------
 # subsampling and batching
 # ---------------------------------------------------------------------------
@@ -396,17 +389,12 @@ def train_test_split(ds: MtsDataset, test_fraction: float, seed: int) -> tuple[M
     return pick(train_idx), pick(test_idx)
 
 
-def batches(
-    ds: MtsDataset, batch_size: int, shuffle: bool, seed: int, epoch: int = 0
-) -> Iterator[MtsBatch]:
-    """Minibatches in a deterministic per-(seed, epoch) order; the final short
-    batch is emitted."""
+def batches(ds: MtsDataset, batch_size: int, seed: int, epoch: int = 0) -> Iterator[MtsBatch]:
+    """Minibatches in a shuffled order that is fixed per (seed, epoch); the
+    final short batch is emitted."""
     if batch_size < 1:
         raise DataError(f"batch size must be >= 1, got {batch_size}")
-    if shuffle:
-        order = np.random.default_rng([seed, epoch]).permutation(ds.size)
-    else:
-        order = np.arange(ds.size)
+    order = np.random.default_rng([seed, epoch]).permutation(ds.size)
     for start in range(0, ds.size, batch_size):
         idx = order[start : start + batch_size]
         yield MtsBatch(

@@ -78,8 +78,12 @@ class EncoderConfig:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
         if self.steps < 2:
             raise ConfigError(f"steps must be >= 2, got {self.steps}")
+        if self.width < 1:
+            raise ConfigError(f"width must be >= 1, got {self.width}")
         if self.depth < 1:
             raise ConfigError(f"depth must be >= 1, got {self.depth}")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} is not divisible by {self.heads} heads")
         if not 0.0 <= self.dropout < 1.0:
@@ -306,11 +310,9 @@ def co_layer(
 
 
 def _flatten_rows(per_row: Tensor) -> Tensor:
-    if per_row.ndim == 2:
-        rows, width = per_row.shape
-        return reshape(per_row, (1, rows * width))
-    batch, rows, width = per_row.shape
-    return reshape(per_row, (batch, rows * width))
+    """(rows, width) -> (1, rows * width); (B, rows, width) -> (B, rows * width)."""
+    rows, width = per_row.shape[-2:]
+    return reshape(per_row, (-1, rows * width))
 
 
 def aggregate(a_t: Tensor, a_c: Tensor, agg: AttnWeights, heads: int) -> Representation:

@@ -516,7 +516,7 @@ def pretrain(
             lr=cfg.pretrain_lr,
             epochs=cfg.pretrain_epochs,
             patience=cfg.early_stop_patience,
-            epoch_batches=lambda epoch: batches(ds, cfg.pretrain_batch, shuffle=True, seed=cfg.seed, epoch=epoch),
+            epoch_batches=lambda epoch: batches(ds, cfg.pretrain_batch, seed=cfg.seed, epoch=epoch),
             step_loss=step_loss,
             log=log,
             on_epoch=on_epoch,
@@ -544,8 +544,8 @@ def extract_features(encoder: Encoder, series: np.ndarray, chunk: int = MICRO_BA
     (0, flat_dim) array. The encoder never mixes series, so every block
     size gives bitwise the same rows. ``chunk`` can only shrink the block
     below ``MICRO_BATCH``, and so the chunk-sized attention and layer-norm
-    arrays with it (the graph-free FFN runs one series at a time whatever
-    the block); a larger ``chunk`` changes nothing. A ``chunk`` that is not
+    arrays with it (the FFN runs one series at a time whatever the block);
+    a larger ``chunk`` changes nothing. A ``chunk`` that is not
     an integer >= 1 raises ``ConfigError``.
     """
     if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
@@ -695,7 +695,7 @@ def supervised_baseline(
         lr=cfg.supervised_lr,
         epochs=cfg.probe_epochs,
         patience=cfg.early_stop_patience,
-        epoch_batches=lambda epoch: batches(ds_train, cfg.probe_batch, shuffle=True, seed=cfg.seed, epoch=epoch),
+        epoch_batches=lambda epoch: batches(ds_train, cfg.probe_batch, seed=cfg.seed, epoch=epoch),
         step_loss=step_loss,
         on_epoch=lambda epoch, mean, _: logger.info("supervised epoch %d: loss %.6f", epoch, mean),
     )

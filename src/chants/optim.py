@@ -17,18 +17,21 @@ from .errors import ShapeError
 
 __all__ = ["AdamState", "adam_step", "init_adam_state"]
 
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moments plus the shared step count."""
+    """Per-parameter first/second moments plus the shared step count.
+
+    Only the learning rate varies; the decay rates and epsilon are the
+    module constants ``BETA1`` (0.9), ``BETA2`` (0.999) and ``EPSILON`` (1e-8).
+    """
 
     step_count: int
     first_moment: dict[str, np.ndarray]
     second_moment: dict[str, np.ndarray]
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
 
 def init_adam_state(params: Mapping[str, np.ndarray], lr: float) -> AdamState:
@@ -73,7 +76,7 @@ def adam_step(
 
     state.step_count += 1
     t = state.step_count
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.epsilon
+    b1, b2, lr, eps = BETA1, BETA2, state.lr, EPSILON
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     for name, p in params.items():

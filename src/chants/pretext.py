@@ -336,8 +336,6 @@ def nvp_loss(
     return tensor_sum(mul(err, err))
 
 
-def combined_loss(ntp, cs, weights: LossWeights):
-    """alpha1 * ntp + alpha2 * cs; stays a plain float for float inputs."""
-    if isinstance(ntp, Tensor) or isinstance(cs, Tensor):
-        return add(mul(constant(weights.alpha1), ntp), mul(constant(weights.alpha2), cs))
-    return weights.alpha1 * ntp + weights.alpha2 * cs
+def combined_loss(ntp, cs, weights: LossWeights) -> Tensor:
+    """alpha1 * ntp + alpha2 * cs as a tensor; float inputs are wrapped as constants."""
+    return add(mul(weights.alpha1, ntp), mul(weights.alpha2, cs))

@@ -15,15 +15,14 @@ classifier head with its cross entropy (``cross_entropy(x, w, b, labels)``,
 which the NTP head, the linear probe and the supervised baseline all call)
 are single tape nodes with closed-form backward; a probe step's graph is
 that one node over leaves, which backward runs without a topological sort.
-With no graph to build (feature extraction, the first gradient-caching
-pass of contrastive similarity), the FFN runs one series at a time, so it
-never holds more than one series' hidden layer; its output is bitwise that
-of the taped forward. The rest of the package uses only ``matmul``,
-``add``, ``mul``, ``reshape``, ``transpose``, ``tensor_sum`` and
-``dropout``. ``div``, ``sqrt``, ``exp``, ``log``, ``softmax`` and ``gelu``
-have no caller in the package: they stay because the benchmark's tracer
-patches them by name, and the tests compose the fused kernels' references
-from them.
+The FFN runs one series at a time, taped or not; with no graph to build
+(feature extraction, the first gradient-caching pass of contrastive
+similarity) it never holds more than one series' hidden layer. The rest
+of the package uses only ``matmul``, ``add``, ``mul``, ``reshape``,
+``transpose``, ``tensor_sum`` and ``dropout``. ``div``, ``sqrt``, ``exp``,
+``log``, ``softmax`` and ``gelu`` have no caller in the package: they stay
+because the benchmark's tracer patches them by name, and the tests compose
+the fused kernels' references from them.
 """
 
 from __future__ import annotations
@@ -70,6 +69,7 @@ _GRAD_ENABLED = True
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _NORM_FLOOR = 1e-24
+_LAYER_NORM_EPS = 1e-12
 
 
 @contextlib.contextmanager
@@ -370,9 +370,9 @@ def sqrt(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def _gelu_slope(z: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """d/dz of z * Phi(z) = Phi(z) + z * phi(z), given ``cdf`` = Phi(z)."""
-    slope = z * z
+def _gelu_slope(z: np.ndarray, cdf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """d/dz of z * Phi(z) = Phi(z) + z * phi(z), given ``cdf`` = Phi(z); into ``out`` if given."""
+    slope = np.multiply(z, z, out=out)
     slope *= -0.5
     np.exp(slope, out=slope)
     slope *= _INV_SQRT_2PI
@@ -507,11 +507,12 @@ def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-12) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    ``eps`` sits inside the square root, so constant rows map to zero. One
-    tape node; backward keeps the normalized rows and their scale.
+    ``_LAYER_NORM_EPS`` (1e-12) sits inside the square root, so constant
+    rows map to zero. One tape node; backward keeps the normalized rows and
+    their scale.
     """
     x, gain, bias = constant(x), constant(gain), constant(bias)
     if x.shape[-1] != gain.shape[-1] or x.shape[-1] != bias.shape[-1]:
@@ -520,7 +521,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-12) -> Tensor:
         )
     inv_n = 1.0 / x.shape[-1]
     normed = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
-    sigma = np.sqrt((normed * normed).sum(axis=-1, keepdims=True) * inv_n + eps)
+    sigma = np.sqrt((normed * normed).sum(axis=-1, keepdims=True) * inv_n + _LAYER_NORM_EPS)
     normed /= sigma
     g_data = gain.data
     out_data = normed * g_data
@@ -622,51 +623,48 @@ def multi_head_attention(q_in, kv_in, weights, heads: int) -> Tensor:
     return _make(out_data, parents, backward)
 
 
-def _ffn_hidden(x, w1, b1, keep, scale: float, with_slope: bool):
-    """Dropped-out z * Phi(z) for z = x @ w1 + b1, and the GELU slope if asked."""
-    z = np.matmul(x, w1)
-    z += b1
-    hidden = ndtr(z)  # Phi(z), turned into z * Phi(z) in place once the slope is taken
-    slope = _gelu_slope(z, hidden) if with_slope else None
-    hidden *= z
-    if keep is not None:
-        hidden *= keep
-        hidden *= scale
-    return hidden, slope
-
-
 def ffn(x, w1, b1, w2, b2, *, rate: float = 0.0, rng=None, train: bool = False) -> Tensor:
     """Two affine maps with a GELU between; dropout after the activation.
 
     One tape node; backward keeps the hidden activations, the GELU slope
-    and the boolean dropout mask. With no tape node to record and ``x`` of
-    3 or more dims, it runs one series (one (L, D) matrix of
-    ``x.reshape(-1, L, D)``) at a time into one preallocated output, so at
-    most one series' (L, 4D) hidden layer is alive; the dropout mask is
-    still drawn for the whole shape first, so ``rng`` advances as in one
-    whole pass, and the output is bitwise that of the taped forward.
+    and the boolean dropout mask. The forward runs one series (one (L, D)
+    matrix of ``x.reshape(-1, L, D)``) at a time into one preallocated
+    output. When taping, each series' hidden layer and slope go straight
+    into the buffers backward keeps; otherwise only one series' (L, 4D)
+    hidden layer is alive at a time. The dropout mask is drawn for the
+    whole shape first, so ``rng`` advances as in one whole pass.
     """
     x, w1, b1, w2, b2 = parents = tuple(constant(t) for t in (x, w1, b1, w2, b2))
     if x.ndim < 2 or x.shape[-1] != w1.shape[0] or w1.shape[-1] != w2.shape[0]:
         raise ShapeError(f"ffn shapes disagree: x {x.shape}, w1 {w1.shape}, w2 {w2.shape}")
     taping = _taping(parents)
-    keep = _keep_mask((*x.shape[:-1], w1.shape[-1]), rate, rng, train)
+    *lead, length, width = x.shape
+    hidden_shape = (*lead, length, w1.shape[-1])
+    keep = _keep_mask(hidden_shape, rate, rng, train)
     scale = 1.0 / (1.0 - rate) if keep is not None else 1.0
-    if not taping and x.ndim > 2:
-        *lead, length, width = x.shape
-        series = x.data.reshape(math.prod(lead), length, width)
-        keeps = [None] * len(series) if keep is None else keep.reshape(len(series), length, w1.shape[-1])
-        out_data = np.empty((len(series), length, w2.shape[-1]))
-        for x_i, keep_i, out_i in zip(series, keeps, out_data):
-            hidden, _ = _ffn_hidden(x_i, w1.data, b1.data, keep_i, scale, False)
-            np.matmul(hidden, w2.data, out=out_i)
-            out_i += b2.data
-        return Tensor(out_data.reshape(*lead, length, w2.shape[-1]))
-    hidden, slope = _ffn_hidden(x.data, w1.data, b1.data, keep, scale, taping)
-    out_data = np.matmul(hidden, w2.data)
-    out_data += b2.data
+    n = math.prod(lead)
+    series = x.data.reshape(n, length, width)
+    keeps = [None] * n if keep is None else keep.reshape(n, length, w1.shape[-1])
+    out_data = np.empty((n, length, w2.shape[-1]))
+    hidden = np.empty((n if taping else 1, length, w1.shape[-1]))
+    slope = np.empty_like(hidden) if taping else None
+    for i, (x_i, keep_i, out_i) in enumerate(zip(series, keeps, out_data)):
+        z = np.matmul(x_i, w1.data)
+        z += b1.data
+        h = hidden[i if taping else 0]
+        ndtr(z, out=h)  # Phi(z), turned into z * Phi(z) in place once the slope is taken
+        if taping:
+            _gelu_slope(z, h, out=slope[i])
+        h *= z
+        if keep_i is not None:
+            h *= keep_i
+            h *= scale
+        np.matmul(h, w2.data, out=out_i)
+        out_i += b2.data
+    out_data = out_data.reshape(*lead, length, w2.shape[-1])
     if not taping:
         return Tensor(out_data)
+    hidden, slope = hidden.reshape(hidden_shape), slope.reshape(hidden_shape)
 
     def backward(g):
         if b2.requires_grad:

@@ -367,3 +367,34 @@ def test_a_non_finite_config_float_exits_2_before_any_file_is_written(pretrained
     assert main(["pretrain", str(cfg), str(data), str(out)]) == 2
     assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("encoder.width = 0", "width must be >= 1"), ("encoder.heads = 0", "heads must be >= 1"), ("encoder.heads = -1", "heads must be >= 1")],
+)
+def test_an_encoder_width_or_head_count_below_one_exits_2_with_nothing_written(pretrained, tmp_path, capsys, line, message):
+    data, _ = pretrained
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "bad.cfg", TINY_CONFIG + line + "\n")
+    assert main(["pretrain", str(cfg), str(data), str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["probe", "fewshot"])
+def test_a_manifest_config_differing_from_the_training_config_exits_4(pretrained, tmp_path, capsys, command):
+    data, run = pretrained
+    params, config, manifest, extra = load_encoder(run / "checkpoint.ckpt")
+    one_head = dataclasses.replace(config, heads=1)
+    snapshot = manifest["meta"]["train_config"]
+    snapshot["encoder"].update(heads=2, variant="channel_self")
+    mixed = tmp_path / "mixed.ckpt"
+    save_encoder(mixed, params, one_head, seed=0, step=0, extra=extra, meta={"train_config": snapshot})
+    out = tmp_path / "out"
+    argv = [command, str(mixed), str(data), str(out)]
+    if command == "fewshot":
+        argv += ["--fractions", "0.5", "--repeats", "1"]
+    assert main(argv) == 4
+    assert "meta.train_config" in capsys.readouterr().err
+    assert not out.exists()

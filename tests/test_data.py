@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from chants.data import (
     MtsDataset,
     batches,
-    denormalize,
     load_dataset,
     make_synthetic_fixture,
     parse_csv,
@@ -166,13 +165,6 @@ class TestNormalization:
         # the test split keeps a nonzero mean under train stats: asymmetric by design
         assert np.abs(normed.series.mean(axis=(0, 2))).max() > 1e-6
 
-    def test_denormalize_round_trip(self):
-        rng = np.random.default_rng(6)
-        ds = random_dataset(rng, m=12, labeled=False)
-        out, stats = znormalize(ds)
-        back = denormalize(out, stats)
-        np.testing.assert_allclose(back.series, ds.series, atol=1e-9)
-
 
 class TestSubsample:
     def test_full_fraction_is_identity(self):
@@ -225,25 +217,25 @@ class TestSubsample:
 class TestBatches:
     def test_seven_samples_batch_four(self):
         ds = random_dataset(np.random.default_rng(11), m=7)
-        sizes = [b.x.shape[0] for b in batches(ds, 4, shuffle=False, seed=0)]
+        sizes = [b.x.shape[0] for b in batches(ds, 4, seed=0)]
         assert sizes == [4, 3]
 
     def test_same_seed_same_order(self):
         ds = random_dataset(np.random.default_rng(12), m=16)
-        a = [b.indices.tolist() for b in batches(ds, 5, shuffle=True, seed=3, epoch=2)]
-        b = [b.indices.tolist() for b in batches(ds, 5, shuffle=True, seed=3, epoch=2)]
+        a = [b.indices.tolist() for b in batches(ds, 5, seed=3, epoch=2)]
+        b = [b.indices.tolist() for b in batches(ds, 5, seed=3, epoch=2)]
         assert a == b
-        c = [b.indices.tolist() for b in batches(ds, 5, shuffle=True, seed=3, epoch=3)]
+        c = [b.indices.tolist() for b in batches(ds, 5, seed=3, epoch=3)]
         assert a != c
 
     def test_epoch_covers_every_index_once(self):
         ds = random_dataset(np.random.default_rng(13), m=23)
-        seen = np.concatenate([b.indices for b in batches(ds, 4, shuffle=True, seed=1)])
+        seen = np.concatenate([b.indices for b in batches(ds, 4, seed=1)])
         assert sorted(seen.tolist()) == list(range(23))
 
     def test_labels_travel_with_rows(self):
         ds = random_dataset(np.random.default_rng(14), m=9)
-        for batch in batches(ds, 2, shuffle=True, seed=7):
+        for batch in batches(ds, 2, seed=7):
             np.testing.assert_array_equal(batch.labels, ds.labels[batch.indices])
 
 

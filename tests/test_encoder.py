@@ -218,6 +218,14 @@ class TestEncode:
         with pytest.raises(ConfigError, match="variant"):
             EncoderConfig(channels=2, steps=4, width=8, depth=1, heads=2, variant="mystery")
 
+    @pytest.mark.parametrize(
+        "width, heads, message",
+        [(0, 1, "width must be >= 1"), (-4, 2, "width must be >= 1"), (8, 0, "heads must be >= 1"), (8, -1, "heads must be >= 1")],
+    )
+    def test_width_and_heads_below_one_are_rejected(self, width, heads, message):
+        with pytest.raises(ConfigError, match=message):
+            EncoderConfig(channels=2, steps=4, width=width, depth=1, heads=heads)
+
     def test_shape_sweep_over_random_configs(self):
         rng = np.random.default_rng(14)
         for _ in range(12):
@@ -299,9 +307,9 @@ def phi_shapes(monkeypatch):
     shapes = []
     phi = tensor_module.ndtr
 
-    def recording(z):
+    def recording(z, **kwargs):
         shapes.append(z.shape)
-        return phi(z)
+        return phi(z, **kwargs)
 
     monkeypatch.setattr(tensor_module, "ndtr", recording)
     return shapes
@@ -317,12 +325,14 @@ class TestGraphFreeFfn:
         assert len(phi_shapes) == 2 * config.depth * 4
         assert all(len(shape) == 2 and shape[0] <= max(7, 3) for shape in phi_shapes)
 
-    def test_a_taped_encode_evaluates_phi_once_per_tower(self, phi_shapes):
+    def test_a_taped_encode_evaluates_phi_once_per_series(self, phi_shapes):
         config, params = make(channels=3, steps=7, depth=2)
         xs = np.random.default_rng(8).normal(size=(4, 3, 7))
         rep = Encoder(params, config).encode_batch(xs)
         assert rep.flat.requires_grad
-        assert phi_shapes == [(4, 7, 4 * config.width), (4, 3, 4 * config.width)] * config.depth
+        # two towers per layer, one 2-D Phi call per series, as without a graph
+        per_layer = [(7, 4 * config.width)] * 4 + [(3, 4 * config.width)] * 4
+        assert phi_shapes == per_layer * config.depth
 
 
 class TestEndToEndGradient:

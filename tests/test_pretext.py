@@ -471,24 +471,24 @@ class TestCombinedLoss:
     def test_default_weights(self):
         w = LossWeights()
         assert (w.alpha1, w.alpha2) == (2.0, 1.0)
-        assert combined_loss(1.5, 0.25, w) == pytest.approx(3.25)
+        assert combined_loss(1.5, 0.25, w).item() == pytest.approx(3.25)
 
     def test_dropping_similarity_term(self):
         w = LossWeights(alpha1=2.0, alpha2=0.0)
-        assert combined_loss(0.7, 123.0, w) == pytest.approx(1.4)
+        assert combined_loss(0.7, 123.0, w).item() == pytest.approx(1.4)
 
     def test_zero_inputs(self):
-        assert combined_loss(0.0, 0.0, LossWeights()) == 0.0
+        assert combined_loss(0.0, 0.0, LossWeights()).item() == 0.0
 
     def test_linearity_in_each_argument(self):
         w = LossWeights(alpha1=1.7, alpha2=0.3)
+
+        def loss(a, b):
+            return combined_loss(a, b, w).item()
+
         for a, b, s in [(0.2, 1.1, 2.0), (3.0, 0.0, 0.5)]:
-            assert combined_loss(s * a, b, w) == pytest.approx(
-                s * combined_loss(a, b, w) - (s - 1) * combined_loss(0.0, b, w)
-            )
-            assert combined_loss(a, s * b, w) == pytest.approx(
-                s * combined_loss(a, b, w) - (s - 1) * combined_loss(a, 0.0, w)
-            )
+            assert loss(s * a, b) == pytest.approx(s * loss(a, b) - (s - 1) * loss(0.0, b))
+            assert loss(a, s * b) == pytest.approx(s * loss(a, b) - (s - 1) * loss(a, 0.0))
 
     def test_tensor_inputs_stay_differentiable(self):
         w = LossWeights()
