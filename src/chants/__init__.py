@@ -29,7 +29,6 @@ from .encoder import (
     CatParams,
     Encoder,
     EncoderConfig,
-    Representation,
     aggregate,
     co_layer,
     embed,

@@ -18,7 +18,7 @@ a comment line. Keys are the ``TrainConfig`` field names, with the
 value is parsed by its field's type: ``true``/``false`` for switches, and
 two numbers such as ``4, 8`` for a range. ``encoder.channels`` and
 ``encoder.steps`` default to the dataset's and must match it when given.
-Unknown keys and unparsable values are hard errors. A pretext task is
+Unknown keys, repeated keys and unparsable values are hard errors. A pretext task is
 switched off by a weight of 0; the older keys ``no_ntp = true`` and
 ``no_cs = true`` still work and mean ``weights.alpha1 = 0`` and
 ``weights.alpha2 = 0``. ``aug.rng_seed``, which nothing read, is accepted
@@ -57,7 +57,7 @@ from .data import (
 )
 from .encoder import EncoderConfig
 from .errors import CheckpointError, ChantsError, ConfigError, DataError, ShapeError
-from .harness import TrainConfig, fewshot_sweep, linear_probe, pretrain, train_config_from_dict
+from .harness import TrainConfig, check_pretrain, fewshot_sweep, linear_probe, pretrain, train_config_from_dict
 from .tensor import flop_estimate
 
 logger = logging.getLogger(__name__)
@@ -66,11 +66,15 @@ _SECTIONS = ("encoder", "weights", "aug")
 
 
 def read_config_file(path) -> dict:
-    """Read ``key = value`` lines into ``{section: {field: text}}`` plus top-level text."""
+    """Read ``key = value`` lines into ``{section: {field: text}}`` plus top-level text.
+
+    A key given on two lines raises ``ConfigError`` naming both.
+    """
     raw: dict = {section: {} for section in _SECTIONS}
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -79,6 +83,9 @@ def read_config_file(path) -> dict:
             raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key in first_line:
+            raise ConfigError(f"{path}: config key '{key}' is set on line {first_line[key]} and again on line {lineno}")
+        first_line[key] = lineno
         section, dot, field = key.partition(".")
         if dot and section in _SECTIONS:
             raw[section][field] = value
@@ -165,11 +172,7 @@ def cmd_pretrain(args) -> int:
     raw = read_config_file(args.config)
     raw["encoder"] = {"channels": ds.channels, "steps": ds.steps, **raw["encoder"]}
     cfg = train_config_from_dict(raw)
-    if (cfg.encoder.channels, cfg.encoder.steps) != (ds.channels, ds.steps):
-        raise ConfigError(
-            f"config declares (channels, steps) = ({cfg.encoder.channels}, {cfg.encoder.steps}) "
-            f"but the dataset has ({ds.channels}, {ds.steps})"
-        )
+    check_pretrain(ds, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, "pretrain", cfg, args.data, cfg.seed)

@@ -6,8 +6,11 @@ A stack of two-tower layers updates the streams; in the default ``cat``
 variant each tower cross-attends against the *other* stream's layer input
 (both towers read the previous layer's outputs, so the update is parallel,
 not sequential). A final aggregate attention folds the time stream into the
-channel stream, and the per-channel rows are concatenated into the flat
-representation used by every downstream task.
+channel stream. :func:`encode` returns one (..., rows, D) tensor, one row
+per channel (per time step for ``tat``); a task that needs one vector per
+sample reshapes it to (..., rows * D), the flat representation. Dropout is
+on exactly when an ``rng`` mask source is passed (see
+:func:`chants.tensor.dropout`); inference passes none.
 
 Variants, all selected by ``EncoderConfig.variant``:
 
@@ -35,7 +38,6 @@ from .tensor import (
     layer_norm,
     matmul,
     multi_head_attention,
-    reshape,
     transpose,
 )
 
@@ -46,7 +48,6 @@ __all__ = [
     "EncoderConfig",
     "FfnWeights",
     "NormWeights",
-    "Representation",
     "VARIANTS",
     "aggregate",
     "co_layer",
@@ -162,19 +163,6 @@ class CatParams:
         return {k: t for k, t in self.named().items() if t.requires_grad}
 
 
-@dataclass
-class Representation:
-    """Per-row features and their row-major concatenation.
-
-    ``per_channel`` has one D-wide row per channel (per time step for the
-    ``tat`` variant); ``flat`` is the same data reshaped to a single row of
-    rows * D values per sample.
-    """
-
-    per_channel: Tensor
-    flat: Tensor
-
-
 def representation_rows(config: EncoderConfig) -> int:
     """Row count of the representation: channels, or steps for ``tat``."""
     return config.steps if config.variant == "tat" else config.channels
@@ -273,23 +261,16 @@ def _tower(
     norm2: NormWeights,
     config: EncoderConfig,
     rng,
-    train: bool,
 ) -> Tensor:
     h = multi_head_attention(a_self, kv, attn, config.heads)
-    h = dropout(h, config.dropout, rng, train)
+    h = dropout(h, config.dropout, rng)
     b = layer_norm(add(h, a_self), norm1.gain, norm1.bias)
-    f_out = ffn(b, f.w1, f.b1, f.w2, f.b2, rate=config.dropout, rng=rng, train=train)
+    f_out = ffn(b, f.w1, f.b1, f.w2, f.b2, rate=config.dropout, rng=rng)
     return layer_norm(add(f_out, b), norm2.gain, norm2.bias)
 
 
 def co_layer(
-    a_t: Tensor,
-    a_c: Tensor,
-    layer: CoLayerParams,
-    config: EncoderConfig,
-    *,
-    rng: np.random.Generator | None = None,
-    train: bool = False,
+    a_t: Tensor, a_c: Tensor, layer: CoLayerParams, config: EncoderConfig, *, rng=None
 ) -> tuple[Tensor, Tensor]:
     """One two-tower layer; both towers read this layer's *inputs*.
 
@@ -299,50 +280,41 @@ def co_layer(
     ``channel_self`` (the time stream passes through untouched).
     """
     if config.variant == "channel_self":
-        new_c = _tower(a_c, a_c, layer.chan_attn, layer.chan_norm1, layer.chan_ffn, layer.chan_norm2, config, rng, train)
+        new_c = _tower(a_c, a_c, layer.chan_attn, layer.chan_norm1, layer.chan_ffn, layer.chan_norm2, config, rng)
         return a_t, new_c
     cross = config.variant != "self_aggregate"
     time_kv = a_c if cross else a_t
     chan_kv = a_t if cross else a_c
-    new_t = _tower(a_t, time_kv, layer.time_attn, layer.time_norm1, layer.time_ffn, layer.time_norm2, config, rng, train)
-    new_c = _tower(a_c, chan_kv, layer.chan_attn, layer.chan_norm1, layer.chan_ffn, layer.chan_norm2, config, rng, train)
+    new_t = _tower(a_t, time_kv, layer.time_attn, layer.time_norm1, layer.time_ffn, layer.time_norm2, config, rng)
+    new_c = _tower(a_c, chan_kv, layer.chan_attn, layer.chan_norm1, layer.chan_ffn, layer.chan_norm2, config, rng)
     return new_t, new_c
 
 
-def _flatten_rows(per_row: Tensor) -> Tensor:
-    """(rows, width) -> (1, rows * width); (B, rows, width) -> (B, rows * width)."""
-    rows, width = per_row.shape[-2:]
-    return reshape(per_row, (-1, rows * width))
-
-
-def aggregate(a_t: Tensor, a_c: Tensor, agg: AttnWeights, heads: int) -> Representation:
+def aggregate(a_t: Tensor, a_c: Tensor, agg: AttnWeights, heads: int) -> Tensor:
     """Fold the time stream into the channel stream with one attention pass.
 
     Channel rows act as queries over time keys/values. No residual, layer
-    norm, FFN, or output projection follows; the result rows concatenate
-    directly into the flat vector.
+    norm, FFN, or output projection follows; the (..., C, D) result rows
+    are the representation.
     """
-    per_channel = multi_head_attention(a_c, a_t, agg, heads)
-    return Representation(per_channel=per_channel, flat=_flatten_rows(per_channel))
+    return multi_head_attention(a_c, a_t, agg, heads)
 
 
-def encode(
-    x,
-    params: CatParams,
-    config: EncoderConfig,
-    *,
-    rng: np.random.Generator | None = None,
-    train: bool = False,
-) -> Representation:
-    """Embed, run the layer stack, and reduce to the final representation."""
+def encode(x, params: CatParams, config: EncoderConfig, *, rng=None) -> Tensor:
+    """Embed, run the layer stack, and reduce to the (..., rows, D) representation.
+
+    ``x`` is (C, T) or (B, C, T); the result has one D-wide row per channel
+    (per time step for ``tat``, see :func:`representation_rows`) and the
+    leading axes of ``x``. Dropout is on exactly when ``rng`` (a generator
+    or a :class:`chants.tensor.MicroBatchMasks`) is given.
+    """
     a_t, a_c = embed(x, params)
     for layer in params.layers:
-        a_t, a_c = co_layer(a_t, a_c, layer, config, rng=rng, train=train)
+        a_t, a_c = co_layer(a_t, a_c, layer, config, rng=rng)
     if config.variant in ("channel_self", "no_aggregate"):
-        return Representation(per_channel=a_c, flat=_flatten_rows(a_c))
+        return a_c
     if config.variant == "tat":
-        per_time = multi_head_attention(a_t, a_c, params.agg, config.heads)
-        return Representation(per_channel=per_time, flat=_flatten_rows(per_time))
+        return multi_head_attention(a_t, a_c, params.agg, config.heads)
     return aggregate(a_t, a_c, params.agg, config.heads)
 
 
@@ -353,11 +325,12 @@ class Encoder:
     params: CatParams
     config: EncoderConfig
 
-    def encode_batch(self, xs, *, rng=None, train: bool = False) -> Representation:
+    def encode_batch(self, xs, *, rng=None) -> Tensor:
+        """The (B, rows, D) representation of a (B, C, T) batch; see :func:`encode`."""
         xs = constant(xs)
         if xs.ndim != 3:
             raise ShapeError(f"Encoder.encode_batch expects (B, C, T), got shape {xs.shape}")
-        return encode(xs, self.params, self.config, rng=rng, train=train)
+        return encode(xs, self.params, self.config, rng=rng)
 
     @property
     def flat_dim(self) -> int:

@@ -8,12 +8,18 @@ loop, :func:`fit`. Neither pretraining nor feature extraction passes the
 encoder more than ``MICRO_BATCH`` series in one call, with a graph or
 without: pretraining builds no graph of more, whatever the batch size and
 ``k_ntp``, and extraction encodes no more at a time (the supervised
-baseline encodes one ``probe_batch`` per step). Pretraining logs one record
-per step (``epoch``, ``step``, ``ntp_loss``, ``cs_loss``, ``combined``) to
-``log.jsonl``; its checkpoints carry the ``TrainConfig`` and any
-normalization stats, so a checkpoint is all ``probe`` and ``fewshot`` need.
-:func:`train_config_from_dict` is the one way to build a ``TrainConfig``
-from plain values.
+baseline encodes one ``probe_batch`` per step). Each pretraining task's
+micro-batch loop is a plain iteration of one
+:class:`chants.tensor.MicroBatchMasks`, which serves every micro-batch the
+dropout masks of one whole-batch pass, and each part goes through
+:func:`_backward`, which checks it is finite before its backward.
+:func:`check_pretrain` rejects a run that ``pretrain`` cannot do before
+anything is written, for ``pretrain`` and the CLI alike. Pretraining logs
+one record per step (``epoch``, ``step``, ``ntp_loss``, ``cs_loss``,
+``combined``) to ``log.jsonl``; its checkpoints carry the ``TrainConfig``
+and any normalization stats, so a checkpoint is all ``probe`` and
+``fewshot`` need. :func:`train_config_from_dict` is the one way to build a
+``TrainConfig`` from plain values.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import typing
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -51,13 +57,14 @@ from .pretext import (
     nvp_loss,
     reverse_neg_mode,
 )
-from .tensor import MicroBatchMasks, Tensor, constant, cross_entropy, no_grad
+from .tensor import MicroBatchMasks, Tensor, constant, cross_entropy, no_grad, reshape
 
 logger = logging.getLogger(__name__)
 
 __all__ = [
     "Metrics",
     "TrainConfig",
+    "check_pretrain",
     "compute_metrics",
     "extract_features",
     "fewshot_sweep",
@@ -293,38 +300,22 @@ its two positives and two negatives. Pretraining builds no graph of more,
 and :func:`extract_features` encodes no more at a time."""
 
 
-def _spans(rows: int) -> list[tuple[int, int]]:
-    """``rows`` rows cut into runs of at most ``MICRO_BATCH``, as [lo, hi) pairs."""
-    return [(lo, min(lo + MICRO_BATCH, rows)) for lo in range(0, rows, MICRO_BATCH)]
+def _backward(out: Tensor, grad, describe: Callable[[float], str]) -> float:
+    """Backpropagate ``grad`` through ``out``; return the sum of its entries.
 
-
-def _backprop_micro_batches(
-    masks: MicroBatchMasks,
-    spans: Sequence[tuple[int, int]],
-    part: Callable[[int, int], Tensor],
-    grad: Callable[[int, int], np.ndarray],
-    describe: Callable[[int, float], str],
-) -> float:
-    """Backpropagate ``grad(lo, hi)`` through ``part(lo, hi)`` for each span of rows in turn.
-
-    Micro-batch j, the rows ``spans[j]``, is served its rows of the dropout
-    masks of one pass over all the spans stacked in order (``masks``), so
-    only one micro-batch's graph is alive at a time and the gradients add up
-    to those of that one pass, up to rounding. A part with a non-finite
-    entry raises ``FloatingPointError`` with ``describe(j, value)`` before its
-    backward. Returns the sum of every part's entries, its ``value`` (the
-    summed loss, when the parts are scalar losses).
+    An ``out`` with a non-finite entry raises ``FloatingPointError`` with
+    ``describe(sum)`` before any backward.
     """
-    total = 0.0
-    for j, (lo, hi) in enumerate(spans):
-        masks.select(j)
-        out = part(lo, hi)
-        value = float(out.data.sum())
-        if not np.isfinite(out.data).all():
-            raise FloatingPointError("non-finite " + describe(j, value))
-        out.backward(grad(lo, hi))
-        total += value
-    return total
+    value = float(out.data.sum())
+    if not np.isfinite(out.data).all():
+        raise FloatingPointError("non-finite " + describe(value))
+    out.backward(grad)
+    return value
+
+
+def _micro_batch_masks(rng: np.random.Generator, rows: int) -> MicroBatchMasks:
+    """The masks of one pass over ``rows`` rows, served in runs of at most ``MICRO_BATCH``."""
+    return MicroBatchMasks(rng, [min(MICRO_BATCH, rows - lo) for lo in range(0, rows, MICRO_BATCH)])
 
 
 def _truncations_in_micro_batches(
@@ -335,21 +326,18 @@ def _truncations_in_micro_batches(
 
     The copies run in micro-batches of at most ``MICRO_BATCH`` consecutive
     rows, each with its rows of the dropout masks that one ``loss`` pass
-    over all of them would draw from ``rng``. The loss is a sum over copies,
-    so the summed values and gradients are those of that one pass, up to
-    rounding, and ``rng`` ends where it would leave it. A non-finite part
-    raises ``FloatingPointError`` naming ``task`` and its rows before its
-    backward.
+    over all of them would draw from ``rng``, and each backpropagated
+    before the next is encoded. The loss is a sum over copies, so the summed
+    values and gradients are those of that one pass, up to rounding, and
+    ``rng`` ends where it would leave it. A non-finite part raises
+    ``FloatingPointError`` naming ``task`` and its rows before its backward.
     """
-    spans = _spans(len(truncated))
-    masks = MicroBatchMasks(rng, [hi - lo for lo, hi in spans])
-    return _backprop_micro_batches(
-        masks,
-        spans,
-        lambda lo, hi: loss(encoder, truncated[lo:hi], targets[lo:hi], heads, rng=masks, train=True),
-        lambda lo, hi: np.asarray(weight),
-        lambda j, value: f"{task} loss {value} on truncations {spans[j][0]} to {spans[j][1] - 1} of the batch",
-    )
+    masks, grad = _micro_batch_masks(rng, len(truncated)), np.asarray(weight)
+    total = 0.0
+    for lo, hi in masks:
+        out = loss(encoder, truncated[lo:hi], targets[lo:hi], heads, rng=masks)
+        total += _backward(out, grad, lambda value: f"{task} loss {value} on truncations {lo} to {hi - 1} of the batch")
+    return total
 
 
 def _cs_grad_cache(
@@ -365,36 +353,49 @@ def _cs_grad_cache(
        backpropagate ``weights.alpha2`` to that leaf only;
     3. encode each micro-batch again with a graph and backpropagate its rows
        of the cached projection gradient through it.
-    Both passes see the dropout masks of one whole-batch pass and ``rng``
-    ends where ``cs_loss`` would leave it (:class:`MicroBatchMasks`), so the
-    value and the gradients are those of ``cs_loss`` up to rounding. A
-    non-finite loss raises ``FloatingPointError`` before any backward.
+    Both passes iterate one :class:`MicroBatchMasks`, so they see the
+    dropout masks of one whole-batch pass and ``rng`` ends where ``cs_loss``
+    would leave it: the value and the gradients are those of ``cs_loss`` up
+    to rounding. A non-finite loss raises ``FloatingPointError`` before any
+    backward.
     """
-    spans = _spans(batch.size)
-    masks = MicroBatchMasks(rng, [hi - lo for lo, hi in spans])
-
-    def project(lo: int, hi: int) -> Tensor:
-        return cs_projections(encoder, batch.samples[lo:hi], heads, rng=masks, train=True)
-
-    rows = []
+    masks = _micro_batch_masks(rng, batch.size)
     with no_grad():
-        for j, (lo, hi) in enumerate(spans):
-            masks.select(j)
-            rows.append(project(lo, hi).data)
+        rows = [cs_projections(encoder, batch.samples[lo:hi], heads, rng=masks).data for lo, hi in masks]
     cached = Tensor(np.concatenate(rows), requires_grad=True)
     loss = contrastive_loss_from_projections(cached, batch, weights.tau)
-    value = loss.item()
-    if not math.isfinite(value):
-        raise FloatingPointError(f"non-finite CS loss {value}")
-    loss.backward(np.asarray(weights.alpha2))
-    _backprop_micro_batches(
-        masks,
-        spans,
-        project,
-        lambda lo, hi: cached.grad[lo:hi],
-        lambda j, value: f"CS projections (sum {value}) of rows {spans[j][0]} to {spans[j][1] - 1} of the batch",
-    )
+    value = _backward(loss, np.asarray(weights.alpha2), lambda value: f"CS loss {value}")
+    for lo, hi in masks:
+        out = cs_projections(encoder, batch.samples[lo:hi], heads, rng=masks)
+        _backward(
+            out, cached.grad[lo:hi], lambda value: f"CS projections (sum {value}) of rows {lo} to {hi - 1} of the batch"
+        )
     return value
+
+
+def check_pretrain(ds: MtsDataset, cfg: TrainConfig) -> None:
+    """Raise ``ConfigError`` unless :func:`pretrain` can run ``cfg`` on ``ds``.
+
+    ``ds`` must hold at least one sample of the encoder's (channels, steps).
+    With the truncation task on (``weights.alpha1`` > 0), next-trend and
+    next-value prediction label each channel of a truncated copy, so they
+    need one representation row per channel (every variant but ``tat``) and
+    at least 3 steps to cut. ``pretrain`` checks this before it touches
+    ``out_dir``, and the CLI before it writes its manifest.
+    """
+    if ds.size < 1:
+        raise ConfigError("pretraining needs at least one sample")
+    if (ds.channels, ds.steps) != (cfg.encoder.channels, cfg.encoder.steps):
+        raise ConfigError(
+            f"dataset (channels, steps) = ({ds.channels}, {ds.steps}) does not match "
+            f"the encoder config's ({cfg.encoder.channels}, {cfg.encoder.steps})"
+        )
+    if cfg.weights.alpha1 > 0.0 and cfg.encoder.variant == "tat":
+        raise ConfigError(
+            "next-trend and next-value labels are per channel, but tat has a row per step; set weights.alpha1 = 0"
+        )
+    if cfg.weights.alpha1 > 0.0 and ds.steps < 3:
+        raise ConfigError(f"truncated copies need at least 3 steps, got {ds.steps}; set weights.alpha1 = 0")
 
 
 def pretrain(
@@ -431,15 +432,11 @@ def pretrain(
     leaves none of them behind. Each holds the heads, the training config and,
     when ``norm`` gives the stats ``ds`` was normalized with, those stats as
     the ``extra`` arrays ``norm.mean`` and ``norm.std``. A non-finite loss
-    aborts with the log so far and this run's checkpoints left in place.
+    aborts with the log so far and this run's checkpoints left in place. A
+    run :func:`check_pretrain` rejects raises ``ConfigError`` before
+    ``out_dir`` is touched.
     """
-    if ds.size < 1:
-        raise ConfigError("pretraining needs at least one sample")
-    if ds.channels != cfg.encoder.channels or ds.steps != cfg.encoder.steps:
-        raise ConfigError(
-            f"dataset shape (C, T) = ({ds.channels}, {ds.steps}) does not match "
-            f"encoder config ({cfg.encoder.channels}, {cfg.encoder.steps})"
-        )
+    check_pretrain(ds, cfg)
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -554,7 +551,8 @@ def extract_features(encoder: Encoder, series: np.ndarray, chunk: int = MICRO_BA
     features = np.empty((len(series), encoder.flat_dim))
     with no_grad():
         for start in range(0, len(series), block):
-            features[start : start + block] = encoder.encode_batch(series[start : start + block]).flat.data
+            rows = series[start : start + block]
+            features[start : start + len(rows)] = encoder.encode_batch(rows).data.reshape(len(rows), -1)
     return features
 
 
@@ -607,24 +605,19 @@ def train_linear_head(
     return w.data, b.data
 
 
-def _predict(features: np.ndarray, w: np.ndarray, b: np.ndarray, present: np.ndarray) -> np.ndarray:
-    logits = features @ w + b
-    logits[:, ~present] = -np.inf
-    return logits.argmax(axis=1)
-
-
-def _probe_features(
-    feats_train: np.ndarray,
-    labels_train: np.ndarray,
+def _score(
+    w: np.ndarray,
+    b: np.ndarray,
     feats_test: np.ndarray,
     labels_test: np.ndarray,
+    labels_train: np.ndarray,
     class_count: int,
-    cfg: TrainConfig,
 ) -> Metrics:
-    """Train one affine head on the train features and score the test features.
+    """Metrics of the affine head (``w``, ``b``) on the test features.
 
-    Classes absent from the training labels trigger a warning and are masked
-    so they are never predicted, scoring their test samples wrong.
+    Classes absent from ``labels_train`` are masked so they are never
+    predicted, scoring their test samples wrong; a warning names those the
+    test split holds.
     """
     present = np.zeros(class_count, dtype=bool)
     present[np.unique(labels_train)] = True
@@ -635,6 +628,20 @@ def _probe_features(
             "they will always be scored wrong",
             RuntimeWarning,
         )
+    logits = feats_test @ w + b
+    logits[:, ~present] = -np.inf
+    return compute_metrics(logits.argmax(axis=1), labels_test, class_count)
+
+
+def _probe_features(
+    feats_train: np.ndarray,
+    labels_train: np.ndarray,
+    feats_test: np.ndarray,
+    labels_test: np.ndarray,
+    class_count: int,
+    cfg: TrainConfig,
+) -> Metrics:
+    """Train one affine head on the train features and score the test features (:func:`_score`)."""
     w, b = train_linear_head(
         feats_train,
         labels_train,
@@ -645,8 +652,7 @@ def _probe_features(
         patience=cfg.early_stop_patience,
         seed=cfg.seed,
     )
-    pred = _predict(feats_test, w, b, present)
-    return compute_metrics(pred, labels_test, class_count)
+    return _score(w, b, feats_test, labels_test, labels_train, class_count)
 
 
 def linear_probe(
@@ -675,7 +681,11 @@ def supervised_baseline(
     ds_test: MtsDataset,
     cfg: TrainConfig,
 ) -> Metrics:
-    """Train encoder plus head end to end with cross entropy, then score."""
+    """Train encoder plus head end to end with cross entropy, then score.
+
+    Classes absent from the training split trigger a warning and are masked
+    so they are never predicted, scoring their test samples wrong.
+    """
     if ds_train.labels is None or ds_test.labels is None:
         raise DataError("supervised_baseline needs labeled train and test splits")
     k = max(ds_train.class_count, ds_test.class_count)
@@ -687,7 +697,7 @@ def supervised_baseline(
     head_b = Tensor(np.zeros(k), requires_grad=True)
 
     def step_loss(batch):
-        flat = encoder.encode_batch(batch.x, rng=rng_drop, train=True).flat
+        flat = reshape(encoder.encode_batch(batch.x, rng=rng_drop), (len(batch.x), -1))
         return cross_entropy(flat, head_w, head_b, batch.labels), {}
 
     fit(
@@ -700,11 +710,8 @@ def supervised_baseline(
         on_epoch=lambda epoch, mean, _: logger.info("supervised epoch %d: loss %.6f", epoch, mean),
     )
 
-    present = np.zeros(k, dtype=bool)
-    present[np.unique(ds_train.labels)] = True
     feats_test = extract_features(encoder, ds_test.series)
-    pred = _predict(feats_test, head_w.data, head_b.data, present)
-    return compute_metrics(pred, ds_test.labels, k)
+    return _score(head_w.data, head_b.data, feats_test, ds_test.labels, ds_train.labels, k)
 
 
 # ---------------------------------------------------------------------------

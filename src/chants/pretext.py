@@ -225,22 +225,15 @@ def init_pretext_heads(config: EncoderConfig, rng: np.random.Generator) -> Prete
     )
 
 
-def ntp_loss(
-    encoder: Encoder,
-    truncated: np.ndarray,
-    targets: np.ndarray,
-    heads: PretextHeads,
-    *,
-    rng: np.random.Generator | None = None,
-    train: bool = False,
-) -> Tensor:
+def ntp_loss(encoder: Encoder, truncated: np.ndarray, targets: np.ndarray, heads: PretextHeads, *, rng=None) -> Tensor:
     """Trend cross-entropy of the (n, C, T) ``truncated`` copies against their (n, C) labels.
 
     Summed over channels and copies; pretraining divides by the batch size.
+    Dropout is on exactly when ``rng`` is given.
     """
-    rep = encoder.encode_batch(truncated, rng=rng, train=train)
-    n, rows, d = rep.per_channel.shape
-    ce_mean = cross_entropy(reshape(rep.per_channel, (n * rows, d)), heads.ntp_w, heads.ntp_b, targets.reshape(-1))
+    rep = encoder.encode_batch(truncated, rng=rng)
+    n, rows, d = rep.shape
+    ce_mean = cross_entropy(reshape(rep, (n * rows, d)), heads.ntp_w, heads.ntp_b, targets.reshape(-1))
     return mul(ce_mean, constant(n * rows))
 
 
@@ -274,29 +267,19 @@ def contrastive_loss_from_projections(
     return contrastive_loss(projections, anchors, positives, tau)
 
 
-def cs_projections(
-    encoder: Encoder, samples: np.ndarray, heads: PretextHeads, *, rng=None, train: bool = False
-) -> Tensor:
+def cs_projections(encoder: Encoder, samples: np.ndarray, heads: PretextHeads, *, rng=None) -> Tensor:
     """Encode ``samples`` and project each flat representation (affine, GELU, affine)."""
-    rep = encoder.encode_batch(samples, rng=rng, train=train)
-    return ffn(rep.flat, heads.cs_w1, heads.cs_b1, heads.cs_w2, heads.cs_b2)
+    rep = encoder.encode_batch(samples, rng=rng)
+    return ffn(reshape(rep, (len(samples), -1)), heads.cs_w1, heads.cs_b1, heads.cs_w2, heads.cs_b2)
 
 
-def cs_loss(
-    encoder: Encoder,
-    batch: CsBatch,
-    heads: PretextHeads,
-    weights: LossWeights,
-    *,
-    rng: np.random.Generator | None = None,
-    train: bool = False,
-) -> Tensor:
+def cs_loss(encoder: Encoder, batch: CsBatch, heads: PretextHeads, weights: LossWeights, *, rng=None) -> Tensor:
     """Project the whole batch in one graph, then apply the similarity loss.
 
     The whole-batch reference: pretraining computes the same value and
     gradients a few rows at a time (``harness._cs_grad_cache``).
     """
-    projections = cs_projections(encoder, batch.samples, heads, rng=rng, train=train)
+    projections = cs_projections(encoder, batch.samples, heads, rng=rng)
     return contrastive_loss_from_projections(projections, batch, weights.tau)
 
 
@@ -316,22 +299,15 @@ def nvp_instances(xs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray,
     return truncated, following
 
 
-def nvp_loss(
-    encoder: Encoder,
-    truncated: np.ndarray,
-    targets: np.ndarray,
-    heads: PretextHeads,
-    *,
-    rng: np.random.Generator | None = None,
-    train: bool = False,
-) -> Tensor:
+def nvp_loss(encoder: Encoder, truncated: np.ndarray, targets: np.ndarray, heads: PretextHeads, *, rng=None) -> Tensor:
     """Next-value regression baseline: squared error of the value head on the (n, C) ``targets``.
 
     Summed over channels and copies; pretraining divides by the batch size.
+    Dropout is on exactly when ``rng`` is given.
     """
-    rep = encoder.encode_batch(truncated, rng=rng, train=train)
-    n, rows, d = rep.per_channel.shape
-    pred = add(matmul(reshape(rep.per_channel, (n * rows, d)), heads.nvp_w), heads.nvp_b)
+    rep = encoder.encode_batch(truncated, rng=rng)
+    n, rows, d = rep.shape
+    pred = add(matmul(reshape(rep, (n * rows, d)), heads.nvp_w), heads.nvp_b)
     err = add(pred, mul(constant(targets.reshape(-1, 1)), constant(-1.0)))
     return tensor_sum(mul(err, err))
 

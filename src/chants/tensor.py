@@ -17,12 +17,16 @@ are single tape nodes with closed-form backward; a probe step's graph is
 that one node over leaves, which backward runs without a topological sort.
 The FFN runs one series at a time, taped or not; with no graph to build
 (feature extraction, the first gradient-caching pass of contrastive
-similarity) it never holds more than one series' hidden layer. The rest
-of the package uses only ``matmul``, ``add``, ``mul``, ``reshape``,
-``transpose``, ``tensor_sum`` and ``dropout``. ``div``, ``sqrt``, ``exp``,
-``log``, ``softmax`` and ``gelu`` have no caller in the package: they stay
-because the benchmark's tracer patches them by name, and the tests compose
-the fused kernels' references from them.
+similarity) it never holds more than one series' hidden layer. Dropout, in
+``dropout`` and inside ``ffn``, has one switch, its mask source ``rng``:
+None for inference, a generator, or a :class:`MicroBatchMasks`, whose
+iteration runs a batch as micro-batches that see the masks of one
+whole-batch pass. The rest of the package uses only ``matmul``, ``add``,
+``mul``, ``reshape``, ``transpose``, ``tensor_sum`` and ``dropout``.
+``div``, ``sqrt``, ``exp``, ``log``, ``softmax`` and ``gelu`` have no
+caller in the package: they stay because the benchmark's tracer patches
+them by name, and the tests compose the fused kernels' references from
+them.
 """
 
 from __future__ import annotations
@@ -397,17 +401,19 @@ class MicroBatchMasks:
     """Dropout masks of one whole-batch pass, served to its micro-batches.
 
     Passed where a dropout ``rng`` goes, it gives micro-batch ``j`` (of
-    leading size ``rows[j]``, selected by :meth:`select`) its rows of the
-    masks that one forward pass over all the micro-batches stacked in order
-    would draw. When micro-batch 0 reaches a dropout site, the site's whole
-    mask is drawn from ``rng`` one micro-batch's rows at a time: the same
-    values as one ``rng.random`` call over the whole batch, without its
-    float64 buffer, and ``rng`` ends where the whole-batch pass would leave
-    it. Each site's mask is kept bit-packed along its last axis (one bit
-    per element) and a micro-batch's rows are unpacked when served. Later
-    micro-batches must reach the same sites with the same shapes; so may
-    any number of later passes, which see the same masks again (gradient
-    caching encodes each micro-batch twice).
+    leading size ``rows[j]``) its rows of the masks that one forward pass
+    over all the micro-batches stacked in order would draw. Iterating it
+    selects each micro-batch in turn and yields its rows ``(lo, hi)`` of the
+    whole batch; the loop body runs that micro-batch's forward pass. When
+    micro-batch 0 reaches a dropout site, the site's whole mask is drawn
+    from ``rng`` one micro-batch's rows at a time: the same values as one
+    ``rng.random`` call over the whole batch, without its float64 buffer,
+    and ``rng`` ends where the whole-batch pass would leave it. Each site's
+    mask is kept bit-packed along its last axis (one bit per element) and a
+    micro-batch's rows are unpacked when served. Later micro-batches must
+    reach the same sites with the same shapes; so may any number of later
+    iterations, which see the same masks again (gradient caching encodes
+    each micro-batch twice).
     """
 
     def __init__(self, rng: np.random.Generator, rows: Sequence[int]):
@@ -417,9 +423,10 @@ class MicroBatchMasks:
         self.batch = 0
         self.site = 0
 
-    def select(self, batch: int) -> None:
-        """Serve micro-batch ``batch`` from its first dropout site on."""
-        self.batch, self.site = batch, 0
+    def __iter__(self):
+        for batch in range(len(self.offsets) - 1):
+            self.batch, self.site = batch, 0
+            yield int(self.offsets[batch]), int(self.offsets[batch + 1])
 
     def keep(self, shape, rate: float) -> np.ndarray:
         shape = tuple(shape)
@@ -439,34 +446,33 @@ class MicroBatchMasks:
         return np.unpackbits(packed[lo:hi], axis=-1, count=width).view(bool)
 
 
-def _keep_mask(shape, rate: float, rng, train: bool) -> np.ndarray | None:
+def _keep_mask(shape, rate: float, rng) -> np.ndarray | None:
     """Boolean keep mask of inverted dropout, or None when dropout is off.
 
-    A ``np.random.Generator`` draws ``rng.random(shape)`` as float64, one
+    Dropout is on exactly when ``rng`` is given and ``rate`` is above 0. A
+    ``np.random.Generator`` draws ``rng.random(shape)`` as float64, one
     value per element; a :class:`MicroBatchMasks` serves the current
     micro-batch's rows of the whole-batch mask.
     """
-    if not train or rate <= 0.0:
+    if rng is None or rate <= 0.0:
         return None
     if not 0.0 < rate < 1.0:
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
-    if rng is None:
-        raise ConfigError("dropout in training mode needs an explicit rng")
     if isinstance(rng, MicroBatchMasks):
         return rng.keep(shape, rate)
     return rng.random(shape) >= rate
 
 
-def dropout(a, rate: float, rng, train: bool) -> Tensor:
-    """Inverted dropout; identity when ``train`` is false or ``rate`` is 0.
+def dropout(a, rate: float, rng) -> Tensor:
+    """Inverted dropout; the identity when ``rng`` is None or ``rate`` is 0.
 
-    ``rng`` is a generator, or a :class:`MicroBatchMasks` when a batch runs
-    as micro-batches that must see the masks of one whole-batch pass; that
-    is how pretraining runs each pretext task a few series at a time, with
-    the masks drawn as in one pass over the whole batch.
+    The mask source is the only switch: training passes give a generator,
+    or a :class:`MicroBatchMasks` when a batch runs as micro-batches that
+    must see the masks of one whole-batch pass (that is how pretraining runs
+    each pretext task a few series at a time); inference passes give None.
     """
     a = constant(a)
-    keep = _keep_mask(a.data.shape, rate, rng, train)
+    keep = _keep_mask(a.data.shape, rate, rng)
     if keep is None:
         return a
     scale = 1.0 / (1.0 - rate)
@@ -623,7 +629,7 @@ def multi_head_attention(q_in, kv_in, weights, heads: int) -> Tensor:
     return _make(out_data, parents, backward)
 
 
-def ffn(x, w1, b1, w2, b2, *, rate: float = 0.0, rng=None, train: bool = False) -> Tensor:
+def ffn(x, w1, b1, w2, b2, *, rate: float = 0.0, rng=None) -> Tensor:
     """Two affine maps with a GELU between; dropout after the activation.
 
     One tape node; backward keeps the hidden activations, the GELU slope
@@ -632,7 +638,9 @@ def ffn(x, w1, b1, w2, b2, *, rate: float = 0.0, rng=None, train: bool = False) 
     output. When taping, each series' hidden layer and slope go straight
     into the buffers backward keeps; otherwise only one series' (L, 4D)
     hidden layer is alive at a time. The dropout mask is drawn for the
-    whole shape first, so ``rng`` advances as in one whole pass.
+    whole shape first, so ``rng`` advances as in one whole pass. Dropout
+    is on exactly when ``rng`` (a generator or a :class:`MicroBatchMasks`)
+    is given and ``rate`` is above 0.
     """
     x, w1, b1, w2, b2 = parents = tuple(constant(t) for t in (x, w1, b1, w2, b2))
     if x.ndim < 2 or x.shape[-1] != w1.shape[0] or w1.shape[-1] != w2.shape[0]:
@@ -640,7 +648,7 @@ def ffn(x, w1, b1, w2, b2, *, rate: float = 0.0, rng=None, train: bool = False) 
     taping = _taping(parents)
     *lead, length, width = x.shape
     hidden_shape = (*lead, length, w1.shape[-1])
-    keep = _keep_mask(hidden_shape, rate, rng, train)
+    keep = _keep_mask(hidden_shape, rate, rng)
     scale = 1.0 / (1.0 - rate) if keep is not None else 1.0
     n = math.prod(lead)
     series = x.data.reshape(n, length, width)

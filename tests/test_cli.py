@@ -15,7 +15,7 @@ import chants.cli
 from chants.checkpoint import load_checkpoint, load_encoder, save_encoder
 from chants.cli import main, read_config_file
 from chants.data import make_synthetic_fixture, parse_ts, serialize_ts, znormalize
-from chants.errors import CheckpointError
+from chants.errors import CheckpointError, ConfigError
 from chants.harness import train_config_from_dict
 
 CHANNELS, STEPS = 3, 12
@@ -43,6 +43,13 @@ def write_fixture(path, m=24, channels=CHANNELS, steps=STEPS, seed=5):
 def write_config(path, text=TINY_CONFIG):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def tiny_config_with(line):
+    """``TINY_CONFIG`` with the key of ``line`` set by ``line``, which replaces any line of that key."""
+    key = line.partition("=")[0].strip()
+    kept = [old for old in TINY_CONFIG.splitlines() if old.partition("=")[0].strip() != key]
+    return "\n".join([*kept, line]) + "\n"
 
 
 def with_first_shape(manifest, shape):
@@ -122,7 +129,7 @@ class TestExitCodes:
 
     def test_unparsable_value_exits_2(self, pretrained, tmp_path, capsys):
         data, _ = pretrained
-        cfg = write_config(tmp_path / "bad.cfg", TINY_CONFIG + "k_ntp = many\n")
+        cfg = write_config(tmp_path / "bad.cfg", tiny_config_with("k_ntp = many"))
         assert main(["pretrain", str(cfg), str(data), str(tmp_path / "out")]) == 2
         assert "k_ntp" in capsys.readouterr().err
 
@@ -213,6 +220,16 @@ aug.interval_count_range = 3 4
         path = write_config(tmp_path / "legacy.cfg", "encoder.channels = 3\nencoder.steps = 12\n" + lines)
         cfg = train_config_from_dict(read_config_file(path))
         assert (cfg.weights.alpha1, cfg.weights.alpha2) == alphas
+
+    def test_a_key_set_twice_exits_2_naming_both_lines(self, pretrained, tmp_path, capsys):
+        data, _ = pretrained
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "twice.cfg", "k_ntp = 3\n# a comment\nencoder.width = 8\nk_ntp = 4\n")
+        with pytest.raises(ConfigError, match="'k_ntp' is set on line 1 and again on line 4"):
+            read_config_file(path)
+        assert main(["pretrain", str(path), str(data), str(out)]) == 2
+        assert "'k_ntp' is set on line 1 and again on line 4" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_dims_must_match_the_data(self, pretrained, tmp_path, capsys):
         data, _ = pretrained
@@ -363,7 +380,7 @@ def test_a_negative_seed_exits_2_with_nothing_written(pretrained, tmp_path, caps
 def test_a_non_finite_config_float_exits_2_before_any_file_is_written(pretrained, tmp_path, capsys, line):
     data, _ = pretrained
     out = tmp_path / "out"
-    cfg = write_config(tmp_path / "bad.cfg", TINY_CONFIG + line + "\n")
+    cfg = write_config(tmp_path / "bad.cfg", tiny_config_with(line))
     assert main(["pretrain", str(cfg), str(data), str(out)]) == 2
     assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
@@ -376,10 +393,37 @@ def test_a_non_finite_config_float_exits_2_before_any_file_is_written(pretrained
 def test_an_encoder_width_or_head_count_below_one_exits_2_with_nothing_written(pretrained, tmp_path, capsys, line, message):
     data, _ = pretrained
     out = tmp_path / "out"
-    cfg = write_config(tmp_path / "bad.cfg", TINY_CONFIG + line + "\n")
+    cfg = write_config(tmp_path / "bad.cfg", tiny_config_with(line))
     assert main(["pretrain", str(cfg), str(data), str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "steps, lines, message",
+    [
+        (STEPS, ["encoder.variant = tat"], "tat has a row per step"),
+        (STEPS, ["encoder.variant = tat", "use_nvp = true"], "tat has a row per step"),
+        (2, [], "at least 3 steps"),
+        (2, ["use_nvp = true"], "at least 3 steps"),
+    ],
+)
+def test_truncation_pretraining_it_cannot_run_exits_2_with_nothing_written(tmp_path, capsys, steps, lines, message):
+    # next-trend and next-value prediction label each channel of a copy cut
+    # at a step in [1, T-1]: tat has one row per step, and T = 2 leaves one cut
+    data = write_fixture(tmp_path / "train.ts", steps=steps)
+    config = TINY_CONFIG
+    for line in lines:
+        config += line + "\n"
+    out = tmp_path / "out"
+    assert main(["pretrain", str(write_config(tmp_path / "run.cfg", config)), str(data), str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    # contextual similarity alone still pretrains both
+    out = tmp_path / "cs_only"
+    argv = ["pretrain", str(write_config(tmp_path / "cs.cfg", config + "weights.alpha1 = 0\n")), str(data), str(out)]
+    assert main(argv) == 0
+    assert (out / "checkpoint.ckpt").exists()
 
 
 @pytest.mark.parametrize("command", ["probe", "fewshot"])

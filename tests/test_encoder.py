@@ -59,7 +59,7 @@ class TestEmbed:
     def test_positional_table_gets_no_gradient(self):
         config, params = make()
         rep = encode(np.random.default_rng(1).normal(size=(3, 5)), params, config)
-        tensor_sum(rep.flat).backward()
+        tensor_sum(rep).backward()
         assert params.e_pos.grad is None
         assert params.w_time.grad is not None
 
@@ -148,19 +148,19 @@ class TestAggregate:
             params.agg,
             config.heads,
         )
-        assert rep.flat.shape == (1, 48)
+        assert rep.shape == (6, 8)
+        assert Encoder(params, config).flat_dim == 48
 
     def test_rows_concatenate_in_order(self):
         config, params = make(channels=3, steps=5, width=8)
         rng = np.random.default_rng(8)
-        rep = aggregate(
-            constant(rng.normal(size=(5, 8))),
-            constant(rng.normal(size=(3, 8))),
-            params.agg,
-            config.heads,
-        )
+        a_t, a_c = constant(rng.normal(size=(5, 8))), rng.normal(size=(3, 8))
+        rep = aggregate(a_t, constant(a_c), params.agg, config.heads)
+        flat = rep.data.reshape(1, -1)  # the flat representation every consumer takes
         for j in range(3):
-            np.testing.assert_array_equal(rep.flat.data[0, j * 8 : (j + 1) * 8], rep.per_channel.data[j])
+            # row j is channel j's query alone, in channel order
+            alone = aggregate(a_t, constant(a_c[j : j + 1]), params.agg, config.heads).data[0]
+            np.testing.assert_allclose(flat[0, j * 8 : (j + 1) * 8], alone, rtol=1e-12)
 
     def test_single_time_step_broadcasts_value_projection(self):
         config, params = make(channels=4, steps=2, width=8)
@@ -170,14 +170,15 @@ class TestAggregate:
         rep = aggregate(constant(a_t), constant(a_c), params.agg, config.heads)
         expected = a_t @ params.agg.w_v.data  # single key gets weight 1, no output projection
         for j in range(4):
-            np.testing.assert_allclose(rep.per_channel.data[j], expected[0], rtol=1e-12)
+            np.testing.assert_allclose(rep.data[j], expected[0], rtol=1e-12)
 
 
 class TestEncode:
     def test_japanese_vowels_dims_flat_length(self):
         config, params = make(channels=12, steps=29, width=8, depth=1)
         rep = encode(np.random.default_rng(10).normal(size=(12, 29)), params, config)
-        assert rep.flat.shape == (1, 12 * 8)
+        assert rep.shape == (12, 8)
+        assert Encoder(params, config).flat_dim == 12 * 8
 
     def test_channel_permutation_equivariance(self):
         # permuting input channels together with the rows of the time-embedding
@@ -187,11 +188,11 @@ class TestEncode:
         x = rng.normal(size=(4, 6))
         perm = np.array([2, 0, 3, 1])
 
-        base = encode(x, params, config).per_channel.data
+        base = encode(x, params, config).data
 
         permuted = init_cat_params(config, np.random.default_rng(3))
         permuted.w_time.data = params.w_time.data[perm]
-        out = encode(x[perm], permuted, config).per_channel.data
+        out = encode(x[perm], permuted, config).data
         np.testing.assert_allclose(out, base[perm], rtol=1e-10)
 
     def test_no_aggregate_matches_cat_channel_stream(self):
@@ -205,13 +206,14 @@ class TestEncode:
         a_t, a_c = embed(x, params)
         for layer in params.layers:
             a_t, a_c = co_layer(a_t, a_c, layer, config)
-        np.testing.assert_array_equal(rep_na.per_channel.data, a_c.data)
-        assert rep_cat.per_channel.shape == rep_na.per_channel.shape
+        np.testing.assert_array_equal(rep_na.data, a_c.data)
+        assert rep_cat.shape == rep_na.shape
 
     def test_tat_variant_flat_length_is_steps_times_width(self):
         config, params = make(channels=3, steps=5, variant="tat")
         rep = encode(np.random.default_rng(13).normal(size=(3, 5)), params, config)
-        assert rep.flat.shape == (1, 5 * 8)
+        assert rep.shape == (5, 8)
+        assert Encoder(params, config).flat_dim == 5 * 8
         assert representation_rows(config) == 5
 
     def test_variant_validation(self):
@@ -242,11 +244,8 @@ class TestEncode:
             params = init_cat_params(config, rng)
             rep = encode(rng.normal(size=(channels, steps)), params, config)
             rows = representation_rows(config)
-            assert rep.per_channel.shape == (rows, width)
-            assert rep.flat.shape == (1, rows * width)
-            np.testing.assert_array_equal(
-                rep.flat.data.reshape(rows, width), rep.per_channel.data
-            )
+            assert rep.shape == (rows, width)
+            assert Encoder(params, config).flat_dim == rows * width
 
     def test_batched_encode_matches_per_sample(self):
         config, params = make(channels=3, steps=5, depth=2)
@@ -256,21 +255,20 @@ class TestEncode:
         batched = enc.encode_batch(xs)
         for i in range(4):
             single = enc.encode_batch(xs[i : i + 1])
-            np.testing.assert_allclose(batched.per_channel.data[i], single.per_channel.data[0], rtol=1e-12)
-            np.testing.assert_allclose(batched.flat.data[i], single.flat.data[0], rtol=1e-12)
+            np.testing.assert_allclose(batched.data[i], single.data[0], rtol=1e-12)
 
     def test_encode_is_deterministic_without_dropout(self):
         config, params = make(depth=2)
         x = np.random.default_rng(16).normal(size=(3, 5))
-        a = encode(x, params, config).flat.data
-        b = encode(x, params, config).flat.data
+        a = encode(x, params, config).data
+        b = encode(x, params, config).data
         assert a.tobytes() == b.tobytes()
 
     def test_dropout_changes_training_forward_but_not_eval(self):
         config, params = make(dropout=0.5)
         x = np.random.default_rng(17).normal(size=(3, 5))
-        eval_a = encode(x, params, config).flat.data
-        eval_b = encode(x, params, config, train=True, rng=np.random.default_rng(0)).flat.data
+        eval_a = encode(x, params, config).data
+        eval_b = encode(x, params, config, rng=np.random.default_rng(0)).data
         assert not np.array_equal(eval_a, eval_b)
 
 
@@ -278,7 +276,7 @@ def _check_every_parameter_gradient(config, seed):
     params = init_cat_params(config, np.random.default_rng(seed))
     x = np.random.default_rng(seed + 1).normal(size=(config.channels, config.steps))
 
-    loss = tensor_sum(encode(x, params, config).flat)
+    loss = tensor_sum(encode(x, params, config))
     loss.backward()
 
     named = {k: t for k, t in params.named().items() if t.requires_grad}
@@ -288,7 +286,7 @@ def _check_every_parameter_gradient(config, seed):
             saved = named[name].data
             named[name].data = arr
             try:
-                return float(tensor_sum(encode(x, params, config).flat).data)
+                return float(tensor_sum(encode(x, params, config)).data)
             finally:
                 named[name].data = saved
 
@@ -329,7 +327,7 @@ class TestGraphFreeFfn:
         config, params = make(channels=3, steps=7, depth=2)
         xs = np.random.default_rng(8).normal(size=(4, 3, 7))
         rep = Encoder(params, config).encode_batch(xs)
-        assert rep.flat.requires_grad
+        assert rep.requires_grad
         # two towers per layer, one 2-D Phi call per series, as without a graph
         per_layer = [(7, 4 * config.width)] * 4 + [(3, 4 * config.width)] * 4
         assert phi_shapes == per_layer * config.depth

@@ -192,8 +192,8 @@ class TestNtpLoss:
 
         fused = run(ntp_loss(enc, truncated, labels, heads))
         rep = enc.encode_batch(truncated)
-        n, rows, d = rep.per_channel.shape
-        ce = composed_head(reshape(rep.per_channel, (n * rows, d)), heads.ntp_w, heads.ntp_b, labels.reshape(-1))
+        n, rows, d = rep.shape
+        ce = composed_head(reshape(rep, (n * rows, d)), heads.ntp_w, heads.ntp_b, labels.reshape(-1))
         composed = run(mul(ce, constant(n * rows)))
         assert fused[1]["heads.ntp.w"] is not None
         assert fused == composed
@@ -353,8 +353,8 @@ def composed_contrastive_loss(projections, batch, tau):
     return mul(tensor_sum(per_anchor), constant(1.0 / len(anchors)))
 
 
-def composed_cs_loss(encoder, batch, heads, weights, *, rng, train):
-    flat = encoder.encode_batch(batch.samples, rng=rng, train=train).flat
+def composed_cs_loss(encoder, batch, heads, weights, *, rng):
+    flat = reshape(encoder.encode_batch(batch.samples, rng=rng), (batch.size, -1))
     hidden = gelu(add(matmul(flat, heads.cs_w1), heads.cs_b1))
     projections = add(matmul(hidden, heads.cs_w2), heads.cs_b2)
     return composed_contrastive_loss(projections, batch, weights.tau)
@@ -378,7 +378,7 @@ class TestFusedContrastiveNode:
         for loss_fn in (cs_loss, composed_cs_loss):
             for t in leaves.values():
                 t.zero_grad()
-            loss = loss_fn(enc, batch, heads, LossWeights(tau=0.2), rng=np.random.default_rng(43), train=True)
+            loss = loss_fn(enc, batch, heads, LossWeights(tau=0.2), rng=np.random.default_rng(43))
             value = loss.item()
             loss.backward()
             results.append((value, {k: t.grad for k, t in leaves.items()}))

@@ -239,11 +239,11 @@ class TestFfn:
 
         def fn(x, w1, b1, w2, b2):
             # a fresh rng per evaluation draws the same mask every time
-            out = ffn(x, w1, b1, w2, b2, rate=0.5, rng=np.random.default_rng(10), train=True)
+            out = ffn(x, w1, b1, w2, b2, rate=0.5, rng=np.random.default_rng(10))
             return tensor_sum(mul(out, x))
 
         plain = ffn(*map(constant, args)).data
-        dropped = ffn(*map(constant, args), rate=0.5, rng=np.random.default_rng(10), train=True).data
+        dropped = ffn(*map(constant, args), rate=0.5, rng=np.random.default_rng(10)).data
         assert not np.allclose(plain, dropped)
         check_gradients(fn, args)
 
@@ -256,7 +256,7 @@ class TestFfn:
         rows = [shape[0] // 2, shape[0] - shape[0] // 2]
 
         def run(xs, source, taped):
-            kwargs = {} if source is None else dict(rate=0.3, rng=source, train=True)
+            kwargs = {} if source is None else dict(rate=0.3, rng=source)
             leaf = Tensor(xs, requires_grad=True)
             if taped:
                 out = ffn(leaf, *weights, **kwargs)
@@ -271,11 +271,7 @@ class TestFfn:
             gen = np.random.default_rng(15)
             if masks == "micro_batches":
                 source = MicroBatchMasks(gen, rows)
-                parts = []
-                for j, (lo, hi) in enumerate(zip(np.cumsum([0, *rows]), np.cumsum(rows))):
-                    source.select(j)
-                    parts.append(run(x[lo:hi], source, taped))
-                out = np.concatenate(parts)
+                out = np.concatenate([run(x[lo:hi], source, taped) for lo, hi in source])
             else:
                 out = run(x, gen if masks == "generator" else None, taped)
             return out, gen.random()
@@ -371,8 +367,8 @@ def composed_attention(q_in, kv_in, w, heads):
     return out if w.w_o is None else matmul(out, w.w_o)
 
 
-def composed_ffn(x, w1, b1, w2, b2, *, rate=0.0, rng=None, train=False):
-    h = dropout(gelu(add(matmul(x, w1), b1)), rate, rng, train)
+def composed_ffn(x, w1, b1, w2, b2, *, rate=0.0, rng=None):
+    h = dropout(gelu(add(matmul(x, w1), b1)), rate, rng)
     return add(matmul(h, w2), b2)
 
 
@@ -441,7 +437,7 @@ class TestFusedKernelsMatchComposition:
 
         def run(block):
             def fn(*args):
-                return block(*args, rate=0.3, rng=np.random.default_rng(34), train=True)
+                return block(*args, rate=0.3, rng=np.random.default_rng(34))
 
             return fn
 
@@ -576,9 +572,9 @@ class TestAutodiffPlumbing:
 
     def test_dropout_eval_is_identity_and_train_scales(self):
         x = constant(np.ones((100, 100)))
-        assert dropout(x, 0.4, None, train=False) is x
+        assert dropout(x, 0.4, None) is x
         rng = np.random.default_rng(7)
-        out = dropout(x, 0.4, rng, train=True).data
+        out = dropout(x, 0.4, rng).data
         kept = out != 0.0
         np.testing.assert_allclose(out[kept], 1.0 / 0.6, rtol=1e-12)
         assert abs(kept.mean() - 0.6) < 0.02
@@ -586,7 +582,7 @@ class TestAutodiffPlumbing:
     def test_dropout_gradient_uses_same_mask(self):
         rng = np.random.default_rng(8)
         a = Tensor(np.ones((50, 50)), requires_grad=True)
-        out = dropout(a, 0.3, rng, train=True)
+        out = dropout(a, 0.3, rng)
         tensor_sum(out).backward()
         np.testing.assert_array_equal(a.grad, out.data)
 
@@ -605,7 +601,7 @@ class TestAutodiffPlumbing:
         keep = np.random.default_rng(12).random(x.shape) >= rate
 
         a = Tensor(x, requires_grad=True)
-        out = dropout(a, rate, np.random.default_rng(12), train=True)
+        out = dropout(a, rate, np.random.default_rng(12))
         out.backward(g)
         assert out.data.tobytes() == (x * (keep * scale)).tobytes()
         assert a.grad.tobytes() == (g * (keep * scale)).tobytes()
@@ -615,7 +611,7 @@ class TestAutodiffPlumbing:
         xs, gs = rng.normal(size=(40, 100)), rng.normal(size=(40, 3))
         keep = np.random.default_rng(13).random((40, 8)) >= rate
         w1_leaf = Tensor(w1, requires_grad=True)
-        out = ffn(constant(xs), w1_leaf, b1, w2, b2, rate=rate, rng=np.random.default_rng(13), train=True)
+        out = ffn(constant(xs), w1_leaf, b1, w2, b2, rate=rate, rng=np.random.default_rng(13))
         out.backward(gs)
         z = xs @ w1 + b1
         cdf = ndtr(z)
@@ -644,23 +640,29 @@ class TestMicroBatchMasks:
         rng = np.random.default_rng(50)
         masks = MicroBatchMasks(rng, rows)
         for _ in range(2):  # a second pass (gradient caching) sees the same masks
-            for j, n in enumerate(rows):
-                masks.select(j)
+            spans = []
+            for j, (lo, hi) in enumerate(masks):
+                spans.append((lo, hi))
                 for site, shape in enumerate(shapes):
-                    got = masks.keep((n, *shape), rate)
-                    assert got.dtype == bool and got.shape == (n, *shape)
+                    got = masks.keep((hi - lo, *shape), rate)
+                    assert got.dtype == bool and got.shape == (rows[j], *shape)
                     np.testing.assert_array_equal(got, want[j][site])
+            assert spans == [(0, 3), (3, 4), (4, 9), (9, 11)]
         reference_rng = np.random.default_rng(50)
         self.boolean_masks(reference_rng, rows, shapes, rate)
         assert rng.random() == reference_rng.random()
 
     def test_a_site_with_another_shape_is_rejected(self):
         masks = MicroBatchMasks(np.random.default_rng(51), [2, 2])
+        spans = iter(masks)
+        next(spans)
         masks.keep((2, 9), 0.5)
-        masks.select(1)
+        next(spans)
         with pytest.raises(ShapeError, match="dropout site 0"):
             masks.keep((2, 10), 0.5)
-        masks.select(1)
+        spans = iter(masks)
+        next(spans)
+        next(spans)
         masks.keep((2, 9), 0.5)
         with pytest.raises(ShapeError, match="micro-batch 1 reached a dropout site"):
             masks.keep((2, 9), 0.5)
