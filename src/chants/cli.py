@@ -74,6 +74,8 @@ def read_config_file(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
+    if not path.is_file():
+        raise ConfigError(f"config path is not a file: {path}")
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = line.strip()
@@ -114,6 +116,19 @@ def _write_manifest(out_dir: Path, command: str, cfg: TrainConfig, data_path, se
         "created": datetime.now(timezone.utc).isoformat(),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _out_dir(path) -> Path:
+    """``path`` as an output directory, created later; checked before any data is loaded.
+
+    ``ConfigError`` if it, or the nearest of its ancestors that exists, is
+    not a directory.
+    """
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output directory {path}: {existing} is not a directory")
+    return path
 
 
 def _load_data(args, path=None) -> MtsDataset:
@@ -168,12 +183,12 @@ def _write_metrics(out_dir: Path, metrics) -> None:
 
 
 def cmd_pretrain(args) -> int:
-    ds = _load_data(args)
+    out_dir = _out_dir(args.out_dir)
     raw = read_config_file(args.config)
+    ds = _load_data(args)
     raw["encoder"] = {"channels": ds.channels, "steps": ds.steps, **raw["encoder"]}
     cfg = train_config_from_dict(raw)
     check_pretrain(ds, cfg)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, "pretrain", cfg, args.data, cfg.seed)
     stats = None
@@ -211,6 +226,8 @@ def _probe_setup(args):
             raise CheckpointError(
                 f"{path}: normalization stats must be norm.mean and norm.std of length {train.channels}"
             )
+        if not (np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()):
+            raise CheckpointError(f"{path}: normalization stats norm.mean and norm.std must be finite")
         train, test = apply_norm_stats(train, stats), apply_norm_stats(test, stats)
     return params, cfg, train, test
 
@@ -223,11 +240,11 @@ def _check_fraction(fraction: float) -> None:
 def cmd_probe(args) -> int:
     if args.fraction is not None:
         _check_fraction(args.fraction)
+    out_dir = _out_dir(args.out_dir)
     params, cfg, train, test = _probe_setup(args)
     if args.fraction is not None:
         train = subsample(train, args.fraction, seed=cfg.seed)
     metrics = linear_probe(train, test, params, cfg)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_metrics(out_dir, metrics)
     print(f"ACC {metrics.accuracy:.4f} MF1 {metrics.macro_f1:.4f}")
@@ -239,9 +256,9 @@ def cmd_fewshot(args) -> int:
         _check_fraction(fraction)
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
+    out_dir = _out_dir(args.out_dir)
     params, cfg, train, test = _probe_setup(args)
     rows = fewshot_sweep(train, test, params, cfg, args.fractions, repeats=args.repeats)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "fewshot.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

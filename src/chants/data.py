@@ -284,17 +284,30 @@ def parse_csv(path, channels: int, *, layout: str = "wide", labeled: bool = Fals
 
 
 def load_dataset(path, *, channels: int | None = None, layout: str = "wide", labeled: bool = False) -> MtsDataset:
-    """Dispatch on file extension: ``.ts`` or ``.csv``."""
+    """Dispatch on file extension: ``.ts`` or ``.csv``.
+
+    A NaN or infinite series value raises ``DataError`` naming the first
+    sample, channel and step (0-based) that holds one.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such dataset file: {path}")
     if path.suffix == ".ts":
-        return parse_ts(path)
-    if path.suffix == ".csv":
+        ds = parse_ts(path)
+    elif path.suffix == ".csv":
         if channels is None:
             raise DataError("CSV input needs an explicit channel count")
-        return parse_csv(path, channels, layout=layout, labeled=labeled)
-    raise DataError(f"unrecognized dataset extension {path.suffix!r} (expected .ts or .csv)")
+        ds = parse_csv(path, channels, layout=layout, labeled=labeled)
+    else:
+        raise DataError(f"unrecognized dataset extension {path.suffix!r} (expected .ts or .csv)")
+    bad = np.argwhere(~np.isfinite(ds.series))
+    if len(bad):
+        sample, channel, step = bad[0]
+        raise DataError(
+            f"{path}: sample {sample} has the non-finite value {ds.series[sample, channel, step]} "
+            f"at channel {channel}, step {step}"
+        )
+    return ds
 
 
 # ---------------------------------------------------------------------------

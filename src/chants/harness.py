@@ -4,7 +4,12 @@ probing, a supervised-from-scratch baseline, metrics, and the few-shot sweep.
 Every run is a pure function of (seed, config, dataset): rng streams are
 derived from the seed per purpose, so identical runs produce identical loss
 logs and bitwise-identical checkpoints. The three trainers share one update
-loop, :func:`fit`. Neither pretraining nor feature extraction passes the
+loop, :func:`fit`: each step's loss function leaves its gradients on the
+trainables, and ``fit`` checks the loss and makes one ``adam_step``.
+Pretraining backpropagates its parts inside its step, the supervised
+baseline runs one backward, and the linear-probe head records no tape at
+all: it trains one packed (d + 1, k) array with closed-form gradient
+steps. Neither pretraining nor feature extraction passes the
 encoder more than ``MICRO_BATCH`` series in one call, with a graph or
 without: pretraining builds no graph of more, whatever the batch size and
 ``k_ntp``, and extraction encodes no more at a time (the supervised
@@ -57,7 +62,17 @@ from .pretext import (
     nvp_loss,
     reverse_neg_mode,
 )
-from .tensor import MicroBatchMasks, Tensor, constant, cross_entropy, no_grad, reshape
+from .tensor import (
+    MicroBatchMasks,
+    Tensor,
+    _cross_entropy_backward,
+    _cross_entropy_forward,
+    _onehot,
+    constant,
+    cross_entropy,
+    no_grad,
+    reshape,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -231,23 +246,24 @@ def fit(
     epochs: int,
     patience: int,
     epoch_batches: Callable[[int], Iterable],
-    step_loss: Callable[[object], tuple[Tensor, dict]],
+    step_loss: Callable[[object], tuple[float, dict]],
     log: list[dict] | None = None,
     on_epoch: Callable[[int, float, int], None] | None = None,
 ) -> bool:
     """Train ``trainables`` with Adam; return whether the run stopped early.
 
-    ``epoch_batches(epoch)`` yields one epoch's batches and
-    ``step_loss(batch)`` returns the scalar loss and the fields to log with
-    it; once a step's update is taken, ``{"epoch", "step", **fields}`` is
-    appended to ``log`` (when given). A non-finite loss raises
-    ``FloatingPointError`` before backward, and an epoch that yields no
-    batch raises ``ConfigError``. After each epoch ``on_epoch(epoch, mean
-    loss, steps so far)`` runs, and the run stops once the mean has not
-    improved for ``patience`` epochs. The name -> array mapping that Adam
-    updates in place is built once per run (so nothing may rebind a
-    trainable's ``data`` during it), and a step costs one forward, one
-    backward and one ``adam_step``.
+    ``epoch_batches(epoch)`` yields one epoch's batches. Each step clears
+    the trainables' gradients, then ``step_loss(batch)`` leaves the step's
+    gradients on them (``.grad``, None for zero) and returns the loss value
+    and the fields to log with it; once the step's update is taken,
+    ``{"epoch", "step", **fields}`` is appended to ``log`` (when given). A
+    non-finite loss raises ``FloatingPointError`` before the update, and an
+    epoch that yields no batch raises ``ConfigError``. After each epoch
+    ``on_epoch(epoch, mean loss, steps so far)`` runs, and the run stops
+    once the mean has not improved for ``patience`` epochs. The name ->
+    array mapping that Adam updates in place is built once per run (so
+    nothing may rebind a trainable's ``data`` during it), and a step makes
+    one ``adam_step`` call.
     """
     named = list(trainables.items())
     arrays = {k: t.data for k, t in named}
@@ -260,14 +276,9 @@ def fit(
         for batch in epoch_batches(epoch):
             for _, t in named:
                 t.zero_grad()
-            loss, fields = step_loss(batch)
-            value = loss.item()
+            value, fields = step_loss(batch)
             if not math.isfinite(value):
                 raise FloatingPointError(f"non-finite loss {value} at epoch {epoch} step {step}")
-            # no graph outlives its step: backward frees it, and only `loss`
-            # refers to it from here on
-            loss.backward()
-            del loss
             adam_step(arrays, {k: t.grad for k, t in named if t.grad is not None}, state)  # in place
             if log is not None:
                 log.append({"epoch": epoch, "step": step, **fields})
@@ -482,8 +493,8 @@ def pretrain(
             cs_part = constant(_cs_grad_cache(encoder, cs_batch, heads, rng_drop, weights))
         else:
             cs_part = constant(0.0)
-        combined = combined_loss(ntp_part, cs_part, weights)
-        return combined, {"ntp_loss": ntp_part.item(), "cs_loss": cs_part.item(), "combined": combined.item()}
+        combined = combined_loss(ntp_part, cs_part, weights).item()
+        return combined, {"ntp_loss": ntp_part.item(), "cs_loss": cs_part.item(), "combined": combined}
 
     def save(path: Path, step: int, **meta) -> None:
         extra = {k: t.data for k, t in heads.named().items()}
@@ -570,13 +581,18 @@ def train_linear_head(
     """Train one affine layer with cross entropy on fixed features; return (w, b).
 
     ``features`` is (n, d) with n >= 1 and ``labels`` holds n integers in
-    [0, ``class_count``). Each epoch gathers its shuffled rows once and
-    slices its batches of ``batch_size`` rows from them; a step is one tape
-    node (:func:`chants.tensor.cross_entropy`) and one ``adam_step``. Bad
-    shapes raise ``ShapeError`` and an empty set of rows or a batch size
-    under 1 raises ``ConfigError``, before any step; a label outside
-    [0, ``class_count``) raises ``IndexError`` at the first step, before
-    any update.
+    [0, ``class_count``). The head is one (d + 1, ``class_count``) array:
+    the Glorot-initialised weights ``w`` with the zero bias ``b`` as its last
+    row, both returned as views of it, so ``features @ w + b`` are the
+    logits. Each epoch gathers its shuffled rows and one-hot rows once and
+    slices its batches of ``batch_size`` rows from them. A step takes the
+    loss and its gradient with respect to the packed array in closed form
+    (the arithmetic of :func:`chants.tensor.cross_entropy`, so ``w`` and
+    ``b`` are bitwise those of that node with Adam on each), records no
+    tape node, and makes one ``adam_step`` over the one array. Bad shapes
+    raise ``ShapeError``, an empty set of rows or a batch size under 1
+    raises ``ConfigError``, and a label outside [0, ``class_count``) raises
+    ``IndexError``, all before any step.
     """
     features = np.asarray(features)
     labels = np.asarray(labels)
@@ -589,20 +605,28 @@ def train_linear_head(
         raise ConfigError("train_linear_head needs at least one feature row")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    w = _glorot(np.random.default_rng([seed, 10]), dim, class_count)
-    b = Tensor(np.zeros(class_count), requires_grad=True)
+    onehot = _onehot(labels, class_count)
+    head = Tensor(np.zeros((dim + 1, class_count)))
+    w, b = head.data[:-1], head.data[-1]
+    w[...] = _glorot(np.random.default_rng([seed, 10]), dim, class_count).data
+    grad = np.empty_like(head.data)  # refilled by every step; adam_step keeps no reference to it
 
     def epoch_batches(epoch: int):
         order = np.random.default_rng([seed, 11, epoch]).permutation(n)
-        rows, targets = features[order], labels[order]
-        return ((rows[lo : lo + batch_size], targets[lo : lo + batch_size]) for lo in range(0, n, batch_size))
+        rows, hot = features[order], onehot[order]
+        return ((rows[lo : lo + batch_size], hot[lo : lo + batch_size]) for lo in range(0, n, batch_size))
 
     def step_loss(batch):
-        rows, targets = batch
-        return cross_entropy(rows, w, b, targets), {}
+        rows, hot = batch
+        loss, e, total = _cross_entropy_forward(rows, w, b, hot)
+        d = _cross_entropy_backward(1.0, hot, e, total)
+        np.matmul(rows.T, d, out=grad[:-1])
+        np.add.reduce(d, axis=0, out=grad[-1])
+        head.grad = grad
+        return loss, {}
 
-    fit({"w": w, "b": b}, lr=lr, epochs=epochs, patience=patience, epoch_batches=epoch_batches, step_loss=step_loss)
-    return w.data, b.data
+    fit({"head": head}, lr=lr, epochs=epochs, patience=patience, epoch_batches=epoch_batches, step_loss=step_loss)
+    return w, b
 
 
 def _score(
@@ -698,7 +722,9 @@ def supervised_baseline(
 
     def step_loss(batch):
         flat = reshape(encoder.encode_batch(batch.x, rng=rng_drop), (len(batch.x), -1))
-        return cross_entropy(flat, head_w, head_b, batch.labels), {}
+        loss = cross_entropy(flat, head_w, head_b, batch.labels)
+        loss.backward()
+        return loss.item(), {}
 
     fit(
         {**params.trainable(), "head.w": head_w, "head.b": head_b},

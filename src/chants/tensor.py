@@ -12,9 +12,10 @@ activations are freed while backward runs and a second backward through the
 same graph raises. Leaves keep their ``.grad``. The encoder's blocks (layer
 norm, attention, the FFN), the contrastive-similarity loss and the
 classifier head with its cross entropy (``cross_entropy(x, w, b, labels)``,
-which the NTP head, the linear probe and the supervised baseline all call)
-are single tape nodes with closed-form backward; a probe step's graph is
-that one node over leaves, which backward runs without a topological sort.
+which the NTP head and the supervised baseline call) are single tape nodes
+with closed-form backward. The linear-probe head calls the cross entropy's
+arithmetic, ``_cross_entropy_forward`` and ``_cross_entropy_backward``,
+directly and records no tape at all.
 The FFN runs one series at a time, taped or not; with no graph to build
 (feature extraction, the first gradient-caching pass of contrastive
 similarity) it never holds more than one series' hidden layer. Dropout, in
@@ -694,6 +695,43 @@ def ffn(x, w1, b1, w2, b2, *, rate: float = 0.0, rng=None) -> Tensor:
     return _make(out_data, parents, backward)
 
 
+def _onehot(labels, k: int) -> np.ndarray:
+    """The (n, k) boolean one-hot rows of ``labels``; a label outside [0, k) raises ``IndexError``."""
+    labels = np.asarray(labels, dtype=np.int64)
+    onehot = np.equal.outer(labels, np.arange(k))  # a row without its True has a bad label
+    if np.count_nonzero(onehot) != len(labels):
+        bad = labels[~onehot.any(axis=1)][0]
+        raise IndexError(f"label {bad} outside [0, {k})")
+    return onehot
+
+
+def _cross_entropy_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, onehot: np.ndarray):
+    """Mean negative log softmax of the ``onehot`` entries of the logits ``x @ w + b``.
+
+    Returns the loss with the softmax numerators ``e`` and their row sums
+    ``total``, which :func:`_cross_entropy_backward` takes.
+    """
+    logits = np.matmul(x, w)
+    logits += b
+    # ufunc reductions, bitwise the ndarray methods without their Python wrappers
+    shift = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    e = logits - shift
+    np.exp(e, out=e)
+    total = np.add.reduce(e, axis=-1, keepdims=True)
+    logits -= np.log(total) + shift  # the log probabilities
+    logits *= onehot  # times 1.0 or 0.0
+    return np.add.reduce(logits, axis=None) * (-1.0 / len(logits)), e, total
+
+
+def _cross_entropy_backward(g, onehot: np.ndarray, e: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """d(logits) of :func:`_cross_entropy_forward` for the upstream gradient ``g``.
+
+    (softmax - onehot) * g / n, in the rounding of the composed ops.
+    """
+    g_true = g * (-1.0 / len(onehot))
+    return g_true * onehot + (-g_true / total) * e
+
+
 def cross_entropy(x, w, b, labels) -> Tensor:
     """Affine classifier head and its mean softmax cross entropy, as one node.
 
@@ -702,7 +740,10 @@ def cross_entropy(x, w, b, labels) -> Tensor:
     negative log softmax probability of the row's label, one of n integers
     in [0, k). One tape node; backward keeps the softmax numerators and
     their sums, and gives ``x``, ``w`` and ``b`` their gradients in closed
-    form, bitwise those of the composed matmul, add and cross entropy.
+    form, bitwise those of the composed matmul, add and cross entropy. The
+    arithmetic lives in ``_cross_entropy_forward`` and
+    ``_cross_entropy_backward``, which the linear-probe head also calls
+    without a tape.
     """
     x, w, b = parents = (constant(x), constant(w), constant(b))
     x_data, w_data = x.data, w.data
@@ -713,28 +754,13 @@ def cross_entropy(x, w, b, labels) -> Tensor:
     n, k = x_data.shape[0], w_data.shape[1]
     if n == 0:
         raise ShapeError("cross_entropy needs at least one row")
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (n,):
-        raise ShapeError(f"cross_entropy got {n} rows but labels of shape {labels.shape}")
-    onehot = np.equal.outer(labels, np.arange(k))  # a row without its True has a bad label
-    if np.count_nonzero(onehot) != n:
-        bad = labels[~onehot.any(axis=1)][0]
-        raise IndexError(f"label {bad} outside [0, {k})")
-    # ufunc reductions, bitwise the ndarray methods without their Python wrappers
-    log_probs = np.matmul(x_data, w_data)
-    log_probs += b.data  # the logits, turned into log probabilities in place
-    shift = np.maximum.reduce(log_probs, axis=-1, keepdims=True)
-    e = log_probs - shift
-    np.exp(e, out=e)
-    total = np.add.reduce(e, axis=-1, keepdims=True)
-    log_probs -= np.log(total) + shift
-    log_probs *= onehot  # times 1.0 or 0.0
-    out_data = np.add.reduce(log_probs, axis=None) * (-1.0 / n)
+    if np.shape(labels) != (n,):
+        raise ShapeError(f"cross_entropy got {n} rows but labels of shape {np.shape(labels)}")
+    onehot = _onehot(labels, k)
+    out_data, e, total = _cross_entropy_forward(x_data, w_data, b.data, onehot)
 
     def backward(g):
-        # d(logits) = (softmax - onehot) * g / n, in the rounding of the composed ops
-        g_true = g * (-1.0 / n)
-        d = g_true * onehot + (-g_true / total) * e
+        d = _cross_entropy_backward(g, onehot, e, total)
         if b.requires_grad:
             _accum(b, np.add.reduce(d, axis=0))
         if w.requires_grad:

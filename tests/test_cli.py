@@ -270,6 +270,19 @@ class TestSelfContainedCheckpoint:
         assert main(["probe", str(bad), str(data), str(tmp_path / "out")]) == 4
         assert "norm.mean" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, value", [("norm.mean", np.nan), ("norm.std", np.inf), ("norm.std", -np.inf)])
+    def test_non_finite_stats_exit_4_with_nothing_written(self, pretrained, tmp_path, capsys, name, value):
+        data, run = pretrained
+        params, config, manifest, extra = load_encoder(run / "checkpoint.ckpt")
+        extra[name] = extra[name].copy()
+        extra[name][1] = value
+        bad = tmp_path / "bad.ckpt"
+        save_encoder(bad, params, config, seed=0, step=0, extra=extra, meta=manifest["meta"])
+        out = tmp_path / "out"
+        assert main(["probe", str(bad), str(data), str(out)]) == 4
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpoint_without_a_training_config_exits_4(self, pretrained, tmp_path, capsys):
         data, run = pretrained
         params, config, _, _ = load_encoder(run / "checkpoint.ckpt")
@@ -441,4 +454,68 @@ def test_a_manifest_config_differing_from_the_training_config_exits_4(pretrained
         argv += ["--fractions", "0.5", "--repeats", "1"]
     assert main(argv) == 4
     assert "meta.train_config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def write_with_one_value(path, value, sample=5, channel=1, step=7):
+    """The CLI fixture as a ``.ts`` file with one series value replaced by ``value``."""
+    ds = make_synthetic_fixture(m=24, channels=CHANNELS, steps=STEPS, seed=5)
+    ds.series[sample, channel, step] = value
+    serialize_ts(ds, path)
+    return path
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("command", ["pretrain", "probe", "fewshot"])
+def test_a_non_finite_series_value_exits_3_naming_its_sample_with_nothing_written(
+    pretrained, tmp_path, capsys, command, value
+):
+    _, run = pretrained
+    bad = str(write_with_one_value(tmp_path / "bad.ts", value))
+    out = tmp_path / "out"
+    argv = {
+        "pretrain": ["pretrain", str(write_config(tmp_path / "tiny.cfg")), bad, str(out)],
+        "probe": ["probe", str(run / "checkpoint.ckpt"), bad, str(out)],
+        "fewshot": ["fewshot", str(run / "checkpoint.ckpt"), bad, str(out), "--fractions", "0.5", "--repeats", "1"],
+    }[command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"sample 5 has the non-finite value {value}" in err
+    assert "channel 1, step 7" in err
+    assert not out.exists()
+
+
+def out_dir_argv(command, config, out):
+    """Arguments of ``command`` whose data and checkpoint paths do not exist."""
+    missing = str(out.parent / "missing")
+    return {
+        "pretrain": ["pretrain", str(config), missing + ".ts", str(out)],
+        "probe": ["probe", missing + ".ckpt", missing + ".ts", str(out)],
+        "fewshot": ["fewshot", missing + ".ckpt", missing + ".ts", str(out), "--fractions", "0.5"],
+    }[command]
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command", ["pretrain", "probe", "fewshot"])
+def test_an_out_dir_that_cannot_be_a_directory_exits_2_before_anything_is_loaded(tmp_path, capsys, command, below):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "run" if below else taken
+    # the data and checkpoint do not exist: loading either would exit 3 or 4
+    assert main(out_dir_argv(command, write_config(tmp_path / "tiny.cfg"), out)) == 2
+    err = capsys.readouterr().err
+    assert f"error: output directory {out}: {taken} is not a directory" in err
+    assert "Traceback" not in err
+    assert taken.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "tiny.cfg"]
+
+
+def test_a_config_path_that_is_a_directory_exits_2_before_anything_is_loaded(tmp_path, capsys):
+    config = tmp_path / "config"
+    config.mkdir()
+    out = tmp_path / "out"
+    assert main(out_dir_argv("pretrain", config, out)) == 2
+    err = capsys.readouterr().err
+    assert f"error: config path is not a file: {config}" in err
+    assert "Traceback" not in err
     assert not out.exists()
