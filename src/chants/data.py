@@ -292,6 +292,8 @@ def load_dataset(path, *, channels: int | None = None, layout: str = "wide", lab
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such dataset file: {path}")
+    if not path.is_file():
+        raise DataError(f"dataset path is not a file: {path}")
     if path.suffix == ".ts":
         ds = parse_ts(path)
     elif path.suffix == ".csv":

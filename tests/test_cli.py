@@ -519,3 +519,23 @@ def test_a_config_path_that_is_a_directory_exits_2_before_anything_is_loaded(tmp
     assert f"error: config path is not a file: {config}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_a_data_path_that_is_a_directory_exits_3(tmp_path, capsys):
+    data = tmp_path / "data.ts"
+    data.mkdir()
+    out = tmp_path / "out"
+    assert main(["pretrain", str(write_config(tmp_path / "tiny.cfg")), str(data), str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"error: dataset path is not a file: {data}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_an_augment_preview_output_that_is_a_directory_exits_2_before_loading(tmp_path, capsys):
+    out = tmp_path / "preview"
+    out.mkdir()
+    assert main(["augment-preview", str(tmp_path / "missing.ts"), "sync", "0", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: output file is a directory: {out}" in err
+    assert list(out.iterdir()) == []

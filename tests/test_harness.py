@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import chants.tensor
 from chants import harness
 from chants.augment import AugmentConfig
 from chants.checkpoint import load_checkpoint
@@ -41,7 +42,6 @@ from chants.pretext import (
     nvp_loss,
     reverse_neg_mode,
 )
-import chants.tensor
 from chants.tensor import Tensor, constant, cross_entropy, mul
 
 from test_tensor import composed_head
