@@ -18,7 +18,6 @@ import numpy as np
 
 from .encoder import CatParams, EncoderConfig, init_cat_params
 from .errors import CheckpointError
-from .tensor import Tensor
 
 __all__ = [
     "load_checkpoint",

@@ -68,7 +68,7 @@ _SECTIONS = ("encoder", "weights", "aug")
 def read_config_file(path) -> dict:
     """Read ``key = value`` lines into ``{section: {field: text}}`` plus top-level text.
 
-    A key given on two lines raises ``ConfigError`` naming both.
+    A key given on two lines, or a file that is not UTF-8, raises ``ConfigError``.
     """
     raw: dict = {section: {} for section in _SECTIONS}
     path = Path(path)
@@ -76,8 +76,12 @@ def read_config_file(path) -> dict:
         raise ConfigError(f"no such config file: {path}")
     if not path.is_file():
         raise ConfigError(f"config path is not a file: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} 0x{exc.object[exc.start]:02x}") from exc
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -161,8 +165,8 @@ def _check_dims(config: EncoderConfig, ds: MtsDataset, path) -> None:
 def _load_ckpt(path):
     try:
         return load_encoder(path)
-    except FileNotFoundError as exc:
-        raise CheckpointError(f"no such checkpoint: {path}") from exc
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
 
 
 def _write_metrics(out_dir: Path, metrics) -> None:
@@ -219,7 +223,8 @@ def _probe_setup(args):
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     train, test = _load_splits(args)
-    _check_dims(enc_config, train, args.data)
+    for ds, data_path in ((train, args.data), (test, args.test)):
+        _check_dims(enc_config, ds, data_path)
     if "norm.mean" in extra or "norm.std" in extra:
         stats = NormStats(mean=extra.get("norm.mean"), std=extra.get("norm.std"))
         if any(v is None or v.shape != (train.channels,) for v in (stats.mean, stats.std)):

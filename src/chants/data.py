@@ -86,6 +86,14 @@ class MtsBatch:
 # ---------------------------------------------------------------------------
 
 
+def _numbered_lines(fh, path: Path) -> Iterator[tuple[int, str]]:
+    """``fh``'s lines numbered from 1; a byte that is not UTF-8 raises ``DataError`` naming ``path``."""
+    try:
+        yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc.reason} 0x{exc.object[exc.start]:02x}") from exc
+
+
 def parse_ts(path) -> MtsDataset:
     """Parse the ``@``-header sequence format; errors carry 1-based line numbers."""
     path = Path(path)
@@ -100,7 +108,7 @@ def parse_ts(path) -> MtsDataset:
     labels: list[int] = []
 
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in _numbered_lines(fh, path):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -226,7 +234,7 @@ def parse_csv(path, channels: int, *, layout: str = "wide", labeled: bool = Fals
     path = Path(path)
     rows: list[list[str]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in _numbered_lines(fh, path):
             line = raw.strip()
             if not line:
                 continue

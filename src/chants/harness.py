@@ -3,13 +3,15 @@ probing, a supervised-from-scratch baseline, metrics, and the few-shot sweep.
 
 Every run is a pure function of (seed, config, dataset): rng streams are
 derived from the seed per purpose, so identical runs produce identical loss
-logs and bitwise-identical checkpoints. The three trainers share one update
-loop, :func:`fit`: each step's loss function leaves its gradients on the
-trainables, and ``fit`` checks the loss and makes one ``adam_step``.
-Pretraining backpropagates its parts inside its step, the supervised
+logs and bitwise-identical checkpoints; pretraining draws the dropout masks
+of every pretext task (NTP or NVP, then CS) from one. The three trainers
+share one update loop, :func:`fit`: each step's loss function leaves its
+gradients on the trainables, and ``fit`` checks the loss and makes one
+``adam_step``. Pretraining backpropagates each task's weighted part inside
+its step and hands the parts' values to ``combined_loss``, the supervised
 baseline runs one backward, and the linear-probe head records no tape at
-all: it trains one packed (d + 1, k) array with closed-form gradient
-steps. Neither pretraining nor feature extraction passes the
+all: it trains one packed (d + 1, k) array with closed-form gradient steps.
+Neither pretraining nor feature extraction passes the
 encoder more than ``MICRO_BATCH`` series in one call, with a graph or
 without: pretraining builds no graph of more, whatever the batch size and
 ``k_ntp``, and extraction encodes no more at a time (the supervised
@@ -43,7 +45,7 @@ import numpy as np
 
 from .augment import AugmentConfig
 from .checkpoint import save_encoder
-from .data import MtsDataset, NormStats, batches, subsample, subsample_rows
+from .data import MtsDataset, NormStats, batches, subsample_rows
 from .encoder import CatParams, Encoder, EncoderConfig, _glorot, init_cat_params
 from .errors import ConfigError, DataError, ShapeError, check_finite
 from .optim import adam_step, init_adam_state
@@ -352,16 +354,16 @@ def _truncations_in_micro_batches(
 
 
 def _cs_grad_cache(
-    encoder: Encoder, batch: CsBatch, heads: PretextHeads, rng: np.random.Generator, weights: LossWeights
+    encoder: Encoder, batch: CsBatch, heads: PretextHeads, rng: np.random.Generator, weight: float, tau: float
 ) -> float:
-    """The CS loss over ``batch``, with ``weights.alpha2`` times its gradient added to the leaves.
+    """The CS loss at temperature ``tau`` over ``batch``, with ``weight`` times its gradient added to the leaves.
 
     Gradient caching (Gao et al. 2021, arXiv 2101.06983) over micro-batches
     of at most ``MICRO_BATCH`` consecutive rows (for the standard batch, one
     original with its four augmentations each):
     1. encode and project the batch without a graph, one micro-batch at a time;
     2. take the loss on a leaf holding the stacked projections and
-       backpropagate ``weights.alpha2`` to that leaf only;
+       backpropagate ``weight`` to that leaf only;
     3. encode each micro-batch again with a graph and backpropagate its rows
        of the cached projection gradient through it.
     Both passes iterate one :class:`MicroBatchMasks`, so they see the
@@ -374,8 +376,8 @@ def _cs_grad_cache(
     with no_grad():
         rows = [cs_projections(encoder, batch.samples[lo:hi], heads, rng=masks).data for lo, hi in masks]
     cached = Tensor(np.concatenate(rows), requires_grad=True)
-    loss = contrastive_loss_from_projections(cached, batch, weights.tau)
-    value = _backward(loss, np.asarray(weights.alpha2), lambda value: f"CS loss {value}")
+    loss = contrastive_loss_from_projections(cached, batch, tau)
+    value = _backward(loss, np.asarray(weight), lambda value: f"CS loss {value}")
     for lo, hi in masks:
         out = cs_projections(encoder, batch.samples[lo:hi], heads, rng=masks)
         _backward(
@@ -469,32 +471,27 @@ def pretrain(
     def step_loss(batch):
         # each part is backpropagated as it is computed: its value joins the
         # combined loss as a constant
+        ntp = cs = 0.0
         if weights.alpha1 > 0.0:
-            # NVP draws its dropout masks after its truncation points, from rng_ntp
             if cfg.use_nvp:
-                task, loss, rng = "NVP", nvp_loss, rng_ntp
+                task, loss = "NVP", nvp_loss
                 truncated, targets = nvp_instances(batch.x, rng_ntp)
             else:
-                task, loss, rng = "NTP", ntp_loss, rng_drop
+                task, loss = "NTP", ntp_loss
                 truncated, targets = make_ntp_instances(batch.x, cfg.k_ntp, rng_ntp)
             b = len(batch.x)
-            part = _truncations_in_micro_batches(
-                encoder, heads, task, loss, truncated, targets, rng, weights.alpha1 / b
-            )
-            ntp_part = constant(part / b)
-        else:
-            ntp_part = constant(0.0)
+            ntp = _truncations_in_micro_batches(
+                encoder, heads, task, loss, truncated, targets, rng_drop, weights.alpha1 / b
+            ) / b
         if weights.alpha2 > 0.0:
             cs_batch = build_cs_batch(
                 batch.x, cfg.aug, rng_aug, include_negatives=not cfg.no_neg_augment
             )
             if cfg.reverse_neg:
                 cs_batch = reverse_neg_mode(cs_batch)
-            cs_part = constant(_cs_grad_cache(encoder, cs_batch, heads, rng_drop, weights))
-        else:
-            cs_part = constant(0.0)
-        combined = combined_loss(ntp_part, cs_part, weights).item()
-        return combined, {"ntp_loss": ntp_part.item(), "cs_loss": cs_part.item(), "combined": combined}
+            cs = _cs_grad_cache(encoder, cs_batch, heads, rng_drop, weights.alpha2, weights.tau)
+        combined = combined_loss(constant(ntp), constant(cs), weights).item()
+        return combined, {"ntp_loss": ntp, "cs_loss": cs, "combined": combined}
 
     def save(path: Path, step: int, **meta) -> None:
         extra = {k: t.data for k, t in heads.named().items()}
@@ -758,11 +755,11 @@ def fewshot_sweep(
 
     Each cell repeats over ``repeats`` seeds (cfg.seed + 0..repeats-1) and
     reports mean and population std of accuracy and macro-F1. Each repeat
-    trains on the stratified subsample of ``ds_train`` that
-    :func:`subsample` draws for its seed. The frozen encoder's features are
-    extracted once per sweep, and each probe takes its subsample's rows of
-    them: the same features, row for row, that :func:`linear_probe` on the
-    subsample extracts.
+    trains on the rows of ``ds_train`` that :func:`subsample_rows` picks for
+    its seed, the subsample :func:`subsample` gives. The frozen encoder's
+    features are extracted once per sweep, and each probe takes its
+    subsample's rows of them: the same features, row for row, that
+    :func:`linear_probe` on the subsample extracts.
     """
     fractions = list(fractions)
     if not fractions:
@@ -785,13 +782,14 @@ def fewshot_sweep(
             accs, mf1s = [], []
             for k in range(repeats):
                 run_cfg = dataclasses.replace(cfg, seed=cfg.seed + k)
+                pick = picks[fraction, k]
                 if mode == "probe":
-                    pick = picks[fraction, k]
                     metrics = _probe_features(
                         feats_train[pick], ds_train.labels[pick], feats_test, ds_test.labels, class_count, run_cfg
                     )
                 else:
-                    metrics = supervised_baseline(subsample(ds_train, fraction, seed=run_cfg.seed), ds_test, run_cfg)
+                    small = dataclasses.replace(ds_train, series=ds_train.series[pick], labels=ds_train.labels[pick])
+                    metrics = supervised_baseline(small, ds_test, run_cfg)
                 accs.append(metrics.accuracy)
                 mf1s.append(metrics.macro_f1)
             rows.append(

@@ -6,16 +6,17 @@ result accumulates gradients into every reachable tensor that has
 ``requires_grad`` set. Shapes follow numpy conventions; matrix operations act
 on the last two axes and broadcast over any leading (batch) axes.
 
-Backward runs once per graph: as each interior node passes its gradient on,
-the node's ``.grad``, backward closure and parents are dropped, so a graph's
-activations are freed while backward runs and a second backward through the
-same graph raises. Leaves keep their ``.grad``. The encoder's blocks (layer
-norm, attention, the FFN), the contrastive-similarity loss and the
-classifier head with its cross entropy (``cross_entropy(x, w, b, labels)``,
-which the NTP head and the supervised baseline call) are single tape nodes
-with closed-form backward. The linear-probe head calls the cross entropy's
-arithmetic, ``_cross_entropy_forward`` and ``_cross_entropy_backward``,
-directly and records no tape at all.
+Backward runs once per graph, in one traversal in reverse topological order:
+as each interior node passes its gradient on, its ``.grad``, backward
+closure and parents are dropped, so a graph's activations are freed while
+backward runs and a second backward through it raises. Leaves keep their
+``.grad``. The encoder's blocks (layer norm, attention, the FFN), the
+contrastive-similarity loss and the classifier head with its cross entropy
+(``cross_entropy(x, w, b, labels)``, which the NTP head and the supervised
+baseline call) are single tape nodes with closed-form backward. The
+linear-probe head calls the cross entropy's arithmetic,
+``_cross_entropy_forward`` and ``_cross_entropy_backward``, directly and
+records no tape at all.
 The FFN runs one series at a time, taped or not; with no graph to build
 (feature extraction, the first gradient-caching pass of contrastive
 similarity) it never holds more than one series' hidden layer. Dropout, in
@@ -122,12 +123,12 @@ class Tensor:
     def backward(self, grad: np.ndarray | None = None) -> None:
         """Accumulate d(self)/d(leaf) into every reachable ``requires_grad`` leaf.
 
-        Runs once per graph. Each interior node drops its ``.grad``, its
-        backward closure and its parents as soon as it has passed its gradient
-        on, so the graph is freed while backward runs; a second call through
-        any part of it raises ``RuntimeError``. Leaves keep ``.grad``. A node
-        whose parents are all leaves runs its closure directly, with no sort.
-        A ``grad`` whose shape is not the tensor's raises ``ShapeError``.
+        Runs once per graph, as one traversal in reverse topological order.
+        Each interior node drops its ``.grad``, its backward closure and its
+        parents as soon as it has passed its gradient on, so the graph is
+        freed while backward runs; a second call through any part of it
+        raises ``RuntimeError``. Leaves keep ``.grad``. A ``grad`` whose
+        shape is not the tensor's raises ``ShapeError``.
         """
         if grad is None:
             if self.data.size != 1:
@@ -141,14 +142,6 @@ class Tensor:
                 raise ShapeError(
                     f"backward() got a gradient of shape {grad.shape} for a tensor of shape {self.shape}"
                 )
-
-        backward = self._backward
-        if backward is not None and backward is not _freed and all(p._backward is None for p in self._parents):
-            # one node over leaves (a classifier head's loss): nothing to sort
-            self.grad = grad if self.grad is None else self.grad + grad
-            backward(self.grad)
-            self.grad, self._backward, self._parents = None, _freed, ()
-            return
 
         topo: list[Tensor] = []
         seen: set[int] = set()
@@ -247,10 +240,8 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, g)
+        _accum(a, g)
+        _accum(b, g)
 
     return _make(out_data, (a, b), backward)
 
@@ -335,10 +326,7 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.data.shape))
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.data.shape))
 

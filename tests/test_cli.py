@@ -539,3 +539,65 @@ def test_an_augment_preview_output_that_is_a_directory_exits_2_before_loading(tm
     err = capsys.readouterr().err
     assert f"error: output file is a directory: {out}" in err
     assert list(out.iterdir()) == []
+
+
+def with_a_byte_not_utf8(path, line):
+    """``path`` with the byte 0xff put at the end of its ``line``-th line (1-based)."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] += b"\xff"
+    path.write_bytes(b"\n".join(lines))
+    return path
+
+
+def write_wide_csv(path):
+    """The CLI fixture as a labeled wide-layout CSV file."""
+    ds = make_synthetic_fixture(m=24, channels=CHANNELS, steps=STEPS, seed=5)
+    rows = [",".join([*map(repr, s.ravel().tolist()), str(y)]) for s, y in zip(ds.series, ds.labels)]
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("kind, code", [("config", 2), ("ts", 3), ("csv", 3)])
+def test_a_file_that_is_not_utf8_exits_naming_it_with_nothing_written(tmp_path, capsys, kind, code):
+    config = write_config(tmp_path / "tiny.cfg")
+    data = write_wide_csv(tmp_path / "train.csv") if kind == "csv" else write_fixture(tmp_path / "train.ts")
+    bad = with_a_byte_not_utf8(config if kind == "config" else data, line=3 if kind == "config" else 12)
+    out = tmp_path / "out"
+    flags = ["--csv-channels", str(CHANNELS), "--csv-labeled"] if kind == "csv" else []
+    assert main(["pretrain", str(config), str(data), str(out), *flags]) == code
+    err = capsys.readouterr().err
+    assert f"error: {bad}: not UTF-8 text: invalid start byte 0xff" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["probe", "fewshot"])
+def test_a_test_split_of_another_shape_exits_4_naming_it_before_normalization(
+    pretrained, tmp_path, capsys, monkeypatch, command
+):
+    data, run = pretrained
+    applied = spy_on_norm_stats(monkeypatch)
+    other = write_fixture(tmp_path / "wide.ts", channels=CHANNELS + 1)
+    out = tmp_path / "out"
+    argv = [command, str(run / "checkpoint.ckpt"), str(data), str(out), "--test", str(other)]
+    if command == "fewshot":
+        argv += ["--fractions", "0.5", "--repeats", "1"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert f"but dataset {other} has ({CHANNELS + 1}, {STEPS})" in err
+    assert applied == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["probe", "fewshot"])
+def test_a_checkpoint_path_that_is_a_directory_exits_4_with_nothing_written(pretrained, tmp_path, capsys, command):
+    data, run = pretrained
+    out = tmp_path / "out"
+    argv = [command, str(run), str(data), str(out)]
+    if command == "fewshot":
+        argv += ["--fractions", "0.5", "--repeats", "1"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert f"error: cannot read checkpoint {run}: Is a directory" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -362,6 +362,25 @@ class TestPretrain:
             pretrain(ds, tiny_cfg(pretrain_epochs=1, use_nvp=True))
         assert calls == {"backward": 0}
 
+    def test_nvp_and_cs_draw_their_dropout_masks_from_the_dropout_stream(self, monkeypatch):
+        # one step of 4 samples: the NVP masks are built first, on the
+        # generator seeded [seed, 4] before it has drawn anything, and the CS
+        # masks on that same generator
+        sources = []
+        masks = harness.MicroBatchMasks
+
+        def recorded(rng, rows):
+            sources.append((rng, rng.bit_generator.state))
+            return masks(rng, rows)
+
+        monkeypatch.setattr(harness, "MicroBatchMasks", recorded)
+        cfg = tiny_cfg(pretrain_epochs=1, use_nvp=True, seed=3)
+        pretrain(labeled_dataset(np.random.default_rng(33), m=4), cfg)
+        assert len(sources) == 2
+        (nvp, nvp_state), (cs, _) = sources
+        assert nvp is cs
+        assert nvp_state == np.random.default_rng([cfg.seed, 4]).bit_generator.state
+
     def test_reused_out_dir_keeps_only_this_runs_epoch_checkpoints(self, tmp_path):
         rng = np.random.default_rng(25)
         ds = labeled_dataset(rng, m=8)
@@ -540,7 +559,9 @@ def test_cs_grad_cache_matches_one_whole_batch_pass(kind):
         return loss.item()
 
     want, want_grads, want_next = run(whole_batch)
-    got, got_grads, got_next = run(lambda rng_drop: _cs_grad_cache(encoder, batch, heads, rng_drop, weights))
+    got, got_grads, got_next = run(
+        lambda rng_drop: _cs_grad_cache(encoder, batch, heads, rng_drop, weights.alpha2, weights.tau)
+    )
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
     assert got_grads.keys() == want_grads.keys()
     assert "heads.cs.w1" in got_grads and "embed.w_time" in got_grads

@@ -524,12 +524,12 @@ class TestAutodiffPlumbing:
     @pytest.mark.parametrize(
         "build, bad",
         [
-            # one node over leaves, which backward runs with no sort
+            # one node whose parents are all leaves
             (lambda w, b: cross_entropy(constant(np.eye(2)), w, b, [0, 2]), np.ones(2)),
-            # an interior node under the output, so backward sorts the graph
+            # an interior node under the output
             (lambda w, b: add(matmul(constant(np.eye(2)), w), b), np.ones((1, 3))),
         ],
-        ids=["all-leaf", "sorted"],
+        ids=["one-node", "two-nodes"],
     )
     def test_a_gradient_of_another_shape_is_rejected(self, build, bad):
         w = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
