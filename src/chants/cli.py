@@ -27,6 +27,8 @@ and ignored.
 A ``pretrain`` checkpoint carries everything ``probe`` and ``fewshot``
 need: the training config and, unless ``--no-normalize`` was given, the
 per-channel normalization stats, which they then apply to their data.
+A ``--test`` split's labels are matched to the training split's by class
+name, not by index; a class only the test split has is scored wrong.
 """
 
 from __future__ import annotations
@@ -145,13 +147,18 @@ def _load_data(args, path=None) -> MtsDataset:
 
 
 def _load_splits(args) -> tuple[MtsDataset, MtsDataset]:
+    """The training and test splits; labels of a ``--test`` file are re-indexed
+    onto the training split's class names, names only it has appended."""
     train = _load_data(args)
-    if args.test is not None:
-        test = _load_data(args, path=args.test)
-    else:
+    if args.test is None:
         logger.warning("no --test split given; holding out 30%% of %s deterministically", args.data)
-        train, test = train_test_split(train, 0.3, seed=args.seed or 0)
-    return train, test
+        return train_test_split(train, 0.3, seed=args.seed or 0)
+    test = _load_data(args, path=args.test)
+    if train.labels is None or test.labels is None:
+        return train, test
+    names = train.label_names + [name for name in test.label_names if name not in train.label_names]
+    labels = np.array([names.index(name) for name in test.label_names], dtype=np.int64)[test.labels]
+    return train, dataclasses.replace(test, labels=labels, class_count=len(names), label_names=names)
 
 
 def _check_dims(config: EncoderConfig, ds: MtsDataset, path) -> None:
@@ -208,9 +215,10 @@ def _probe_setup(args):
     with the checkpoint's stats when it carries them."""
     path = args.checkpoint
     params, enc_config, manifest, extra = _load_ckpt(path)
-    snapshot = manifest.get("meta", {}).get("train_config")
-    if snapshot is None:
-        raise CheckpointError(f"{path}: no training config (meta.train_config); not written by pretrain")
+    meta = manifest.get("meta", {})
+    snapshot = meta.get("train_config") if isinstance(meta, dict) else meta
+    if not isinstance(snapshot, dict):
+        raise CheckpointError(f"{path}: no training config object (meta.train_config); not written by pretrain")
     try:
         cfg = train_config_from_dict(snapshot)
     except ConfigError as exc:

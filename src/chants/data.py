@@ -225,69 +225,54 @@ def parse_csv(path, channels: int, *, layout: str = "wide", labeled: bool = Fals
     ``wide``: one row per sample holding C*T values channel-by-channel, plus a
     trailing label when ``labeled``. ``blocked``: C consecutive rows of T
     values per sample; when labeled, every row of a block carries the same
-    trailing label.
+    trailing label. Blank lines are skipped, and every row holds as many
+    cells as the first. Errors carry the 1-based line of the file, blank
+    lines counted, as in :func:`parse_ts`.
     """
     if layout not in ("wide", "blocked"):
         raise DataError(f"unknown CSV layout {layout!r} (expected 'wide' or 'blocked')")
     if channels < 1:
         raise DataError(f"channels must be >= 1, got {channels}")
     path = Path(path)
-    rows: list[list[str]] = []
+    rows: list[tuple[int, list[str]]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in _numbered_lines(fh, path):
-            line = raw.strip()
-            if not line:
-                continue
-            rows.append([cell.strip() for cell in line.split(",")])
-
-    def to_floats(cells: list[str], lineno_hint: int) -> np.ndarray:
-        try:
-            return np.array([float(v) for v in cells])
-        except ValueError:
-            raise DataError(f"{path}: row {lineno_hint}: non-numeric cell")
-
+            if raw.strip():
+                rows.append((lineno, [cell.strip() for cell in raw.split(",")]))
+    if not rows:
+        raise DataError(f"{path}: holds no rows")
+    block = 1 if layout == "wide" else channels
+    width = len(rows[0][1])
     series: list[np.ndarray] = []
-    raw_labels: list[str] = []
-    if layout == "wide":
-        for i, cells in enumerate(rows, start=1):
+    raw_labels: list[str | None] = []
+    for start in range(0, len(rows), block):
+        sample = rows[start : start + block]
+        head, label = sample[0][0], (sample[0][1][-1] if labeled else None)
+        if len(sample) < block:
+            raise DataError(f"{path}: line {head}: the last sample holds {len(sample)} of {channels} rows")
+        values: list[float] = []
+        for lineno, cells in sample:
+            if len(cells) != width:
+                raise DataError(f"{path}: line {lineno}: {len(cells)} cells, but line {rows[0][0]} has {width}")
             if labeled:
-                raw_labels.append(cells[-1])
+                if cells[-1] != label:
+                    raise DataError(f"{path}: line {lineno}: label {cells[-1]!r}, but line {head} has {label!r}")
                 cells = cells[:-1]
-            if len(cells) % channels != 0:
-                raise DataError(f"{path}: row {i}: {len(cells)} values not divisible by {channels} channels")
-            series.append(to_floats(cells, i).reshape(channels, -1))
-    else:
-        if len(rows) % channels != 0:
-            raise DataError(f"{path}: {len(rows)} rows not divisible by {channels} channels")
-        for s in range(len(rows) // channels):
-            block = rows[s * channels : (s + 1) * channels]
-            if labeled:
-                block_labels = {cells[-1] for cells in block}
-                if len(block_labels) != 1:
-                    raise DataError(f"{path}: sample {s}: rows disagree on the label")
-                raw_labels.append(block[0][-1])
-                block = [cells[:-1] for cells in block]
-            widths = {len(cells) for cells in block}
-            if len(widths) != 1:
-                raise DataError(f"{path}: sample {s}: ragged channel lengths {sorted(widths)}")
-            series.append(np.stack([to_floats(cells, s * channels + j + 1) for j, cells in enumerate(block)]))
-
-    shapes = {arr.shape for arr in series}
-    if len(shapes) != 1:
-        raise DataError(f"{path}: inconsistent sample shapes {sorted(shapes)}")
-    labels = None
-    label_names = None
-    class_count = 0
-    if labeled:
-        label_names = sorted(set(raw_labels))
-        labels = np.array([label_names.index(v) for v in raw_labels], dtype=np.int64)
-        class_count = len(label_names)
+            try:
+                values.extend(float(v) for v in cells)
+            except ValueError:
+                raise DataError(f"{path}: line {lineno}: non-numeric cell") from None
+        if len(values) % channels:
+            raise DataError(f"{path}: line {head}: {len(values)} values not divisible by {channels} channels")
+        series.append(np.array(values).reshape(channels, -1))
+        raw_labels.append(label)
+    label_names = sorted(set(raw_labels)) if labeled else []
     return MtsDataset(
         series=np.stack(series),
-        labels=labels,
-        class_count=class_count,
+        labels=np.array([label_names.index(v) for v in raw_labels], dtype=np.int64) if labeled else None,
+        class_count=len(label_names),
         name=path.stem,
-        label_names=label_names,
+        label_names=label_names or None,
     )
 
 
@@ -362,16 +347,15 @@ def subsample_rows(ds: MtsDataset, fraction: float, seed: int) -> np.ndarray:
     """Sorted row indices of the stratified subsample of ``ds``.
 
     max(1, floor(fraction * count)) rows per class, drawn without
-    replacement; every row at fraction 1.
+    replacement; at fraction 1 every class takes all its rows, so the
+    result is ``arange(ds.size)``.
     """
     if not 0.0 < fraction <= 1.0:
         raise DataError(f"fraction must lie in (0, 1], got {fraction}")
     if ds.labels is None:
         raise DataError("subsample needs a labeled dataset")
-    if fraction == 1.0:
-        return np.arange(ds.size)
     rng = np.random.default_rng([seed, 0x5B5A])
-    keep: list[np.ndarray] = []
+    keep = [np.zeros(0, dtype=np.int64)]  # a dataset without rows subsamples to none
     for cls in range(ds.class_count):
         idx = np.flatnonzero(ds.labels == cls)
         if idx.size == 0:
@@ -382,30 +366,31 @@ def subsample_rows(ds: MtsDataset, fraction: float, seed: int) -> np.ndarray:
 
 
 def subsample(ds: MtsDataset, fraction: float, seed: int) -> MtsDataset:
-    """Stratified subsample: the rows :func:`subsample_rows` picks (``ds`` itself at fraction 1)."""
+    """Stratified subsample: the rows :func:`subsample_rows` picks."""
     chosen = subsample_rows(ds, fraction, seed)
-    if fraction == 1.0:
-        return ds
     return replace(ds, series=ds.series[chosen], labels=ds.labels[chosen])
 
 
 def train_test_split(ds: MtsDataset, test_fraction: float, seed: int) -> tuple[MtsDataset, MtsDataset]:
-    """Deterministic shuffled split; stratified when labels are present."""
+    """Deterministic shuffled split, stratified when labels are present.
+
+    One ``default_rng([seed, 0x7E57])`` stream permutes each group (each
+    class in turn, or all rows when unlabeled), whose first
+    max(1, round(test_fraction * size)) rows go to the test split.
+    """
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     rng = np.random.default_rng([seed, 0x7E57])
     if ds.labels is None:
-        order = rng.permutation(ds.size)
-        cut = max(1, int(round(test_fraction * ds.size)))
-        test_idx, train_idx = np.sort(order[:cut]), np.sort(order[cut:])
+        groups = [np.arange(ds.size)]
     else:
-        test_parts = []
-        for cls in range(ds.class_count):
-            idx = rng.permutation(np.flatnonzero(ds.labels == cls))
-            cut = max(1, int(round(test_fraction * idx.size)))
-            test_parts.append(idx[:cut])
-        test_idx = np.sort(np.concatenate(test_parts))
-        train_idx = np.sort(np.setdiff1d(np.arange(ds.size), test_idx))
+        groups = [np.flatnonzero(ds.labels == cls) for cls in range(ds.class_count)]
+    test_parts = []
+    for idx in groups:
+        idx = rng.permutation(idx)
+        test_parts.append(idx[: max(1, int(round(test_fraction * idx.size)))])
+    test_idx = np.sort(np.concatenate(test_parts))
+    train_idx = np.setdiff1d(np.arange(ds.size), test_idx)
     def pick(idx):
         return replace(ds, series=ds.series[idx], labels=None if ds.labels is None else ds.labels[idx])
 
@@ -414,10 +399,16 @@ def train_test_split(ds: MtsDataset, test_fraction: float, seed: int) -> tuple[M
 
 def batches(ds: MtsDataset, batch_size: int, seed: int, epoch: int = 0) -> Iterator[MtsBatch]:
     """Minibatches in a shuffled order that is fixed per (seed, epoch); the
-    final short batch is emitted."""
+    final short batch is emitted.
+
+    Epoch e shuffles with ``default_rng([seed, 0, e])``, a stream that no
+    other draw shares (``pretrain`` seeds four with ``[seed, 1]`` to
+    ``[seed, 4]``); seed sequences pad short entropy with zeros, so epoch
+    0's order is the one ``[seed, 0]`` gives.
+    """
     if batch_size < 1:
         raise DataError(f"batch size must be >= 1, got {batch_size}")
-    order = np.random.default_rng([seed, epoch]).permutation(ds.size)
+    order = np.random.default_rng([seed, 0, epoch]).permutation(ds.size)
     for start in range(0, ds.size, batch_size):
         idx = order[start : start + batch_size]
         yield MtsBatch(

@@ -14,7 +14,7 @@ import pytest
 import chants.cli
 from chants.checkpoint import load_checkpoint, load_encoder, save_encoder
 from chants.cli import main, read_config_file
-from chants.data import make_synthetic_fixture, parse_ts, serialize_ts, znormalize
+from chants.data import make_synthetic_fixture, parse_csv, parse_ts, serialize_ts, znormalize
 from chants.errors import CheckpointError, ConfigError
 from chants.harness import train_config_from_dict
 
@@ -549,10 +549,12 @@ def with_a_byte_not_utf8(path, line):
     return path
 
 
-def write_wide_csv(path):
-    """The CLI fixture as a labeled wide-layout CSV file."""
+def write_wide_csv(path, names=("0", "1"), keep=None):
+    """The CLI fixture as a labeled wide-layout CSV file: sample i is of class
+    ``names[i % len(names)]``, and only classes in ``keep`` are written when given."""
     ds = make_synthetic_fixture(m=24, channels=CHANNELS, steps=STEPS, seed=5)
-    rows = [",".join([*map(repr, s.ravel().tolist()), str(y)]) for s, y in zip(ds.series, ds.labels)]
+    labeled = [(s, names[i % len(names)]) for i, s in enumerate(ds.series)]
+    rows = [",".join([*map(repr, s.ravel().tolist()), y]) for s, y in labeled if keep is None or y in keep]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return path
 
@@ -599,5 +601,76 @@ def test_a_checkpoint_path_that_is_a_directory_exits_4_with_nothing_written(pret
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert f"error: cannot read checkpoint {run}: Is a directory" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def written_output(command, run, data, test, out, *flags):
+    """What ``command`` writes for the checkpoint of ``run`` trained on ``data`` and scored on ``test``."""
+    argv = [command, str(run / "checkpoint.ckpt"), str(data), str(out), "--test", str(test), *flags]
+    if command == "fewshot":
+        argv += ["--fractions", "0.5", "1.0", "--repeats", "1"]
+    assert main(argv) == 0
+    return (out / ("metrics.json" if command == "probe" else "fewshot.csv")).read_text()
+
+
+def write_up_down(path, header):
+    """60 fixture samples, class 0 named ``up`` and class 1 ``down``, under ``@classLabel true *header``."""
+    ds = make_synthetic_fixture(m=60, channels=CHANNELS, steps=STEPS, seed=5)
+    labels = [header.index(("up", "down")[k]) for k in ds.labels]
+    serialize_ts(dataclasses.replace(ds, labels=labels, label_names=list(header)), path)
+    return path
+
+
+@pytest.mark.parametrize("command", ["probe", "fewshot"])
+def test_test_labels_are_matched_to_the_training_labels_by_name(pretrained, tmp_path, command):
+    _, run = pretrained
+    train = write_up_down(tmp_path / "train.ts", ["up", "down"])
+    swapped = write_up_down(tmp_path / "test.ts", ["down", "up"])
+    same_file = written_output(command, run, train, train, tmp_path / "same")
+    assert written_output(command, run, train, swapped, tmp_path / "swapped") == same_file
+
+
+@pytest.mark.parametrize("keep", [("c",), ("c", "z")], ids=["subset", "unseen-class"])
+@pytest.mark.parametrize("command", ["probe", "fewshot"])
+def test_a_csv_test_split_of_some_classes_keeps_their_training_indices(pretrained, tmp_path, command, keep):
+    _, run = pretrained
+    flags = ["--csv-channels", str(CHANNELS), "--csv-labeled"]
+    train = write_wide_csv(tmp_path / "train.csv", names=("a", "b", "c"))
+    test = write_wide_csv(tmp_path / "test.csv", names=("z", "b", "c"), keep=keep)
+    # the same samples as a .ts file whose header lists the training classes
+    # in their order, then z, so that its labels are right by index alone
+    ds = parse_csv(test, CHANNELS, labeled=True)
+    names = ["a", "b", "c", *(["z"] if "z" in keep else [])]
+    labels = [names.index(ds.label_names[k]) for k in ds.labels]
+    indexed = tmp_path / "indexed.ts"
+    serialize_ts(dataclasses.replace(ds, labels=labels, class_count=len(names), label_names=names), indexed)
+    by_name = written_output(command, run, train, test, tmp_path / "by-name", *flags)
+    assert by_name == written_output(command, run, train, indexed, tmp_path / "by-index", *flags)
+    if command == "probe":
+        # 8 samples each of c (class 2) and, when kept, z (class 3)
+        assert np.array(json.loads(by_name)["confusion"]).sum(axis=1).tolist() == [0, 0, 8, 8][: len(names)]
+
+
+@pytest.mark.parametrize(
+    "meta",
+    ["x", {"train_config": [1, 2]}, {"train_config": "abc"}],
+    ids=["meta-string", "config-list", "config-string"],
+)
+@pytest.mark.parametrize("command", ["probe", "fewshot"])
+def test_a_malformed_meta_block_exits_4_naming_the_checkpoint_with_nothing_written(
+    pretrained, tmp_path, capsys, command, meta
+):
+    data, run = pretrained
+    params, config, _, extra = load_encoder(run / "checkpoint.ckpt")
+    bad = tmp_path / "meta.ckpt"
+    save_encoder(bad, params, config, seed=0, step=0, extra=extra, meta=meta)
+    out = tmp_path / "out"
+    argv = [command, str(bad), str(data), str(out)]
+    if command == "fewshot":
+        argv += ["--fractions", "0.5", "--repeats", "1"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert f"error: {bad}: no training config object (meta.train_config)" in err
     assert "Traceback" not in err
     assert not out.exists()

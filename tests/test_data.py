@@ -14,6 +14,7 @@ from chants.data import (
     parse_ts,
     serialize_ts,
     subsample,
+    subsample_rows,
     train_test_split,
     znormalize,
 )
@@ -128,6 +129,33 @@ class TestParseCsv:
         with pytest.raises(DataError, match="divisible"):
             parse_csv(path, channels=2)
 
+    @pytest.mark.parametrize("text", ["", "\n \n\n"], ids=["empty", "blank"])
+    @pytest.mark.parametrize("layout", ["wide", "blocked"])
+    def test_a_file_without_rows_is_rejected(self, tmp_path, text, layout):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match="holds no rows"):
+            parse_csv(path, channels=2, layout=layout)
+
+    @pytest.mark.parametrize(
+        "text, layout, labeled, message",
+        [
+            ("\n\n1,2,3,4\n1,2,oops,4\n", "wide", False, "line 4: non-numeric cell"),
+            ("\n\n1,2,3,a\n", "wide", True, "line 3: 3 values not divisible by 2 channels"),
+            ("\n1,2,3\n\n4,5\n", "blocked", False, "line 4: 2 cells, but line 2 has 3"),
+            ("\n1,2,3,4\n\n\n5,6\n7,8\n", "wide", False, "line 5: 2 cells, but line 2 has 4"),
+            ("\n\n1,2,a\n3,4,b\n", "blocked", True, "line 4: label 'b', but line 3 has 'a'"),
+            ("1,2\n3,4\n\n5,6\n", "blocked", False, "line 4: the last sample holds 1 of 2 rows"),
+        ],
+        ids=["bad-cell", "indivisible", "ragged-block", "ragged-samples", "label-disagreement", "short-block"],
+    )
+    def test_errors_name_the_file_line_after_blank_lines(self, tmp_path, text, layout, labeled, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as info:
+            parse_csv(path, channels=2, layout=layout, labeled=labeled)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_load_dataset_dispatch(self, tmp_path):
         ts = tmp_path / "d.ts"
         ts.write_text(TS_FIXTURE)
@@ -171,6 +199,16 @@ class TestSubsample:
         ds = random_dataset(np.random.default_rng(8))
         out = subsample(ds, 1.0, seed=0)
         np.testing.assert_array_equal(out.series, ds.series)
+        np.testing.assert_array_equal(out.labels, ds.labels)
+        gap = MtsDataset(np.zeros((5, 1, 2)), [2, 0, 2, 2, 0], 3, "gap")  # class 1 has no rows
+        for seed in (0, 1, 7):
+            np.testing.assert_array_equal(subsample_rows(gap, 1.0, seed), np.arange(5))
+
+    @pytest.mark.parametrize("fraction", [0.5, 1.0])
+    def test_a_dataset_without_rows_subsamples_to_none(self, fraction):
+        empty = MtsDataset(np.zeros((0, 1, 2)), np.zeros(0, dtype=np.int64), 2, "empty")
+        assert subsample_rows(empty, fraction, seed=0).tolist() == []
+        assert subsample(empty, fraction, seed=0).size == 0
 
     def test_balanced_two_class_tenth(self):
         series = np.zeros((100, 1, 4))
@@ -214,6 +252,34 @@ class TestSubsample:
             assert (out.labels == k).sum() == expected
 
 
+class TestTrainTestSplit:
+    @pytest.mark.parametrize("m, fraction", [(10, 0.3), (23, 0.5), (7, 0.01), (40, 0.9)])
+    @pytest.mark.parametrize("seed", [0, 3, 123456])
+    def test_unlabeled_split_holds_out_the_first_rows_of_one_permutation(self, m, fraction, seed):
+        ds = random_dataset(np.random.default_rng(m), m=m, labeled=False)
+        train, test = train_test_split(ds, fraction, seed)
+        cut = max(1, int(round(fraction * m)))
+        held = np.sort(np.random.default_rng([seed, 0x7E57]).permutation(m)[:cut])
+        np.testing.assert_array_equal(test.series, ds.series[held])
+        np.testing.assert_array_equal(train.series, ds.series[np.setdiff1d(np.arange(m), held)])
+        assert train.labels is None and test.labels is None
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("fraction", [0.2, 0.3, 0.75])
+    def test_labeled_split_keeps_the_per_class_counts(self, seed, fraction):
+        counts = [13, 1, 0, 6]
+        labels = np.random.default_rng(seed).permutation(np.repeat(np.arange(4), counts))
+        ds = MtsDataset(np.arange(labels.size, dtype=float).reshape(-1, 1, 1), labels, 4, "counts")
+        train, test = train_test_split(ds, fraction, seed)
+        for k, n in enumerate(counts):
+            held = min(n, max(1, int(round(fraction * n))))
+            assert ((test.labels == k).sum(), (train.labels == k).sum()) == (held, n - held)
+        rows = np.concatenate([train.series, test.series]).ravel()
+        assert sorted(rows.tolist()) == list(range(labels.size))
+        for split in (train, test):
+            np.testing.assert_array_equal(split.labels, labels[split.series.ravel().astype(int)])
+
+
 class TestBatches:
     def test_seven_samples_batch_four(self):
         ds = random_dataset(np.random.default_rng(11), m=7)
@@ -227,6 +293,21 @@ class TestBatches:
         assert a == b
         c = [b.indices.tolist() for b in batches(ds, 5, seed=3, epoch=3)]
         assert a != c
+
+    @pytest.mark.parametrize("seed", [0, 3, 21, 123456])
+    def test_each_epoch_shuffles_on_a_stream_of_its_own(self, seed):
+        ds = random_dataset(np.random.default_rng(15), m=40)
+
+        def order(epoch):
+            return np.concatenate([b.indices for b in batches(ds, 8, seed=seed, epoch=epoch)])
+
+        # epoch 0 keeps the order of the [seed, 0] stream
+        np.testing.assert_array_equal(order(0), np.random.default_rng([seed, 0]).permutation(40))
+        # [seed, e] seeds pretrain's init, augmentation, truncation and dropout
+        # streams (e = 1-4), the linear head's init (10) and the supervised
+        # baseline's streams (20, 21)
+        for epoch in (1, 2, 3, 4, 10, 20, 21):
+            assert not np.array_equal(order(epoch), np.random.default_rng([seed, epoch]).permutation(40))
 
     def test_epoch_covers_every_index_once(self):
         ds = random_dataset(np.random.default_rng(13), m=23)
