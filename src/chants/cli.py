@@ -25,10 +25,13 @@ switched off by a weight of 0; the older keys ``no_ntp = true`` and
 and ignored.
 
 A ``pretrain`` checkpoint carries everything ``probe`` and ``fewshot``
-need: the training config and, unless ``--no-normalize`` was given, the
-per-channel normalization stats, which they then apply to their data.
-A ``--test`` split's labels are matched to the training split's by class
-name, not by index; a class only the test split has is scored wrong.
+need: the encoder config its parameters were saved under, the rest of the
+training config and, unless ``--no-normalize`` was given, the per-channel
+normalization stats, which they then apply to their data. A ``--test``
+split's labels are matched to the training split's by class name, not by
+index; a class only the test split has is scored wrong. Without ``--test``,
+30% of each class is held out; a holdout that leaves no training row (each
+class holds one sample) is a data error.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .data import (
     MtsDataset,
     NormStats,
     apply_norm_stats,
+    check_fraction,
     load_dataset,
     subsample,
     train_test_split,
@@ -148,11 +152,16 @@ def _load_data(args, path=None) -> MtsDataset:
 
 def _load_splits(args) -> tuple[MtsDataset, MtsDataset]:
     """The training and test splits; labels of a ``--test`` file are re-indexed
-    onto the training split's class names, names only it has appended."""
+    onto the training split's class names, names only it has appended.
+    Without ``--test``, a 30% holdout that leaves no training row raises
+    ``DataError`` naming the data file."""
     train = _load_data(args)
     if args.test is None:
         logger.warning("no --test split given; holding out 30%% of %s deterministically", args.data)
-        return train_test_split(train, 0.3, seed=args.seed or 0)
+        train, test = train_test_split(train, 0.3, seed=args.seed or 0)
+        if train.size == 0:
+            raise DataError(f"{args.data}: the 30% holdout leaves no training rows; give a --test split")
+        return train, test
     test = _load_data(args, path=args.test)
     if train.labels is None or test.labels is None:
         return train, test
@@ -212,7 +221,9 @@ def cmd_pretrain(args) -> int:
 
 def _probe_setup(args):
     """Checkpoint params, its training config and the data splits, normalized
-    with the checkpoint's stats when it carries them."""
+    with the checkpoint's stats when it carries them. The encoder config is
+    the manifest's ``config``, the one the parameters were built under; the
+    copy older checkpoints hold in ``meta.train_config`` is not read."""
     path = args.checkpoint
     params, enc_config, manifest, extra = _load_ckpt(path)
     meta = manifest.get("meta", {})
@@ -220,14 +231,9 @@ def _probe_setup(args):
     if not isinstance(snapshot, dict):
         raise CheckpointError(f"{path}: no training config object (meta.train_config); not written by pretrain")
     try:
-        cfg = train_config_from_dict(snapshot)
+        cfg = train_config_from_dict({**snapshot, "encoder": manifest["config"]})
     except ConfigError as exc:
         raise CheckpointError(f"{path}: bad training config: {exc}") from exc
-    if cfg.encoder != enc_config:
-        raise CheckpointError(
-            f"{path}: the parameters were saved under encoder config {enc_config}, "
-            f"but meta.train_config has {cfg.encoder}"
-        )
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     train, test = _load_splits(args)
@@ -245,14 +251,9 @@ def _probe_setup(args):
     return params, cfg, train, test
 
 
-def _check_fraction(fraction: float) -> None:
-    if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"fraction {fraction} outside (0, 1]")
-
-
 def cmd_probe(args) -> int:
     if args.fraction is not None:
-        _check_fraction(args.fraction)
+        check_fraction(args.fraction)
     out_dir = _out_dir(args.out_dir)
     params, cfg, train, test = _probe_setup(args)
     if args.fraction is not None:
@@ -266,7 +267,7 @@ def cmd_probe(args) -> int:
 
 def cmd_fewshot(args) -> int:
     for fraction in args.fractions:
-        _check_fraction(fraction)
+        check_fraction(fraction)
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     out_dir = _out_dir(args.out_dir)

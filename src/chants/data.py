@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 __all__ = [
     "MtsBatch",
@@ -24,6 +24,7 @@ __all__ = [
     "NormStats",
     "apply_norm_stats",
     "batches",
+    "check_fraction",
     "load_dataset",
     "make_synthetic_fixture",
     "parse_csv",
@@ -343,15 +344,26 @@ def apply_norm_stats(ds: MtsDataset, stats: NormStats) -> MtsDataset:
 # ---------------------------------------------------------------------------
 
 
+def check_fraction(fraction: float) -> None:
+    """Raise ``ConfigError`` unless ``fraction`` is a label fraction, in (0, 1].
+
+    The one range rule for a label fraction: :func:`subsample_rows` and the
+    CLI's checks before anything is loaded both call it.
+    """
+    if not 0.0 < fraction <= 1.0:
+        raise ConfigError(f"fraction {fraction} outside (0, 1]")
+
+
 def subsample_rows(ds: MtsDataset, fraction: float, seed: int) -> np.ndarray:
     """Sorted row indices of the stratified subsample of ``ds``.
 
     max(1, floor(fraction * count)) rows per class, drawn without
     replacement; at fraction 1 every class takes all its rows, so the
-    result is ``arange(ds.size)``.
+    result is ``arange(ds.size)``. A ``fraction`` outside (0, 1] raises
+    ``ConfigError`` (:func:`check_fraction`), an unlabeled ``ds``
+    ``DataError``.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise DataError(f"fraction must lie in (0, 1], got {fraction}")
+    check_fraction(fraction)
     if ds.labels is None:
         raise DataError("subsample needs a labeled dataset")
     rng = np.random.default_rng([seed, 0x5B5A])

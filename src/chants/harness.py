@@ -9,17 +9,17 @@ share one update loop, :func:`fit`: each step's loss function leaves its
 gradients on the trainables, and ``fit`` checks the loss and makes one
 ``adam_step``. Pretraining backpropagates each task's weighted part inside
 its step and hands the parts' values to ``combined_loss``, the supervised
-baseline runs one backward, and the linear-probe head records no tape at
-all: it trains one packed (d + 1, k) array with closed-form gradient steps.
-Neither pretraining nor feature extraction passes the
-encoder more than ``MICRO_BATCH`` series in one call, with a graph or
-without: pretraining builds no graph of more, whatever the batch size and
-``k_ntp``, and extraction encodes no more at a time (the supervised
-baseline encodes one ``probe_batch`` per step). Each pretraining task's
-micro-batch loop is a plain iteration of one
+baseline backpropagates its class loss the same way, and the linear-probe
+head records no tape at all: it trains one packed (d + 1, k) array with
+closed-form gradient steps. No trainer and no feature extraction passes
+the encoder more than ``MICRO_BATCH`` series in one call, with a graph or
+without: no trainer builds a graph of more, whatever the batch size and
+``k_ntp``, and extraction encodes no more at a time. Every micro-batch loop
+of a trainer is a plain iteration of one
 :class:`chants.tensor.MicroBatchMasks`, which serves every micro-batch the
 dropout masks of one whole-batch pass, and each part goes through
-:func:`_backward`, which checks it is finite before its backward.
+:func:`_backward`, the one caller of ``Tensor.backward``, which checks it
+is finite before its backward.
 :func:`check_pretrain` rejects a run that ``pretrain`` cannot do before
 anything is written, for ``pretrain`` and the CLI alike. Pretraining logs
 one record per step (``epoch``, ``step``, ``ntp_loss``, ``cs_loss``,
@@ -72,6 +72,7 @@ from .tensor import (
     _onehot,
     constant,
     cross_entropy,
+    mul,
     no_grad,
     reshape,
 )
@@ -307,9 +308,9 @@ def fit(
 
 
 MICRO_BATCH = 5
-"""Most series that pretraining or feature extraction passes the encoder in
+"""Most series that a trainer or feature extraction passes the encoder in
 one call, with a graph or without: one CS origin group, an original with
-its two positives and two negatives. Pretraining builds no graph of more,
+its two positives and two negatives. No trainer builds a graph of more,
 and :func:`extract_features` encodes no more at a time."""
 
 
@@ -331,25 +332,27 @@ def _micro_batch_masks(rng: np.random.Generator, rows: int) -> MicroBatchMasks:
     return MicroBatchMasks(rng, [min(MICRO_BATCH, rows - lo) for lo in range(0, rows, MICRO_BATCH)])
 
 
-def _truncations_in_micro_batches(
-    encoder: Encoder, heads: PretextHeads, task: str, loss: Callable[..., Tensor],
-    truncated: np.ndarray, targets: np.ndarray, rng: np.random.Generator, weight: float,
+def _in_micro_batches(
+    encoder: Encoder, heads, task: str, loss: Callable[..., Tensor],
+    inputs: np.ndarray, targets: np.ndarray, rng: np.random.Generator, weight: float,
 ) -> float:
-    """The summed ``loss`` over the truncated copies, with ``weight`` times its gradient added to the leaves.
+    """The summed ``loss`` over the rows of ``inputs``, with ``weight`` times its gradient added to the leaves.
 
-    The copies run in micro-batches of at most ``MICRO_BATCH`` consecutive
-    rows, each with its rows of the dropout masks that one ``loss`` pass
-    over all of them would draw from ``rng``, and each backpropagated
-    before the next is encoded. The loss is a sum over copies, so the summed
-    values and gradients are those of that one pass, up to rounding, and
-    ``rng`` ends where it would leave it. A non-finite part raises
+    ``loss(encoder, inputs, targets, heads, rng=...)`` must be a sum over
+    rows (NTP and NVP over truncated copies, the supervised class loss over
+    samples). The rows run in micro-batches of at most ``MICRO_BATCH``
+    consecutive rows, each with its rows of the dropout masks that one
+    ``loss`` pass over all of them would draw from ``rng``, and each
+    backpropagated before the next is encoded. So the summed values and
+    gradients are those of that one pass, up to rounding, and ``rng`` ends
+    where it would leave it. A non-finite part raises
     ``FloatingPointError`` naming ``task`` and its rows before its backward.
     """
-    masks, grad = _micro_batch_masks(rng, len(truncated)), np.asarray(weight)
+    masks, grad = _micro_batch_masks(rng, len(inputs)), np.asarray(weight)
     total = 0.0
     for lo, hi in masks:
-        out = loss(encoder, truncated[lo:hi], targets[lo:hi], heads, rng=masks)
-        total += _backward(out, grad, lambda value: f"{task} loss {value} on truncations {lo} to {hi - 1} of the batch")
+        out = loss(encoder, inputs[lo:hi], targets[lo:hi], heads, rng=masks)
+        total += _backward(out, grad, lambda value: f"{task} loss {value} on rows {lo} to {hi - 1} of the batch")
     return total
 
 
@@ -431,20 +434,24 @@ def pretrain(
     - next-trend prediction (``k_ntp`` cuts per sample) and its ``use_nvp``
       variant, next-value regression, draw every truncation of the batch
       first, then encode the flat list of copies in micro-batches
-      (:func:`_truncations_in_micro_batches`);
+      (:func:`_in_micro_batches`);
     - contextual similarity runs through gradient caching: the batch is
       projected without a graph, the loss's gradient with respect to the
       projections is cached, and each micro-batch (for the standard batch,
       one original and its augmentations) is encoded again with a graph to
       backpropagate its rows of that gradient (:func:`_cs_grad_cache`).
 
-    Checkpoints are written per epoch when ``out_dir`` is given, keeping the
-    last two and the best, and as ``checkpoint.ckpt`` at the end; the
+    When ``out_dir`` is given, an epoch checkpoint is written every
+    ``save_every`` epochs and after the last, keeping the last two and the
+    first with the lowest loss, and ``checkpoint.ckpt`` at the end; the
     epoch and final checkpoints an earlier run left in ``out_dir`` are
     removed (and logged) before the first epoch, so a run that aborts
-    leaves none of them behind. Each holds the heads, the training config and,
-    when ``norm`` gives the stats ``ds`` was normalized with, those stats as
-    the ``extra`` arrays ``norm.mean`` and ``norm.std``. A non-finite loss
+    leaves none of them behind. Each holds the encoder config (the
+    manifest's ``config``, which :func:`chants.checkpoint.load_encoder`
+    builds the parameters under), the heads, every other ``TrainConfig``
+    field as ``meta.train_config`` and, when ``norm`` gives the stats ``ds``
+    was normalized with, those stats as the ``extra`` arrays ``norm.mean``
+    and ``norm.std``. A non-finite loss
     aborts with the log so far and this run's checkpoints left in place. A
     run :func:`check_pretrain` rejects raises ``ConfigError`` before
     ``out_dir`` is touched.
@@ -480,9 +487,7 @@ def pretrain(
                 task, loss = "NTP", ntp_loss
                 truncated, targets = make_ntp_instances(batch.x, cfg.k_ntp, rng_ntp)
             b = len(batch.x)
-            ntp = _truncations_in_micro_batches(
-                encoder, heads, task, loss, truncated, targets, rng_drop, weights.alpha1 / b
-            ) / b
+            ntp = _in_micro_batches(encoder, heads, task, loss, truncated, targets, rng_drop, weights.alpha1 / b) / b
         if weights.alpha2 > 0.0:
             cs_batch = build_cs_batch(
                 batch.x, cfg.aug, rng_aug, include_negatives=not cfg.no_neg_augment
@@ -497,7 +502,7 @@ def pretrain(
         extra = {k: t.data for k, t in heads.named().items()}
         if norm is not None:
             extra["norm.mean"], extra["norm.std"] = norm.mean, norm.std
-        meta["train_config"] = dataclasses.asdict(cfg)
+        meta["train_config"] = {k: v for k, v in dataclasses.asdict(cfg).items() if k != "encoder"}
         save_encoder(path, params, cfg.encoder, seed=cfg.seed, step=step, extra=extra, meta=meta)
 
     saved: list[tuple[float, Path]] = []
@@ -704,8 +709,13 @@ def supervised_baseline(
 ) -> Metrics:
     """Train encoder plus head end to end with cross entropy, then score.
 
-    Classes absent from the training split trigger a warning and are masked
-    so they are never predicted, scoring their test samples wrong.
+    A step of n samples runs through :func:`_in_micro_batches`, as NTP and
+    NVP do: each micro-batch's class loss, summed over its samples, is
+    backpropagated at weight 1/n, so the step's gradient is that of the
+    batch's mean loss, up to rounding, and no graph holds more than
+    ``MICRO_BATCH`` series. Classes absent from the training split trigger
+    a warning and are masked so they are never predicted, scoring their
+    test samples wrong.
     """
     if ds_train.labels is None or ds_test.labels is None:
         raise DataError("supervised_baseline needs labeled train and test splits")
@@ -717,11 +727,15 @@ def supervised_baseline(
     head_w = _glorot(rng_init, encoder.flat_dim, k)
     head_b = Tensor(np.zeros(k), requires_grad=True)
 
+    def summed_loss(encoder, x, labels, head, rng):
+        flat = reshape(encoder.encode_batch(x, rng=rng), (len(x), -1))
+        return mul(cross_entropy(flat, *head, labels), constant(len(x)))  # the mean times the row count
+
     def step_loss(batch):
-        flat = reshape(encoder.encode_batch(batch.x, rng=rng_drop), (len(batch.x), -1))
-        loss = cross_entropy(flat, head_w, head_b, batch.labels)
-        loss.backward()
-        return loss.item(), {}
+        n = len(batch.x)
+        head = (head_w, head_b)
+        total = _in_micro_batches(encoder, head, "supervised", summed_loss, batch.x, batch.labels, rng_drop, 1 / n)
+        return total / n, {}
 
     fit(
         {**params.trainable(), "head.w": head_w, "head.b": head_b},
@@ -756,19 +770,18 @@ def fewshot_sweep(
     Each cell repeats over ``repeats`` seeds (cfg.seed + 0..repeats-1) and
     reports mean and population std of accuracy and macro-F1. Each repeat
     trains on the rows of ``ds_train`` that :func:`subsample_rows` picks for
-    its seed, the subsample :func:`subsample` gives. The frozen encoder's
-    features are extracted once per sweep, and each probe takes its
-    subsample's rows of them: the same features, row for row, that
-    :func:`linear_probe` on the subsample extracts.
+    its seed, the subsample :func:`subsample` gives. Every fraction's rows
+    are picked first, so a fraction outside (0, 1] raises ``ConfigError``
+    before any extraction. The frozen encoder's features are extracted once
+    per sweep, and each probe takes its subsample's rows of them: the same
+    features, row for row, that :func:`linear_probe` on the subsample
+    extracts.
     """
     fractions = list(fractions)
     if not fractions:
         raise ConfigError("fewshot_sweep needs at least one fraction")
     if repeats < 1:
         raise ConfigError(f"fewshot_sweep needs repeats >= 1, got {repeats}")
-    for f in fractions:
-        if not 0.0 < f <= 1.0:
-            raise ConfigError(f"fraction {f} outside (0, 1]")
     picks = {(f, r): subsample_rows(ds_train, f, seed=cfg.seed + r) for f in fractions for r in range(repeats)}
     if ds_test.labels is None:
         raise DataError("fewshot_sweep needs a labeled test split")

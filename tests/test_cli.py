@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import chants.cli
+from chants import harness
 from chants.checkpoint import load_checkpoint, load_encoder, save_encoder
 from chants.cli import main, read_config_file
 from chants.data import make_synthetic_fixture, parse_csv, parse_ts, serialize_ts, znormalize
@@ -301,7 +302,8 @@ class TestSelfContainedCheckpoint:
         save_encoder(old, params, config, seed=0, step=0, extra=extra, meta={"train_config": snapshot})
         assert main(["probe", str(old), str(data), str(tmp_path / "out")]) == 0
         _, _, manifest, _ = load_encoder(old)
-        assert train_config_from_dict(manifest["meta"]["train_config"]).weights.alpha2 == 0.0
+        snapshot = {**manifest["meta"]["train_config"], "encoder": manifest["config"]}
+        assert train_config_from_dict(snapshot).weights.alpha2 == 0.0
 
 
 def spy_on_norm_stats(monkeypatch):
@@ -334,6 +336,18 @@ def test_probe_rejects_a_fraction_outside_zero_one_before_loading_anything(tmp_p
     argv = [
         "probe", str(tmp_path / "missing.ckpt"), str(tmp_path / "missing.ts"), str(out_dir),
         "--fraction", fraction,
+    ]
+    assert main(argv) == 2
+    assert "outside (0, 1]" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("fraction", ["0", "1.5", "nan"])
+def test_fewshot_rejects_a_fraction_outside_zero_one_before_loading_anything(tmp_path, capsys, fraction):
+    out_dir = tmp_path / "out"
+    argv = [
+        "fewshot", str(tmp_path / "missing.ckpt"), str(tmp_path / "missing.ts"), str(out_dir),
+        "--fractions", "0.5", fraction,
     ]
     assert main(argv) == 2
     assert "outside (0, 1]" in capsys.readouterr().err
@@ -440,20 +454,46 @@ def test_truncation_pretraining_it_cannot_run_exits_2_with_nothing_written(tmp_p
 
 
 @pytest.mark.parametrize("command", ["probe", "fewshot"])
-def test_a_manifest_config_differing_from_the_training_config_exits_4(pretrained, tmp_path, capsys, command):
+def test_a_stale_encoder_block_in_the_training_config_has_no_effect(pretrained, tmp_path, command):
+    # a checkpoint holds one encoder config, the one its parameters were
+    # saved under; the copy older checkpoints kept in meta.train_config,
+    # here one the parameters do not fit, is not read
     data, run = pretrained
     params, config, manifest, extra = load_encoder(run / "checkpoint.ckpt")
-    one_head = dataclasses.replace(config, heads=1)
     snapshot = manifest["meta"]["train_config"]
-    snapshot["encoder"].update(heads=2, variant="channel_self")
-    mixed = tmp_path / "mixed.ckpt"
-    save_encoder(mixed, params, one_head, seed=0, step=0, extra=extra, meta={"train_config": snapshot})
+    assert "encoder" not in snapshot
+    stale = dataclasses.asdict(dataclasses.replace(config, width=16, heads=1, variant="channel_self"))
+    outputs = []
+    for name, meta_config in (("current", snapshot), ("stale", {**snapshot, "encoder": stale})):
+        path = tmp_path / f"{name}.ckpt"
+        save_encoder(path, params, config, seed=0, step=0, extra=extra, meta={"train_config": meta_config})
+        out = tmp_path / name
+        argv = [command, str(path), str(data), str(out)]
+        if command == "fewshot":
+            argv += ["--fractions", "0.5", "--repeats", "1"]
+        assert main(argv) == 0
+        outputs.append((out / ("metrics.json" if command == "probe" else "fewshot.csv")).read_bytes())
+    assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("command", ["probe", "fewshot"])
+def test_a_holdout_that_leaves_no_training_rows_exits_3_before_any_extraction(
+    pretrained, tmp_path, capsys, monkeypatch, command
+):
+    # each of the two classes holds one sample, which the 30% holdout gives
+    # to the test split
+    _, run = pretrained
+    data = write_fixture(tmp_path / "two.ts", m=2)
+    extracted = []
+    monkeypatch.setattr(harness, "extract_features", lambda *args, **kwargs: extracted.append(args))
     out = tmp_path / "out"
-    argv = [command, str(mixed), str(data), str(out)]
+    argv = [command, str(run / "checkpoint.ckpt"), str(data), str(out)]
     if command == "fewshot":
         argv += ["--fractions", "0.5", "--repeats", "1"]
-    assert main(argv) == 4
-    assert "meta.train_config" in capsys.readouterr().err
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert f"error: {data}: the 30% holdout leaves no training rows" in err and "--test" in err
+    assert extracted == []
     assert not out.exists()
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from chants.data import (
     MtsDataset,
     batches,
+    check_fraction,
     load_dataset,
     make_synthetic_fixture,
     parse_csv,
@@ -18,7 +19,7 @@ from chants.data import (
     train_test_split,
     znormalize,
 )
-from chants.errors import DataError
+from chants.errors import ConfigError, DataError
 
 TS_FIXTURE = """\
 @problemName toy
@@ -203,6 +204,13 @@ class TestSubsample:
         gap = MtsDataset(np.zeros((5, 1, 2)), [2, 0, 2, 2, 0], 3, "gap")  # class 1 has no rows
         for seed in (0, 1, 7):
             np.testing.assert_array_equal(subsample_rows(gap, 1.0, seed), np.arange(5))
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5, float("nan")])
+    def test_a_fraction_outside_zero_one_is_a_config_error(self, fraction):
+        with pytest.raises(ConfigError, match=r"outside \(0, 1\]"):
+            check_fraction(fraction)
+        with pytest.raises(ConfigError, match=r"outside \(0, 1\]"):
+            subsample_rows(random_dataset(np.random.default_rng(8)), fraction, seed=0)
 
     @pytest.mark.parametrize("fraction", [0.5, 1.0])
     def test_a_dataset_without_rows_subsamples_to_none(self, fraction):

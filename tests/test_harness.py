@@ -3,6 +3,7 @@ building a training config from plain values."""
 
 import dataclasses
 import json
+import sys
 import tracemalloc
 import warnings
 
@@ -20,7 +21,7 @@ from chants.harness import (
     Metrics,
     TrainConfig,
     _cs_grad_cache,
-    _truncations_in_micro_batches,
+    _in_micro_batches,
     compute_metrics,
     extract_features,
     fewshot_sweep,
@@ -342,7 +343,7 @@ class TestPretrain:
 
         monkeypatch.setattr(Tensor, "backward", counted_backward)
         monkeypatch.setattr(harness, "adam_step", counted_adam_step)
-        with pytest.raises(FloatingPointError, match="non-finite NTP loss nan on truncations 0 to 4 of the batch"):
+        with pytest.raises(FloatingPointError, match="non-finite NTP loss nan on rows 0 to 4 of the batch"):
             pretrain(ds, tiny_cfg(pretrain_epochs=1))
         assert calls == {"backward": 0, "adam": 0}
 
@@ -358,7 +359,7 @@ class TestPretrain:
             return backward(tensor, grad)
 
         monkeypatch.setattr(Tensor, "backward", counted_backward)
-        with pytest.raises(FloatingPointError, match="non-finite NVP loss nan on truncations 0 to 4 of the batch"):
+        with pytest.raises(FloatingPointError, match="non-finite NVP loss nan on rows 0 to 4 of the batch"):
             pretrain(ds, tiny_cfg(pretrain_epochs=1, use_nvp=True))
         assert calls == {"backward": 0}
 
@@ -393,6 +394,16 @@ class TestPretrain:
             manifest, _ = load_checkpoint(path)
             assert manifest["meta"]["train_config"]["seed"] == 5, path.name
 
+    def test_save_every_writes_every_nth_and_the_last_epoch_keeping_the_best(self, tmp_path):
+        # epochs 1 and 3 are the second and fourth, epoch 4 the last; of
+        # those, the last two stay and epoch 1 stays as the lowest loss saved
+        ds = labeled_dataset(np.random.default_rng(31), m=8)
+        pretrain(ds, tiny_cfg(pretrain_epochs=5, save_every=2), out_dir=tmp_path)
+        paths = sorted(tmp_path.glob("checkpoint_epoch*.ckpt"))
+        assert [p.name for p in paths] == [f"checkpoint_epoch000{e}.ckpt" for e in (1, 3, 4)]
+        metas = [load_checkpoint(p)[0]["meta"] for p in paths]
+        assert min(metas, key=lambda meta: meta["train_loss"])["epoch"] == 1
+
     def test_aborted_run_into_a_reused_out_dir_leaves_no_earlier_checkpoint(self, tmp_path):
         rng = np.random.default_rng(27)
         ds = labeled_dataset(rng, m=8)
@@ -410,6 +421,25 @@ class TestPretrain:
         ds = labeled_dataset(rng, channels=3)
         with pytest.raises(ConfigError, match="does not match"):
             pretrain(ds, tiny_cfg(channels=2))
+
+
+def test_every_backward_of_a_trainer_runs_through_the_one_backward_helper(monkeypatch):
+    # harness._backward checks each part is finite before its backward; a
+    # trainer that calls Tensor.backward itself would skip that check
+    callers = []
+    backward = Tensor.backward
+
+    def traced(tensor, grad=None):
+        callers.append(sys._getframe(1).f_code)
+        return backward(tensor, grad)
+
+    monkeypatch.setattr(Tensor, "backward", traced)
+    rng = np.random.default_rng(37)
+    pretrain(labeled_dataset(rng, m=8), tiny_cfg(pretrain_epochs=1))
+    pretraining = len(callers)
+    supervised_baseline(labeled_dataset(rng, m=8), labeled_dataset(rng, m=4), tiny_cfg(probe_epochs=1))
+    assert 0 < pretraining < len(callers)
+    assert set(callers) == {harness._backward.__code__}
 
 
 @pytest.mark.parametrize("use_nvp", [False, True])
@@ -514,7 +544,7 @@ def test_micro_batched_truncations_match_one_whole_batch_pass(task):
         return mean.item()
 
     def micro_batched(rng_drop):
-        total = _truncations_in_micro_batches(
+        total = _in_micro_batches(
             encoder, heads, task.upper(), loss, truncated, targets, rng_drop, weight / len(xs)
         )
         return total / len(xs)
@@ -592,6 +622,48 @@ class TestSupervisedBaseline:
             metrics = supervised_baseline(train, test, tiny_cfg(probe_epochs=2))
         assert metrics.confusion[:, 2].sum() == 0
 
+    def test_encodes_at_most_a_micro_batch_per_graph(self, monkeypatch):
+        # each step of 8 samples encodes 5 with a graph, backpropagates
+        # them, then encodes the other 3; only scoring encodes without one
+        taped = []
+        encode_batch = Encoder.encode_batch
+
+        def recorded(encoder, xs, *, rng=None):
+            if chants.tensor._GRAD_ENABLED:
+                taped.append(len(xs))
+            return encode_batch(encoder, xs, rng=rng)
+
+        monkeypatch.setattr(Encoder, "encode_batch", recorded)
+        rng = np.random.default_rng(35)
+        cfg = tiny_cfg(probe_batch=8, probe_epochs=1)
+        supervised_baseline(labeled_dataset(rng, m=16), labeled_dataset(rng, m=4), cfg)
+        assert taped == [5, 3, 5, 3]
+
+    @staticmethod
+    def traced_peak(batch):
+        """tracemalloc peak of one epoch of 48 samples at C=4, T=32, width 16, dropout 0.1."""
+        rng = np.random.default_rng(36)
+        ds = labeled_dataset(rng, m=48, channels=4, steps=32)
+        cfg = TrainConfig(
+            encoder=EncoderConfig(channels=4, steps=32, width=16, depth=1, heads=2, dropout=0.1),
+            probe_batch=batch,
+            probe_epochs=1,
+            seed=0,
+        )
+        tracemalloc.start()
+        try:
+            supervised_baseline(ds, ds, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_does_not_grow_with_the_batch(self):
+        # a step's graph is one micro-batch of 5 samples, so tripling the
+        # batch adds only its inputs and packed dropout masks: about 1.08x,
+        # where a graph of the whole batch gives about 2.6x
+        ratio = self.traced_peak(24) / self.traced_peak(8)
+        assert ratio < 1.3, f"peak at probe_batch=24 is {ratio:.2f}x that at 8"
+
     def test_learns_a_trivially_separable_dataset(self):
         rng = np.random.default_rng(14)
         m = 24
@@ -644,16 +716,30 @@ def test_fit_takes_the_gradients_step_loss_leaves_and_no_backward(monkeypatch):
     assert backward_calls == []
 
 
-def test_head_and_supervised_training_abort_on_a_non_finite_loss():
+def test_head_and_supervised_training_abort_on_a_non_finite_loss(monkeypatch):
     rng = np.random.default_rng(22)
     features = rng.normal(size=(8, 4))
     features[3, 1] = np.inf
     with pytest.raises(FloatingPointError, match="non-finite loss"):
         train_linear_head(features, np.tile([0, 1], 4), 2, lr=0.01, batch_size=4, epochs=2, patience=2, seed=0)
+    calls = {"backward": 0, "adam": 0}
+    backward, adam_step = Tensor.backward, harness.adam_step
+
+    def counted_backward(tensor, grad=None):
+        calls["backward"] += 1
+        return backward(tensor, grad)
+
+    def counted_adam_step(*args, **kwargs):
+        calls["adam"] += 1
+        return adam_step(*args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "backward", counted_backward)
+    monkeypatch.setattr(harness, "adam_step", counted_adam_step)
     train = labeled_dataset(rng, m=8)
-    train.series[5, 0, 2] = np.nan
-    with pytest.raises(FloatingPointError, match="non-finite loss"):
+    train.series[:, 0, 2] = np.nan  # in every sample, so the first micro-batch holds one
+    with pytest.raises(FloatingPointError, match="non-finite supervised loss nan on rows 0 to 3 of the batch"):
         supervised_baseline(train, labeled_dataset(rng, m=4), tiny_cfg(probe_epochs=1))
+    assert calls == {"backward": 0, "adam": 0}
 
 
 def reference_linear_head(features, labels, k, *, lr, batch_size, epochs, seed):
