@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check_finite
+from .errors import ConfigError, check_fields
 
 __all__ = [
     "AugmentConfig",
@@ -37,7 +37,7 @@ class AugmentConfig:
     segment_count_range: tuple[int, int] = (4, 8)
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.jitter_sigma <= 0.0:
             raise ConfigError(f"jitter_sigma must be > 0, got {self.jitter_sigma}")
         for name in ("interval_count_range", "segment_count_range"):

@@ -15,10 +15,11 @@ Config files are plain ``key = value`` text, one key per line, ``#`` starting
 a comment line. Keys are the ``TrainConfig`` field names, with the
 ``encoder``, ``weights`` and ``aug`` sections addressed by a dot
 (``encoder.width = 512``, ``weights.alpha1 = 2``, ``k_ntp = 10`` ...). Each
-value is parsed by its field's type: ``true``/``false`` for switches, and
-two numbers such as ``4, 8`` for a range. ``encoder.channels`` and
+value is text, parsed by its field's type: ``true``/``false`` for switches,
+and two numbers such as ``4, 8`` for a range. ``encoder.channels`` and
 ``encoder.steps`` default to the dataset's and must match it when given.
-Unknown keys, repeated keys and unparsable values are hard errors. A pretext task is
+Unknown keys, repeated keys and values that do not parse as their field's
+type (``k_ntp = 2.5``) are hard errors. A pretext task is
 switched off by a weight of 0; the older keys ``no_ntp = true`` and
 ``no_cs = true`` still work and mean ``weights.alpha1 = 0`` and
 ``weights.alpha2 = 0``. ``aug.rng_seed``, which nothing read, is accepted

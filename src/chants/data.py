@@ -141,6 +141,9 @@ def parse_ts(path) -> MtsDataset:
                     label_names = parts[1:]
                     if has_labels and not label_names:
                         raise DataError(f"{path}: line {lineno}: classLabel true needs label names")
+                    repeated = [n for k, n in enumerate(label_names) if n in label_names[:k]]
+                    if repeated:
+                        raise DataError(f"{path}: line {lineno}: class label {repeated[0]!r} is listed twice")
                 # other @keys (equalLength, timeStamps, ...) carry no information we need
                 continue
             if not in_data:
@@ -192,10 +195,21 @@ def parse_ts(path) -> MtsDataset:
 
 
 def serialize_ts(ds: MtsDataset, path) -> None:
-    """Write a dataset back out in the sequence format, value-exactly."""
+    """Write a dataset back out in the sequence format, value-exactly.
+
+    A class name that :func:`parse_ts` could not read back (empty, holding
+    whitespace or ``:``, or given twice) raises ``DataError`` before
+    ``path`` is opened.
+    """
     names = ds.label_names
     if ds.labels is not None and names is None:
         names = [str(k) for k in range(ds.class_count)]
+    for k, name in enumerate(names if ds.labels is not None else []):
+        if name.split() != [name] or ":" in name or name in names[:k]:
+            raise DataError(
+                f"{path}: class label {name!r} cannot be written: names must be distinct, "
+                "non-empty and free of whitespace and ':'"
+            )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"@problemName {ds.name}\n")
         fh.write(f"@univariate {'true' if ds.channels == 1 else 'false'}\n")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, check_finite
+from .errors import ConfigError, ShapeError, check_fields
 from .tensor import (
     AttnWeights,
     Tensor,
@@ -74,7 +74,7 @@ class EncoderConfig:
     variant: str = "cat"
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.channels < 1:
             raise ConfigError(f"channels must be >= 1, got {self.channels}")
         if self.steps < 2:

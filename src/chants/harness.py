@@ -47,7 +47,7 @@ from .augment import AugmentConfig
 from .checkpoint import save_encoder
 from .data import MtsDataset, NormStats, batches, subsample_rows
 from .encoder import CatParams, Encoder, EncoderConfig, _glorot, init_cat_params
-from .errors import ConfigError, DataError, ShapeError, check_finite
+from .errors import ConfigError, DataError, ShapeError, check_fields, check_value, field_types
 from .optim import adam_step, init_adam_state
 from .pretext import (
     CsBatch,
@@ -94,7 +94,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Every hyperparameter of a run, ablation switches included.
 
@@ -120,28 +120,30 @@ class TrainConfig:
     use_nvp: bool = False
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         for name in ("pretrain_lr", "probe_lr", "supervised_lr"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
-        for name in ("pretrain_batch", "probe_batch", "pretrain_epochs", "probe_epochs", "k_ntp", "save_every"):
+        for name in ("pretrain_batch", "probe_batch", "pretrain_epochs", "probe_epochs",
+                     "k_ntp", "early_stop_patience", "save_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.early_stop_patience < 1:
-            raise ConfigError("early_stop_patience must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _coerce(key: str, value, kind):
-    """``value`` as the field type ``kind``: text is parsed, anything else checked.
+    """``value`` parsed as the field type ``kind`` when it is text, and a list
+    as a tuple; any other value is returned as it is.
 
     Text comes from config files, JSON values from checkpoint snapshots; a
-    tuple field takes "a, b" text or a list.
+    tuple field takes "a, b" text or a list of its length. Text that does
+    not parse raises ``ConfigError``; the config dataclass checks the type of
+    what this returns (:func:`chants.errors.check_fields`).
     """
     try:
-        if typing.get_origin(kind) is tuple:
-            parts = value.replace(",", " ").split() if isinstance(value, str) else list(value)
+        if typing.get_origin(kind) is tuple and isinstance(value, (str, list)):
+            parts = value.replace(",", " ").split() if isinstance(value, str) else value
             args = typing.get_args(kind)
             if len(parts) != len(args):
                 raise ValueError
@@ -151,18 +153,14 @@ def _coerce(key: str, value, kind):
             if kind is bool:
                 return {"true": True, "false": False}[text.lower()]
             return kind(text)
-        if kind is float and type(value) is int:
-            return float(value)
-        if type(value) is not kind:
-            raise ValueError
         return value
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, ValueError):
         raise ConfigError(f"config key '{key}': cannot parse value {value!r}") from None
 
 
 def _build(cls, values: Mapping, prefix: str = ""):
     """An instance of the dataclass ``cls``; nested dataclass fields take mappings."""
-    hints = typing.get_type_hints(cls)
+    hints = field_types(cls)
     kwargs = {}
     for key, value in values.items():
         kind = hints.get(key)
@@ -179,15 +177,18 @@ def _build(cls, values: Mapping, prefix: str = ""):
 def train_config_from_dict(values: Mapping) -> TrainConfig:
     """Build a ``TrainConfig`` from ``{field: value, section: {field: value}}``.
 
-    Sections are ``encoder``, ``weights`` and ``aug``. Each value is parsed
-    by its dataclass field type; unknown keys raise ``ConfigError``. Keys of
+    Sections are ``encoder``, ``weights`` and ``aug``. Text values are
+    parsed by their dataclass field type and the dataclasses check the type
+    of every value; unknown keys raise ``ConfigError``. Keys of
     older configs and checkpoints still load: ``no_ntp = true`` and
     ``no_cs = true`` set ``weights.alpha1`` and ``weights.alpha2`` to 0, and
     ``aug.rng_seed``, which nothing read, is dropped.
     """
     values = dict(values)
     for legacy, alpha in (("no_ntp", "alpha1"), ("no_cs", "alpha2")):
-        if _coerce(legacy, values.pop(legacy, False), bool):
+        switch = _coerce(legacy, values.pop(legacy, False), bool)
+        check_value(legacy, switch, bool)
+        if switch:
             values["weights"] = {**values.get("weights", {}), alpha: 0.0}
     if isinstance(values.get("aug"), Mapping):
         values["aug"] = {k: v for k, v in values["aug"].items() if k != "rng_seed"}
@@ -454,7 +455,9 @@ def pretrain(
     and ``norm.std``. A non-finite loss
     aborts with the log so far and this run's checkpoints left in place. A
     run :func:`check_pretrain` rejects raises ``ConfigError`` before
-    ``out_dir`` is touched.
+    ``out_dir`` is touched, and a config with a field of the wrong type
+    never reaches it: every config dataclass refuses one at construction
+    (:func:`chants.errors.check_fields`).
     """
     check_pretrain(ds, cfg)
     out_dir = Path(out_dir) if out_dir is not None else None

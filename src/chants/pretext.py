@@ -26,7 +26,7 @@ import numpy as np
 
 from .augment import AugmentConfig, async_permute, interval_adjust, sync_permute
 from .encoder import Encoder, EncoderConfig, _glorot, representation_rows
-from .errors import ConfigError, ShapeError, check_finite
+from .errors import ConfigError, ShapeError, check_fields
 from .tensor import (
     Tensor,
     add,
@@ -78,7 +78,7 @@ class LossWeights:
     tau: float = 0.2
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.alpha1 < 0 or self.alpha2 < 0:
             raise ConfigError(f"loss weights must be nonnegative, got {self.alpha1}, {self.alpha2}")
         if self.alpha1 == 0 and self.alpha2 == 0:

@@ -13,7 +13,7 @@ import pytest
 
 import chants.cli
 from chants import harness
-from chants.checkpoint import load_checkpoint, load_encoder, save_encoder
+from chants.checkpoint import load_checkpoint, load_encoder, save_checkpoint, save_encoder
 from chants.cli import main, read_config_file
 from chants.data import make_synthetic_fixture, parse_csv, parse_ts, serialize_ts, znormalize
 from chants.errors import CheckpointError, ConfigError
@@ -712,5 +712,56 @@ def test_a_malformed_meta_block_exits_4_naming_the_checkpoint_with_nothing_writt
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert f"error: {bad}: no training config object (meta.train_config)" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def with_manifest_blob(raw, blob):
+    """The checkpoint bytes ``raw`` with the manifest replaced by the bytes ``blob``."""
+    size = int.from_bytes(raw[8:16], "little")
+    return raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + size :]
+
+
+def with_k_ntp(manifest, value):
+    meta = manifest["meta"]
+    return {**manifest, "meta": {**meta, "train_config": {**meta["train_config"], "k_ntp": value}}}
+
+
+W_CHAN = "params.embed.w_chan"
+# each fault rewrites the checkpoint's bytes, or its (manifest, arrays) entries
+BYTE_FAULTS = {
+    "undecodable-manifest": (lambda raw: with_manifest_blob(raw, b"{not json"), "corrupt manifest"),
+    "truncated-array": (lambda raw: raw[:-8], "truncated array"),
+    "trailing-bytes": (lambda raw: raw + bytes(8), "8 trailing bytes"),
+}
+ENTRY_FAULTS = {
+    "wrong-kind": (lambda m, a: ({**m, "kind": "heads"}, a), "not an encoder checkpoint"),
+    "missing-parameter": (
+        lambda m, a: (m, {k: v for k, v in a.items() if k != W_CHAN}),
+        "missing parameter 'embed.w_chan'",
+    ),
+    "wrong-shape": (lambda m, a: (m, {**a, W_CHAN: a[W_CHAN].ravel()}), "parameter 'embed.w_chan' has shape"),
+    "unknown-array": (lambda m, a: (m, {**a, "params.bogus": np.zeros(1)}), "unrecognized arrays ['params.bogus']"),
+    "mistyped-training-config": (
+        lambda m, a: (with_k_ntp(m, 2.5), a),
+        "bad training config: config field 'k_ntp' must be int, got 2.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", [*BYTE_FAULTS, *ENTRY_FAULTS])
+def test_a_faulty_checkpoint_exits_4_naming_it_with_nothing_written(pretrained, tmp_path, capsys, fault):
+    data, run = pretrained
+    good, bad = run / "checkpoint.ckpt", tmp_path / "faulty.ckpt"
+    if fault in BYTE_FAULTS:
+        change, message = BYTE_FAULTS[fault]
+        bad.write_bytes(change(good.read_bytes()))
+    else:
+        change, message = ENTRY_FAULTS[fault]
+        save_checkpoint(bad, *change(*load_checkpoint(good)))
+    out = tmp_path / "out"
+    assert main(["probe", str(bad), str(data), str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"error: {bad}: {message}" in err
     assert "Traceback" not in err
     assert not out.exists()

@@ -1,5 +1,7 @@
 """Unit tests for dataset parsing, normalization, batching, and the fixture."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,63 @@ class TestParseTs:
         path = tmp_path / "m.ts"
         serialize_ts(ds, path)
         assert parse_ts(path).size == 17
+
+    @pytest.mark.parametrize("names", [["a b", "c"], ["x:y", "c"], ["", "c"], ["a\tb", "c"], ["a", "a"]])
+    def test_class_names_that_cannot_round_trip_are_refused_before_writing(self, tmp_path, names):
+        ds = random_dataset(np.random.default_rng(3))
+        path = tmp_path / "names.ts"
+        path.write_text("kept")
+        with pytest.raises(DataError, match=re.escape(f"class label {names[0]!r} cannot be written")):
+            serialize_ts(MtsDataset(ds.series, ds.labels, 2, "n", label_names=names), path)
+        assert path.read_text() == "kept"
+
+
+TS_HEADER = "@dimensions 2\n@seriesLength 3\n@classLabel true a b\n@data\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, load, message",
+    [
+        ("bad.ts", "@seriesLength three\n", parse_ts, "{path}: line 1: bad seriesLength 'three'"),
+        ("bad.ts", "# dims\n@dimensions two\n", parse_ts, "{path}: line 2: bad dimensions 'two'"),
+        ("bad.ts", "\n@classLabel maybe a\n", parse_ts, "{path}: line 2: malformed classLabel line"),
+        ("bad.ts", "@classLabel true\n", parse_ts, "{path}: line 1: classLabel true needs label names"),
+        ("bad.ts", "@classLabel true a b a\n", parse_ts, "{path}: line 1: class label 'a' is listed twice"),
+        ("bad.ts", "@problemName p\n1,2,3\n", parse_ts, "{path}: line 2: expected @-header or @data before records"),
+        ("bad.ts", TS_HEADER + "1,2,3:4,5,6:a\n1,2,3\n", parse_ts, "{path}: line 6: record is missing its class label"),
+        ("bad.ts", TS_HEADER + "1,2,3:4,5,6:c\n", parse_ts, "{path}: line 5: unknown class label 'c'"),
+        ("bad.ts", TS_HEADER + "1,x,3:4,5,6:a\n", parse_ts, "{path}: line 5: non-numeric value"),
+        ("bad.ts", TS_HEADER + "1,2,3:4,5:a\n", parse_ts, "{path}: line 5: ragged channel lengths [2, 3]"),
+        ("bad.ts", TS_HEADER + "1,2:4,5:b\n", parse_ts, "{path}: line 5: 2 values but header declares seriesLength 3"),
+        (
+            "bad.ts",
+            "@classLabel false\n@data\n1,2:3,4\n\n1,2\n",
+            parse_ts,
+            "{path}: line 5: record shape (1, 2) differs from first record (2, 2)",
+        ),
+        ("d.csv", "1,2\n", load_dataset, "CSV input needs an explicit channel count"),
+        ("d.txt", "1,2\n", load_dataset, "unrecognized dataset extension '.txt' (expected .ts or .csv)"),
+        (
+            "d.csv",
+            "1,2\n",
+            lambda path: parse_csv(path, 2, layout="tall"),
+            "unknown CSV layout 'tall' (expected 'wide' or 'blocked')",
+        ),
+        ("d.csv", "1,2\n", lambda path: parse_csv(path, 0), "channels must be >= 1, got 0"),
+    ],
+    ids=[
+        "ts-series-length", "ts-dimensions", "ts-class-label-line", "ts-no-label-names", "ts-repeated-label-name",
+        "ts-record-before-data", "ts-missing-label", "ts-unknown-label", "ts-non-numeric", "ts-ragged",
+        "ts-length-mismatch", "ts-record-shape", "csv-without-channels", "unknown-extension", "csv-layout",
+        "csv-channels",
+    ],
+)
+def test_each_data_file_error_names_its_cause(tmp_path, name, text, load, message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(DataError) as info:
+        load(path)
+    assert str(info.value) == message.format(path=path)
 
 
 class TestParseCsv:

@@ -416,6 +416,16 @@ class TestPretrain:
         assert 0 not in seeds
         assert (tmp_path / "log.jsonl").exists()
 
+    @pytest.mark.parametrize("change", [{"pretrain_batch": 2.5}, {"k_ntp": 2.5}, {"seed": np.int64(3)}])
+    def test_a_mistyped_config_is_refused_leaving_an_earlier_run_as_it_was(self, tmp_path, change):
+        ds = labeled_dataset(np.random.default_rng(33), m=8)
+        pretrain(ds, tiny_cfg(pretrain_epochs=2), out_dir=tmp_path)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        (name,) = change
+        with pytest.raises(ConfigError, match=f"config field '{name}' must be int"):
+            pretrain(ds, tiny_cfg(pretrain_epochs=2, **change), out_dir=tmp_path)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
     def test_dataset_dims_must_match_config(self):
         rng = np.random.default_rng(12)
         ds = labeled_dataset(rng, channels=3)
@@ -901,6 +911,8 @@ class TestTrainConfigFromDict:
             ({"aug": {"jitter_sigma": " inf"}}, "jitter_sigma must be finite"),
             ({"encoder": {"channels": 2, "steps": 8, "dropout": float("nan")}}, "dropout must be finite"),
             ({"seed": -1}, "seed must be >= 0"),
+            ({"no_ntp": 1}, "config field 'no_ntp' must be bool, got 1"),
+            ({"no_cs": "maybe"}, "'no_cs'"),
         ],
     )
     def test_rejects_unknown_keys_and_mistyped_values(self, change, message):
