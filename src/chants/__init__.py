@@ -42,6 +42,7 @@ from .harness import (
     compute_metrics,
     fewshot_sweep,
     linear_probe,
+    load_pretrained,
     pretrain,
     supervised_baseline,
 )

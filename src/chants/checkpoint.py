@@ -49,10 +49,14 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
 
     The manifest must be a JSON object whose ``arrays`` object maps each
     name to a list of non-negative ints; anything else, a truncated array or
-    trailing bytes raise ``CheckpointError``.
+    trailing bytes raise ``CheckpointError``, as does a path that cannot be
+    read (missing, a directory, under a regular file ...).
     """
     path = Path(path)
-    raw = path.read_bytes()
+    try:
+        raw = path.read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
     if raw[: len(_MAGIC)] != _MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint file (bad magic)")
     offset = len(_MAGIC)

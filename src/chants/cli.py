@@ -28,11 +28,14 @@ and ignored.
 A ``pretrain`` checkpoint carries everything ``probe`` and ``fewshot``
 need: the encoder config its parameters were saved under, the rest of the
 training config and, unless ``--no-normalize`` was given, the per-channel
-normalization stats, which they then apply to their data. A ``--test``
-split's labels are matched to the training split's by class name, not by
-index; a class only the test split has is scored wrong. Without ``--test``,
-30% of each class is held out; a holdout that leaves no training row (each
-class holds one sample) is a data error.
+normalization stats, which they then apply to their data. They read it
+through :func:`chants.harness.load_pretrained`, so this module names none
+of the checkpoint's keys; a checkpoint it refuses, or a path that cannot
+be read as one, exits 4. A ``--test`` split's labels are matched to the
+training split's by class name, not by index; a class only the test split
+has is scored wrong. Without ``--test``, 30% of each class is held out; a
+holdout that leaves no training row (each class holds one sample) is a
+data error.
 """
 
 from __future__ import annotations
@@ -51,10 +54,8 @@ import numpy as np
 
 from . import __version__
 from .augment import AugmentConfig, async_permute, interval_adjust, sync_permute
-from .checkpoint import load_encoder
 from .data import (
     MtsDataset,
-    NormStats,
     apply_norm_stats,
     check_fraction,
     load_dataset,
@@ -64,7 +65,15 @@ from .data import (
 )
 from .encoder import EncoderConfig
 from .errors import CheckpointError, ChantsError, ConfigError, DataError, ShapeError
-from .harness import TrainConfig, check_pretrain, fewshot_sweep, linear_probe, pretrain, train_config_from_dict
+from .harness import (
+    TrainConfig,
+    check_pretrain,
+    fewshot_sweep,
+    linear_probe,
+    load_pretrained,
+    pretrain,
+    train_config_from_dict,
+)
 from .tensor import flop_estimate
 
 logger = logging.getLogger(__name__)
@@ -179,13 +188,6 @@ def _check_dims(config: EncoderConfig, ds: MtsDataset, path) -> None:
         )
 
 
-def _load_ckpt(path):
-    try:
-        return load_encoder(path)
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror}") from exc
-
-
 def _write_metrics(out_dir: Path, metrics) -> None:
     payload = {
         "accuracy": metrics.accuracy,
@@ -221,33 +223,16 @@ def cmd_pretrain(args) -> int:
 
 
 def _probe_setup(args):
-    """Checkpoint params, its training config and the data splits, normalized
-    with the checkpoint's stats when it carries them. The encoder config is
-    the manifest's ``config``, the one the parameters were built under; the
-    copy older checkpoints hold in ``meta.train_config`` is not read."""
-    path = args.checkpoint
-    params, enc_config, manifest, extra = _load_ckpt(path)
-    meta = manifest.get("meta", {})
-    snapshot = meta.get("train_config") if isinstance(meta, dict) else meta
-    if not isinstance(snapshot, dict):
-        raise CheckpointError(f"{path}: no training config object (meta.train_config); not written by pretrain")
-    try:
-        cfg = train_config_from_dict({**snapshot, "encoder": manifest["config"]})
-    except ConfigError as exc:
-        raise CheckpointError(f"{path}: bad training config: {exc}") from exc
+    """Checkpoint params, its training config (``--seed`` applied) and the
+    data splits, normalized with the checkpoint's stats when it carries them
+    (:func:`chants.harness.load_pretrained`)."""
+    params, cfg, stats = load_pretrained(args.checkpoint)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     train, test = _load_splits(args)
     for ds, data_path in ((train, args.data), (test, args.test)):
-        _check_dims(enc_config, ds, data_path)
-    if "norm.mean" in extra or "norm.std" in extra:
-        stats = NormStats(mean=extra.get("norm.mean"), std=extra.get("norm.std"))
-        if any(v is None or v.shape != (train.channels,) for v in (stats.mean, stats.std)):
-            raise CheckpointError(
-                f"{path}: normalization stats must be norm.mean and norm.std of length {train.channels}"
-            )
-        if not (np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()):
-            raise CheckpointError(f"{path}: normalization stats norm.mean and norm.std must be finite")
+        _check_dims(cfg.encoder, ds, data_path)
+    if stats is not None:
         train, test = apply_norm_stats(train, stats), apply_norm_stats(test, stats)
     return params, cfg, train, test
 
@@ -296,12 +281,14 @@ def cmd_augment_preview(args) -> int:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
     if Path(args.out_csv).is_dir():
         raise ConfigError(f"output file is a directory: {args.out_csv}")
+    out_dir = _out_dir(Path(args.out_csv).parent)
     ds = _load_data(args)
     if not 0 <= args.index < ds.size:
         raise ConfigError(f"sample index {args.index} outside [0, {ds.size})")
     x = ds.series[args.index]
     rng = np.random.default_rng(args.seed)
     augmented = _STRATEGIES[args.strategy](x, AugmentConfig(), rng)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(args.out_csv, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["channel", "t", "original", "augmented"])
@@ -379,24 +366,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each error that is not a usage or config error (2)
+_EXIT_CODES = {DataError: 3, FileNotFoundError: 3, CheckpointError: 4, ShapeError: 4}
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ChantsError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (CheckpointError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ChantsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next((code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind)), 2)
 
 
 def entry() -> None:

@@ -197,10 +197,13 @@ def parse_ts(path) -> MtsDataset:
 def serialize_ts(ds: MtsDataset, path) -> None:
     """Write a dataset back out in the sequence format, value-exactly.
 
-    A class name that :func:`parse_ts` could not read back (empty, holding
-    whitespace or ``:``, or given twice) raises ``DataError`` before
-    ``path`` is opened.
+    A dataset name or class name that :func:`parse_ts` could not read back
+    raises ``DataError`` before ``path`` is opened: a dataset name that is
+    empty, starts or ends with whitespace or holds a line break, and a class
+    name that is empty, holds whitespace or ``:``, or is given twice.
     """
+    if not ds.name or ds.name != ds.name.strip() or "\n" in ds.name or "\r" in ds.name:
+        raise DataError(f"{path}: dataset name {ds.name!r} cannot be written: it must be a non-empty, unpadded line")
     names = ds.label_names
     if ds.labels is not None and names is None:
         names = [str(k) for k in range(ds.class_count)]

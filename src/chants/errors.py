@@ -56,16 +56,12 @@ def _fits(value, kind) -> bool:
     return isinstance(value, kind)
 
 
-def check_value(name: str, value, kind) -> None:
-    """Raise ``ConfigError`` unless ``value`` may be held by the field ``name`` of type ``kind``."""
-    if not _fits(value, kind):
-        type_name = str(kind) if typing.get_origin(kind) else kind.__name__
-        raise ConfigError(f"config field '{name}' must be {type_name}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-
-
 def check_fields(config) -> None:
     """Raise ``ConfigError`` unless every field of the dataclass ``config`` holds a value of its type."""
     for name, kind in field_types(type(config)).items():
-        check_value(name, getattr(config, name), kind)
+        value = getattr(config, name)
+        if not _fits(value, kind):
+            type_name = str(kind) if typing.get_origin(kind) else kind.__name__
+            raise ConfigError(f"config field '{name}' must be {type_name}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")

@@ -25,8 +25,9 @@ anything is written, for ``pretrain`` and the CLI alike. Pretraining logs
 one record per step (``epoch``, ``step``, ``ntp_loss``, ``cs_loss``,
 ``combined``) to ``log.jsonl``; its checkpoints carry the ``TrainConfig``
 and any normalization stats, so a checkpoint is all ``probe`` and
-``fewshot`` need. :func:`train_config_from_dict` is the one way to build a
-``TrainConfig`` from plain values.
+``fewshot`` need, and :func:`load_pretrained`, next to ``pretrain``, is
+the one reader of that layout. :func:`train_config_from_dict` is the one
+way to build a ``TrainConfig`` from plain values.
 """
 
 from __future__ import annotations
@@ -44,10 +45,10 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .augment import AugmentConfig
-from .checkpoint import save_encoder
+from .checkpoint import load_encoder, save_encoder
 from .data import MtsDataset, NormStats, batches, subsample_rows
 from .encoder import CatParams, Encoder, EncoderConfig, _glorot, init_cat_params
-from .errors import ConfigError, DataError, ShapeError, check_fields, check_value, field_types
+from .errors import CheckpointError, ConfigError, DataError, ShapeError, check_fields, field_types
 from .optim import adam_step, init_adam_state
 from .pretext import (
     CsBatch,
@@ -87,6 +88,7 @@ __all__ = [
     "extract_features",
     "fewshot_sweep",
     "linear_probe",
+    "load_pretrained",
     "pretrain",
     "supervised_baseline",
     "train_config_from_dict",
@@ -159,7 +161,10 @@ def _coerce(key: str, value, kind):
 
 
 def _build(cls, values: Mapping, prefix: str = ""):
-    """An instance of the dataclass ``cls``; nested dataclass fields take mappings."""
+    """An instance of the dataclass ``cls``; nested dataclass fields take mappings.
+
+    An error from building a nested section names the section.
+    """
     hints = field_types(cls)
     kwargs = {}
     for key, value in values.items():
@@ -172,6 +177,8 @@ def _build(cls, values: Mapping, prefix: str = ""):
         return cls(**kwargs)
     except TypeError as exc:
         raise ConfigError(f"incomplete config {prefix.rstrip('.') or 'block'}: {exc}") from None
+    except ConfigError as exc:
+        raise (ConfigError(f"config section '{prefix.rstrip('.')}': {exc}") if prefix else exc) from None
 
 
 def train_config_from_dict(values: Mapping) -> TrainConfig:
@@ -187,7 +194,8 @@ def train_config_from_dict(values: Mapping) -> TrainConfig:
     values = dict(values)
     for legacy, alpha in (("no_ntp", "alpha1"), ("no_cs", "alpha2")):
         switch = _coerce(legacy, values.pop(legacy, False), bool)
-        check_value(legacy, switch, bool)
+        if not isinstance(switch, bool):
+            raise ConfigError(f"config key '{legacy}' must be bool, got {switch!r}")
         if switch:
             values["weights"] = {**values.get("weights", {}), alpha: 0.0}
     if isinstance(values.get("aug"), Mapping):
@@ -452,12 +460,12 @@ def pretrain(
     builds the parameters under), the heads, every other ``TrainConfig``
     field as ``meta.train_config`` and, when ``norm`` gives the stats ``ds``
     was normalized with, those stats as the ``extra`` arrays ``norm.mean``
-    and ``norm.std``. A non-finite loss
-    aborts with the log so far and this run's checkpoints left in place. A
-    run :func:`check_pretrain` rejects raises ``ConfigError`` before
-    ``out_dir`` is touched, and a config with a field of the wrong type
-    never reaches it: every config dataclass refuses one at construction
-    (:func:`chants.errors.check_fields`).
+    and ``norm.std``; :func:`load_pretrained` reads all three back. A
+    non-finite loss aborts with the log so far and this run's checkpoints
+    left in place. A run :func:`check_pretrain` rejects raises
+    ``ConfigError`` before ``out_dir`` is touched, and a config with a field
+    of the wrong type never reaches it: every config dataclass refuses one
+    at construction (:func:`chants.errors.check_fields`).
     """
     check_pretrain(ds, cfg)
     out_dir = Path(out_dir) if out_dir is not None else None
@@ -542,6 +550,36 @@ def pretrain(
     if out_dir is not None:
         save(out_dir / "checkpoint.ckpt", len(log), final=True, stopped_early=stopped)
     return params, heads, log
+
+
+def load_pretrained(path) -> tuple[CatParams, TrainConfig, NormStats | None]:
+    """The encoder parameters, training config and normalization stats of a
+    :func:`pretrain` checkpoint; the stats are None when it holds none.
+
+    The config is ``meta.train_config`` under the manifest's encoder
+    ``config``, the one the parameters were saved under; the encoder block
+    older checkpoints keep in ``meta.train_config`` is not read. A file that
+    cannot be read or holds no valid encoder, a missing or bad training
+    config, and stats that are not both present, finite and one per channel
+    of the encoder raise ``CheckpointError`` naming ``path``.
+    """
+    params, config, manifest, extra = load_encoder(path)
+    meta = manifest.get("meta", {})
+    snapshot = meta.get("train_config") if isinstance(meta, dict) else meta
+    if not isinstance(snapshot, dict):
+        raise CheckpointError(f"{path}: no training config object (meta.train_config); not written by pretrain")
+    try:
+        cfg = train_config_from_dict({**snapshot, "encoder": manifest["config"]})
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: bad training config: {exc}") from exc
+    mean, std = extra.get("norm.mean"), extra.get("norm.std")
+    if mean is None and std is None:
+        return params, cfg, None
+    if any(v is None or v.shape != (config.channels,) for v in (mean, std)):
+        raise CheckpointError(f"{path}: normalization stats must be norm.mean and norm.std of length {config.channels}")
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise CheckpointError(f"{path}: normalization stats norm.mean and norm.std must be finite")
+    return params, cfg, NormStats(mean=mean, std=std)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from chants.checkpoint import load_checkpoint, load_encoder, save_checkpoint, sa
 from chants.cli import main, read_config_file
 from chants.data import make_synthetic_fixture, parse_csv, parse_ts, serialize_ts, znormalize
 from chants.errors import CheckpointError, ConfigError
-from chants.harness import train_config_from_dict
+from chants.harness import load_pretrained, train_config_from_dict
 
 CHANNELS, STEPS = 3, 12
 
@@ -301,9 +301,7 @@ class TestSelfContainedCheckpoint:
         old = tmp_path / "old.ckpt"
         save_encoder(old, params, config, seed=0, step=0, extra=extra, meta={"train_config": snapshot})
         assert main(["probe", str(old), str(data), str(tmp_path / "out")]) == 0
-        _, _, manifest, _ = load_encoder(old)
-        snapshot = {**manifest["meta"]["train_config"], "encoder": manifest["config"]}
-        assert train_config_from_dict(snapshot).weights.alpha2 == 0.0
+        assert load_pretrained(old)[1].weights.alpha2 == 0.0
 
 
 def spy_on_norm_stats(monkeypatch):
@@ -581,6 +579,29 @@ def test_an_augment_preview_output_that_is_a_directory_exits_2_before_loading(tm
     assert list(out.iterdir()) == []
 
 
+def test_an_augment_preview_output_below_a_file_exits_2_before_loading(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "preview.csv"
+    # the data file does not exist: loading it would exit 3
+    assert main(["augment-preview", str(tmp_path / "missing.ts"), "sync", "0", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: output directory {taken}: {taken} is not a directory" in err
+    assert "Traceback" not in err
+    assert taken.read_text() == "kept\n"
+
+
+def test_augment_preview_creates_a_missing_output_directory(tmp_path, capsys):
+    data = write_fixture(tmp_path / "train.ts")
+    out = tmp_path / "new" / "dir" / "preview.csv"
+    assert main(["augment-preview", str(data), "sync", "0", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["channel", "t", "original", "augmented"]
+    assert len(rows) == 1 + CHANNELS * STEPS
+
+
 def with_a_byte_not_utf8(path, line):
     """``path`` with the byte 0xff put at the end of its ``line``-th line (1-based)."""
     lines = path.read_bytes().split(b"\n")
@@ -631,16 +652,20 @@ def test_a_test_split_of_another_shape_exits_4_naming_it_before_normalization(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("below_a_file", [False, True], ids=["directory", "below-a-file"])
 @pytest.mark.parametrize("command", ["probe", "fewshot"])
-def test_a_checkpoint_path_that_is_a_directory_exits_4_with_nothing_written(pretrained, tmp_path, capsys, command):
+def test_a_checkpoint_path_that_is_a_directory_exits_4_with_nothing_written(
+    pretrained, tmp_path, capsys, command, below_a_file
+):
     data, run = pretrained
+    path, reason = (data / "checkpoint.ckpt", "Not a directory") if below_a_file else (run, "Is a directory")
     out = tmp_path / "out"
-    argv = [command, str(run), str(data), str(out)]
+    argv = [command, str(path), str(data), str(out)]
     if command == "fewshot":
         argv += ["--fractions", "0.5", "--repeats", "1"]
     assert main(argv) == 4
     err = capsys.readouterr().err
-    assert f"error: cannot read checkpoint {run}: Is a directory" in err
+    assert f"error: cannot read checkpoint {path}: {reason}" in err
     assert "Traceback" not in err
     assert not out.exists()
 

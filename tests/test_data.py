@@ -112,6 +112,24 @@ class TestParseTs:
             serialize_ts(MtsDataset(ds.series, ds.labels, 2, "n", label_names=names), path)
         assert path.read_text() == "kept"
 
+    @pytest.mark.parametrize("name", ["", " ", "a\nb", "a\rb", "ab\n", " ab", "ab\t"])
+    def test_dataset_names_that_cannot_round_trip_are_refused_before_writing(self, tmp_path, name):
+        ds = random_dataset(np.random.default_rng(3))
+        path = tmp_path / "named.ts"
+        path.write_text("kept")
+        with pytest.raises(DataError, match=re.escape(f"dataset name {name!r} cannot be written")):
+            serialize_ts(MtsDataset(ds.series, ds.labels, 2, name), path)
+        assert path.read_text() == "kept"
+
+    @pytest.mark.parametrize("name", ["x y", "a\tb", "#x", "x:y", "@data"])
+    def test_accepted_dataset_names_read_back_unchanged(self, tmp_path, name):
+        ds = random_dataset(np.random.default_rng(3))
+        path = tmp_path / "file.ts"
+        serialize_ts(MtsDataset(ds.series, ds.labels, 2, name), path)
+        back = parse_ts(path)
+        assert back.name == name
+        np.testing.assert_array_equal(back.series, ds.series)
+
 
 TS_HEADER = "@dimensions 2\n@seriesLength 3\n@classLabel true a b\n@data\n"
 

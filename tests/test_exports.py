@@ -1,5 +1,6 @@
-"""Every name a ``chants`` module exports in ``__all__`` must exist, and
-every name it imports must be used or exported."""
+"""Every name a ``chants`` module exports in ``__all__`` must exist, every
+name it imports must be used or exported, and only ``harness`` names the
+keys of the checkpoint layout that ``pretrain`` writes."""
 
 import ast
 import importlib
@@ -35,3 +36,27 @@ def test_every_imported_name_is_used_or_exported(name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported - used - set(getattr(module, "__all__", [])))
     assert unused == [], f"{name} imports names it neither uses nor exports: {unused}"
+
+
+# the keys pretrain writes and load_pretrained reads; no other module may name them
+LAYOUT_KEYS = {"train_config", "norm.mean", "norm.std"}
+
+
+def _docstrings(tree):
+    bodies = (node.body for node in ast.walk(tree) if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)))
+    return {id(body[0].value) for body in bodies if body and isinstance(body[0], ast.Expr)}
+
+
+def test_only_the_harness_names_the_checkpoint_layout():
+    found = {}
+    for name in MODULES:
+        tree = ast.parse(Path(importlib.import_module(name).__file__).read_text(encoding="utf-8"))
+        docstrings = _docstrings(tree)
+        keys = {
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in LAYOUT_KEYS and id(node) not in docstrings
+        }
+        if keys:
+            found[name] = sorted(keys)
+    assert found == {"chants.harness": sorted(LAYOUT_KEYS)}

@@ -13,10 +13,10 @@ import pytest
 import chants.tensor
 from chants import harness
 from chants.augment import AugmentConfig
-from chants.checkpoint import load_checkpoint
+from chants.checkpoint import load_checkpoint, save_checkpoint
 from chants.data import MtsDataset, make_synthetic_fixture, subsample, train_test_split, znormalize
 from chants.encoder import Encoder, EncoderConfig, _glorot, init_cat_params
-from chants.errors import ConfigError, ShapeError
+from chants.errors import CheckpointError, ConfigError, ShapeError
 from chants.harness import (
     Metrics,
     TrainConfig,
@@ -27,6 +27,7 @@ from chants.harness import (
     fewshot_sweep,
     fit,
     linear_probe,
+    load_pretrained,
     pretrain,
     supervised_baseline,
     train_config_from_dict,
@@ -431,6 +432,67 @@ class TestPretrain:
         ds = labeled_dataset(rng, channels=3)
         with pytest.raises(ConfigError, match="does not match"):
             pretrain(ds, tiny_cfg(channels=2))
+
+
+def with_train_config(manifest, **change):
+    """``manifest`` with ``change`` merged into its ``meta.train_config``."""
+    meta = manifest["meta"]
+    return {**manifest, "meta": {**meta, "train_config": {**meta["train_config"], **change}}}
+
+
+class TestLoadPretrained:
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    def test_reads_back_the_params_config_and_stats_that_pretrain_wrote(self, tmp_path, normalize):
+        ds, stats = labeled_dataset(np.random.default_rng(41), m=8), None
+        if normalize:
+            ds, stats = znormalize(ds)
+        cfg = tiny_cfg(
+            pretrain_epochs=3, weights=LossWeights(alpha1=0.5, alpha2=3.0, tau=0.1), aug=AugmentConfig(jitter_sigma=0.3)
+        )
+        params, _, _ = pretrain(ds, cfg, out_dir=tmp_path, norm=stats)
+        expected = {name: t.data.tobytes() for name, t in params.named().items()}
+        # the last epoch's checkpoint holds the final parameters too
+        for name in ("checkpoint.ckpt", "checkpoint_epoch0002.ckpt"):
+            loaded, loaded_cfg, loaded_stats = load_pretrained(tmp_path / name)
+            assert {k: t.data.tobytes() for k, t in loaded.named().items()} == expected, name
+            assert loaded_cfg == cfg
+            if stats is None:
+                assert loaded_stats is None
+            else:
+                assert loaded_stats.mean.tobytes() == stats.mean.tobytes()
+                assert loaded_stats.std.tobytes() == stats.std.tobytes()
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            (lambda m, a: ({**m, "meta": {}}, a), "no training config object (meta.train_config)"),
+            (
+                lambda m, a: (with_train_config(m, weights={"alpha1": True}), a),
+                "bad training config: config section 'weights': config field 'alpha1' must be float, got True",
+            ),
+            (
+                lambda m, a: (m, {k: v for k, v in a.items() if k != "extra.norm.std"}),
+                "normalization stats must be norm.mean and norm.std of length 2",
+            ),
+            (
+                lambda m, a: (m, {**a, "extra.norm.mean": np.zeros(3)}),
+                "normalization stats must be norm.mean and norm.std of length 2",
+            ),
+            (
+                lambda m, a: (m, {**a, "extra.norm.std": np.array([1.0, np.nan])}),
+                "normalization stats norm.mean and norm.std must be finite",
+            ),
+        ],
+        ids=["no-training-config", "mistyped-section-field", "one-stat", "stats-of-another-length", "non-finite-stats"],
+    )
+    def test_a_checkpoint_it_cannot_use_raises_naming_it(self, tmp_path, fault, message):
+        ds, stats = znormalize(labeled_dataset(np.random.default_rng(43), m=8))
+        pretrain(ds, tiny_cfg(pretrain_epochs=1), out_dir=tmp_path, norm=stats)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(bad, *fault(*load_checkpoint(tmp_path / "checkpoint.ckpt")))
+        with pytest.raises(CheckpointError) as info:
+            load_pretrained(bad)
+        assert str(info.value).startswith(f"{bad}: {message}")
 
 
 def test_every_backward_of_a_trainer_runs_through_the_one_backward_helper(monkeypatch):
@@ -911,8 +973,14 @@ class TestTrainConfigFromDict:
             ({"aug": {"jitter_sigma": " inf"}}, "jitter_sigma must be finite"),
             ({"encoder": {"channels": 2, "steps": 8, "dropout": float("nan")}}, "dropout must be finite"),
             ({"seed": -1}, "seed must be >= 0"),
-            ({"no_ntp": 1}, "config field 'no_ntp' must be bool, got 1"),
+            ({"no_ntp": 1}, "config key 'no_ntp' must be bool, got 1"),
             ({"no_cs": "maybe"}, "'no_cs'"),
+            (
+                {"encoder": {"channels": 2, "steps": 8, "heads": 2.0}},
+                "config section 'encoder': config field 'heads' must be int, got 2.0",
+            ),
+            ({"weights": {"alpha1": True}}, "config section 'weights': config field 'alpha1' must be float, got True"),
+            ({"aug": {"jitter_sigma": float("nan")}}, "config section 'aug': jitter_sigma must be finite"),
         ],
     )
     def test_rejects_unknown_keys_and_mistyped_values(self, change, message):
