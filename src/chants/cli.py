@@ -2,14 +2,21 @@
 
 Subcommands bind config files to harness runs:
 
-* ``pretrain``        - self-supervised training, checkpoints + log + manifest
+* ``pretrain``        - self-supervised training into a run directory
 * ``probe``           - linear probe of a frozen checkpoint on labeled data
 * ``fewshot``         - probe vs supervised sweep over label fractions
 * ``augment-preview`` - dump original and augmented series side by side
 * ``flops``           - attention-cost estimates for a (T, C, D) shape
 
 Exit codes are a stable contract: 0 success, 2 usage or config error,
-3 data error, 4 checkpoint or shape error.
+3 data error, 4 checkpoint or shape error. A run whose loss or gradient
+turns non-finite (``FloatingPointError``) exits 2: its config cannot train
+on its data.
+
+``pretrain`` reads the config and data, normalizes the data unless
+``--no-normalize`` is given, and hands both to
+:func:`chants.harness.pretrain`, which writes the whole run directory (its
+manifest, step log and checkpoints); this module writes none of it.
 
 Config files are plain ``key = value`` text, one key per line, ``#`` starting
 a comment line. Keys are the ``TrainConfig`` field names, with the
@@ -43,11 +50,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import hashlib
 import json
 import logging
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +71,6 @@ from .data import (
 from .encoder import EncoderConfig
 from .errors import CheckpointError, ChantsError, ConfigError, DataError, ShapeError
 from .harness import (
-    TrainConfig,
-    check_pretrain,
     fewshot_sweep,
     linear_probe,
     load_pretrained,
@@ -84,7 +87,8 @@ _SECTIONS = ("encoder", "weights", "aug")
 def read_config_file(path) -> dict:
     """Read ``key = value`` lines into ``{section: {field: text}}`` plus top-level text.
 
-    A key given on two lines, or a file that is not UTF-8, raises ``ConfigError``.
+    A UTF-8 byte-order mark is skipped. A key given on two lines, or a file
+    that is not UTF-8, raises ``ConfigError``.
     """
     raw: dict = {section: {} for section in _SECTIONS}
     path = Path(path)
@@ -93,7 +97,7 @@ def read_config_file(path) -> dict:
     if not path.is_file():
         raise ConfigError(f"config path is not a file: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} 0x{exc.object[exc.start]:02x}") from exc
     first_line: dict[str, int] = {}
@@ -116,26 +120,6 @@ def read_config_file(path) -> dict:
         else:
             raw[key] = value
     return raw
-
-
-def _fingerprint(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def _write_manifest(out_dir: Path, command: str, cfg: TrainConfig, data_path, seed: int) -> None:
-    manifest = {
-        "command": command,
-        "config": dataclasses.asdict(cfg),
-        "dataset_fingerprint": _fingerprint(data_path),
-        "code_version": __version__,
-        "seed": seed,
-        "created": datetime.now(timezone.utc).isoformat(),
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _out_dir(path) -> Path:
@@ -211,9 +195,6 @@ def cmd_pretrain(args) -> int:
     ds = _load_data(args)
     raw["encoder"] = {"channels": ds.channels, "steps": ds.steps, **raw["encoder"]}
     cfg = train_config_from_dict(raw)
-    check_pretrain(ds, cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, "pretrain", cfg, args.data, cfg.seed)
     stats = None
     if args.normalize:
         ds, stats = znormalize(ds)
@@ -366,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the exit code of each error that is not a usage or config error (2)
-_EXIT_CODES = {DataError: 3, FileNotFoundError: 3, CheckpointError: 4, ShapeError: 4}
+# the exit code of each error main reports; any other ChantsError is a usage or config error (2)
+_EXIT_CODES = {DataError: 3, FileNotFoundError: 3, CheckpointError: 4, ShapeError: 4, FloatingPointError: 2}
 
 
 def main(argv=None) -> int:
@@ -376,7 +357,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ChantsError, FileNotFoundError) as exc:
+    except (ChantsError, *_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind)), 2)
 

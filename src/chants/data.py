@@ -96,7 +96,10 @@ def _numbered_lines(fh, path: Path) -> Iterator[tuple[int, str]]:
 
 
 def parse_ts(path) -> MtsDataset:
-    """Parse the ``@``-header sequence format; errors carry 1-based line numbers."""
+    """Parse the ``@``-header sequence format; errors carry 1-based line numbers.
+
+    A UTF-8 byte-order mark is skipped.
+    """
     path = Path(path)
     name = path.stem
     series_length: int | None = None
@@ -108,7 +111,7 @@ def parse_ts(path) -> MtsDataset:
     records: list[np.ndarray] = []
     labels: list[int] = []
 
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in _numbered_lines(fh, path):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -243,9 +246,11 @@ def parse_csv(path, channels: int, *, layout: str = "wide", labeled: bool = Fals
     ``wide``: one row per sample holding C*T values channel-by-channel, plus a
     trailing label when ``labeled``. ``blocked``: C consecutive rows of T
     values per sample; when labeled, every row of a block carries the same
-    trailing label. Blank lines are skipped, and every row holds as many
-    cells as the first. Errors carry the 1-based line of the file, blank
-    lines counted, as in :func:`parse_ts`.
+    trailing label. A UTF-8 byte-order mark and blank lines are skipped,
+    every row holds as many cells as the first, and a sample that holds no
+    values (its rows hold only a label) raises ``DataError``. Errors carry
+    the 1-based line of the file, blank lines counted, as in
+    :func:`parse_ts`.
     """
     if layout not in ("wide", "blocked"):
         raise DataError(f"unknown CSV layout {layout!r} (expected 'wide' or 'blocked')")
@@ -253,7 +258,7 @@ def parse_csv(path, channels: int, *, layout: str = "wide", labeled: bool = Fals
         raise DataError(f"channels must be >= 1, got {channels}")
     path = Path(path)
     rows: list[tuple[int, list[str]]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in _numbered_lines(fh, path):
             if raw.strip():
                 rows.append((lineno, [cell.strip() for cell in raw.split(",")]))
@@ -280,6 +285,8 @@ def parse_csv(path, channels: int, *, layout: str = "wide", labeled: bool = Fals
                 values.extend(float(v) for v in cells)
             except ValueError:
                 raise DataError(f"{path}: line {lineno}: non-numeric cell") from None
+        if not values:
+            raise DataError(f"{path}: line {head}: the sample holds no values, only its label")
         if len(values) % channels:
             raise DataError(f"{path}: line {head}: {len(values)} values not divisible by {channels} channels")
         series.append(np.array(values).reshape(channels, -1))
@@ -452,29 +459,28 @@ def batches(ds: MtsDataset, batch_size: int, seed: int, epoch: int = 0) -> Itera
 # ---------------------------------------------------------------------------
 
 
+# the fixture's tempos (cycles per ``steps``) and its Gaussian noise sigma
+_SLOW_FREQS = (1.0, 2.0)
+_FAST_FREQS = (4.0, 6.0)
+_NOISE = 0.15
+
+
 def make_synthetic_fixture(
-    m: int = 400,
-    channels: int = 4,
-    steps: int = 32,
-    seed: int = 0,
-    *,
-    lag: int = 2,
-    noise: float = 0.15,
-    slow_freqs: tuple[float, ...] = (1.0, 2.0),
-    fast_freqs: tuple[float, ...] = (4.0, 6.0),
+    m: int = 400, channels: int = 4, steps: int = 32, seed: int = 0, *, lag: int = 2
 ) -> MtsDataset:
     """Two balanced classes distinguished only by the order of the channels.
 
     Every sample is a random-phase sinusoid mixture copied onto each channel
-    with a shift of ``lag`` steps per channel; the label decides only the
-    *direction* of that shift (channel ``j + 1`` leads channel ``j`` for
-    class 0 and trails it for class 1). The tempo is drawn per sample, with
-    equal odds and independent of the label, from ``slow_freqs`` (long
-    monotone runs) or ``fast_freqs`` (frequent reversals), so both trend
-    regimes appear in each class. Each channel on its own is therefore
-    identically distributed in both classes: neither the raw values nor the
-    amplitude spectra separate them, and only the sign of the lagged
-    cross-correlation between neighbouring channels does.
+    with a shift of ``lag`` steps per channel, plus Gaussian noise of sigma
+    ``_NOISE``; the label decides only the *direction* of that shift
+    (channel ``j + 1`` leads channel ``j`` for class 0 and trails it for
+    class 1). The tempo is drawn per sample, with equal odds and independent
+    of the label, from ``_SLOW_FREQS`` (long monotone runs) or
+    ``_FAST_FREQS`` (frequent reversals), so both trend regimes appear in
+    each class. Each channel on its own is therefore identically
+    distributed in both classes: neither the raw values nor the amplitude
+    spectra separate them, and only the sign of the lagged cross-correlation
+    between neighbouring channels does.
 
     Raises ``DataError`` when ``lag < 1`` or ``channels < 2``: either leaves
     the two classes identically distributed.
@@ -491,7 +497,7 @@ def make_synthetic_fixture(
     labels = np.empty(m, dtype=np.int64)
     for i in range(m):
         cls = i % 2
-        freqs = slow_freqs if rng.random() < 0.5 else fast_freqs
+        freqs = _SLOW_FREQS if rng.random() < 0.5 else _FAST_FREQS
         base = np.zeros(length)
         for f in freqs:
             amp = rng.uniform(0.6, 1.4)
@@ -502,7 +508,7 @@ def make_synthetic_fixture(
         for j in range(channels):
             start = margin + direction * lag * j
             series[i, j] = base[start : start + steps]
-        series[i] += rng.normal(0.0, noise, size=(channels, steps))
+        series[i] += rng.normal(0.0, _NOISE, size=(channels, steps))
         labels[i] = cls
     return MtsDataset(
         series=series,

@@ -20,30 +20,41 @@ of a trainer is a plain iteration of one
 dropout masks of one whole-batch pass, and each part goes through
 :func:`_backward`, the one caller of ``Tensor.backward``, which checks it
 is finite before its backward.
-:func:`check_pretrain` rejects a run that ``pretrain`` cannot do before
-anything is written, for ``pretrain`` and the CLI alike. Pretraining logs
-one record per step (``epoch``, ``step``, ``ntp_loss``, ``cs_loss``,
-``combined``) to ``log.jsonl``; its checkpoints carry the ``TrainConfig``
-and any normalization stats, so a checkpoint is all ``probe`` and
-``fewshot`` need, and :func:`load_pretrained`, next to ``pretrain``, is
-the one reader of that layout. :func:`train_config_from_dict` is the one
-way to build a ``TrainConfig`` from plain values.
+
+``pretrain`` alone writes a run directory, and refuses a run it cannot do
+before it writes anything. The directory holds:
+- ``manifest.json``: the command, the full ``TrainConfig``, the package
+  version, the seed, the UTC start time and ``series_sha256``, the SHA-256
+  of the float64 series the run trains on (after any normalization, so it
+  names the arrays, not a data file);
+- ``log.jsonl``: one record per step (``epoch``, ``step``, ``ntp_loss``,
+  ``cs_loss``, ``combined``);
+- ``checkpoint_epochNNNN.ckpt`` and ``checkpoint.ckpt``: checkpoints that
+  carry the ``TrainConfig`` and any normalization stats, so a checkpoint is
+  all ``probe`` and ``fewshot`` need. :func:`load_pretrained`, next to
+  ``pretrain``, is the one reader of that layout.
+
+:func:`train_config_from_dict` is the one way to build a ``TrainConfig``
+from plain values.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import logging
 import math
 import typing
 import warnings
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
+from . import __version__
 from .augment import AugmentConfig
 from .checkpoint import load_encoder, save_encoder
 from .data import MtsDataset, NormStats, batches, subsample_rows
@@ -83,7 +94,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "Metrics",
     "TrainConfig",
-    "check_pretrain",
     "compute_metrics",
     "extract_features",
     "fewshot_sweep",
@@ -398,7 +408,7 @@ def _cs_grad_cache(
     return value
 
 
-def check_pretrain(ds: MtsDataset, cfg: TrainConfig) -> None:
+def _check_pretrain(ds: MtsDataset, cfg: TrainConfig) -> None:
     """Raise ``ConfigError`` unless :func:`pretrain` can run ``cfg`` on ``ds``.
 
     ``ds`` must hold at least one sample of the encoder's (channels, steps).
@@ -406,7 +416,7 @@ def check_pretrain(ds: MtsDataset, cfg: TrainConfig) -> None:
     next-value prediction label each channel of a truncated copy, so they
     need one representation row per channel (every variant but ``tat``) and
     at least 3 steps to cut. ``pretrain`` checks this before it touches
-    ``out_dir``, and the CLI before it writes its manifest.
+    ``out_dir``.
     """
     if ds.size < 1:
         raise ConfigError("pretraining needs at least one sample")
@@ -450,31 +460,47 @@ def pretrain(
       one original and its augmentations) is encoded again with a graph to
       backpropagate its rows of that gradient (:func:`_cs_grad_cache`).
 
-    When ``out_dir`` is given, an epoch checkpoint is written every
+    When ``out_dir`` is given, it is created if need be and the run writes
+    its whole directory there. The epoch and final checkpoints and the
+    ``log.jsonl`` an earlier run left in ``out_dir`` are removed (and
+    logged) first, so a run that aborts leaves none of them behind. Then
+    ``manifest.json`` is written: ``command``, ``config`` (the whole
+    ``TrainConfig``), ``code_version``, ``seed``, ``created`` (UTC, ISO
+    8601) and ``series_sha256``, the SHA-256 of ``ds.series`` as the
+    float64 array this run trains on. An epoch checkpoint is written every
     ``save_every`` epochs and after the last, keeping the last two and the
-    first with the lowest loss, and ``checkpoint.ckpt`` at the end; the
-    epoch and final checkpoints an earlier run left in ``out_dir`` are
-    removed (and logged) before the first epoch, so a run that aborts
-    leaves none of them behind. Each holds the encoder config (the
-    manifest's ``config``, which :func:`chants.checkpoint.load_encoder`
-    builds the parameters under), the heads, every other ``TrainConfig``
-    field as ``meta.train_config`` and, when ``norm`` gives the stats ``ds``
-    was normalized with, those stats as the ``extra`` arrays ``norm.mean``
-    and ``norm.std``; :func:`load_pretrained` reads all three back. A
-    non-finite loss aborts with the log so far and this run's checkpoints
-    left in place. A run :func:`check_pretrain` rejects raises
-    ``ConfigError`` before ``out_dir`` is touched, and a config with a field
-    of the wrong type never reaches it: every config dataclass refuses one
-    at construction (:func:`chants.errors.check_fields`).
+    first with the lowest loss, ``log.jsonl`` once the loop ends or aborts,
+    and ``checkpoint.ckpt`` at the end. Each checkpoint holds the encoder
+    config (the checkpoint manifest's ``config``, which
+    :func:`chants.checkpoint.load_encoder` builds the parameters under), the
+    heads, every other ``TrainConfig`` field as ``meta.train_config`` and,
+    when ``norm`` gives the stats ``ds`` was normalized with, those stats as
+    the ``extra`` arrays ``norm.mean`` and ``norm.std``;
+    :func:`load_pretrained` reads all three back. A non-finite loss or
+    gradient raises ``FloatingPointError`` with the manifest, the log so
+    far and this run's checkpoints left in place. A run
+    :func:`_check_pretrain` rejects raises ``ConfigError`` before
+    ``out_dir`` is touched, and a config with a field of the wrong type
+    never reaches it: every config dataclass refuses one at construction
+    (:func:`chants.errors.check_fields`).
     """
-    check_pretrain(ds, cfg)
+    _check_pretrain(ds, cfg)
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        # every checkpoint in out_dir must belong to this run, even if it aborts
-        for stale in sorted(out_dir.glob("checkpoint*.ckpt")):
-            logger.info("removing %s, a checkpoint of an earlier run", stale.name)
+        # every checkpoint and log in out_dir must belong to this run, even if it aborts
+        for stale in sorted([*out_dir.glob("checkpoint*.ckpt"), *out_dir.glob("log.jsonl")]):
+            logger.info("removing %s, left by an earlier run", stale.name)
             stale.unlink()
+        manifest = {
+            "command": "pretrain",
+            "config": dataclasses.asdict(cfg),
+            "series_sha256": hashlib.sha256(np.ascontiguousarray(ds.series)).hexdigest(),
+            "code_version": __version__,
+            "seed": cfg.seed,
+            "created": datetime.now(timezone.utc).isoformat(),
+        }
+        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     rng_init = np.random.default_rng([cfg.seed, 1])
     rng_aug = np.random.default_rng([cfg.seed, 2])

@@ -455,10 +455,10 @@ def _keep_mask(shape, rate: float, rng) -> np.ndarray | None:
 def dropout(a, rate: float, rng) -> Tensor:
     """Inverted dropout; the identity when ``rng`` is None or ``rate`` is 0.
 
-    The mask source is the only switch: training passes give a generator,
-    or a :class:`MicroBatchMasks` when a batch runs as micro-batches that
-    must see the masks of one whole-batch pass (that is how pretraining runs
-    each pretext task a few series at a time); inference passes give None.
+    The mask source is the only switch. Every trainer passes a
+    :class:`MicroBatchMasks`, which serves each micro-batch its rows of the
+    masks of one whole-batch pass; a generator draws one fresh mask per
+    call; inference passes give None.
     """
     a = constant(a)
     keep = _keep_mask(a.data.shape, rate, rng)

@@ -4,8 +4,10 @@ Every subcommand runs on ``.ts`` files written by ``serialize_ts`` from the
 synthetic fixture, with a tiny config (width 8, depth 1, one epoch).
 """
 
+import codecs
 import csv
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -237,6 +239,59 @@ aug.interval_count_range = 3 4
         cfg = write_config(tmp_path / "dims.cfg", TINY_CONFIG + "encoder.channels = 5\n")
         assert main(["pretrain", str(cfg), str(data), str(tmp_path / "out")]) == 2
         assert "(channels, steps)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("first", ["# a comment", "pretrain_epochs = 1"])
+    def test_a_utf8_byte_order_mark_is_skipped(self, tmp_path, first):
+        text = f"{first}\nencoder.channels = 3\nencoder.steps = 12\nencoder.width = 8\n"
+        plain = write_config(tmp_path / "plain.cfg", text)
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        assert train_config_from_dict(read_config_file(bom)) == train_config_from_dict(read_config_file(plain))
+
+
+def test_a_run_from_files_with_a_byte_order_mark_matches_the_plain_run(pretrained, tmp_path):
+    data, run = pretrained
+    config = tmp_path / "tiny.cfg"
+    config.write_bytes(codecs.BOM_UTF8 + TINY_CONFIG.encode("utf-8"))
+    bom_data = tmp_path / data.name
+    bom_data.write_bytes(codecs.BOM_UTF8 + data.read_bytes())
+    out = tmp_path / "run"
+    assert main(["pretrain", str(config), str(bom_data), str(out)]) == 0
+    for name in ("checkpoint.ckpt", "log.jsonl"):
+        assert (out / name).read_bytes() == (run / name).read_bytes(), name
+    # the manifest hashes the series the run trained on: the normalized ones
+    trained_on, _ = znormalize(parse_ts(data))
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["series_sha256"] == hashlib.sha256(trained_on.series).hexdigest()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_a_run_that_diverges_exits_2_with_one_error_line_leaving_its_manifest_and_log(pretrained, tmp_path, capsys):
+    data, _ = pretrained
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "diverges.cfg", tiny_config_with("pretrain_lr = 1e300"))
+    assert main(["pretrain", str(cfg), str(data), str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: non-finite NTP loss nan on rows 0 to 4 of the batch"]
+    assert json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"]["pretrain_lr"] == 1e300
+    assert len((out / "log.jsonl").read_text(encoding="utf-8").splitlines()) == 1  # the first step's update
+    assert not list(out.glob("*.ckpt"))
+
+
+@pytest.mark.parametrize("layout, text", [("wide", "a\nb\na\nb\n"), ("blocked", "a\na\nb\nb\n")], ids=["wide", "blocked"])
+@pytest.mark.parametrize("command", ["pretrain", "augment-preview"])
+def test_a_csv_whose_samples_hold_no_values_exits_3_with_nothing_written(tmp_path, capsys, command, layout, text):
+    data = tmp_path / "labels.csv"
+    data.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    argv = {
+        "pretrain": ["pretrain", str(write_config(tmp_path / "tiny.cfg")), str(data), str(out)],
+        "augment-preview": ["augment-preview", str(data), "interval", "0", str(out / "preview.csv")],
+    }[command]
+    assert main([*argv, "--csv-channels", "2", "--csv-layout", layout, "--csv-labeled"]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {data}: line 1: the sample holds no values, only its label"]
+    assert not out.exists()
 
 
 class TestSelfContainedCheckpoint:

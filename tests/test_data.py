@@ -1,5 +1,6 @@
 """Unit tests for dataset parsing, normalization, batching, and the fixture."""
 
+import codecs
 import re
 
 import numpy as np
@@ -234,12 +235,45 @@ class TestParseCsv:
             parse_csv(path, channels=2, layout=layout, labeled=labeled)
         assert str(info.value) == f"{path}: {message}"
 
+    @pytest.mark.parametrize(
+        "text, layout", [("\na\nb\n", "wide"), ("\na\na\n\nb\nb\n", "blocked")], ids=["wide", "blocked"]
+    )
+    def test_a_sample_that_holds_only_its_label_is_rejected_naming_its_first_line(self, tmp_path, text, layout):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as info:
+            parse_csv(path, channels=2, layout=layout, labeled=True)
+        assert str(info.value) == f"{path}: line 2: the sample holds no values, only its label"
+
     def test_load_dataset_dispatch(self, tmp_path):
         ts = tmp_path / "d.ts"
         ts.write_text(TS_FIXTURE)
         assert load_dataset(ts).size == 2
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "missing.ts")
+
+
+@pytest.mark.parametrize(
+    "name, text, load",
+    [
+        ("d.ts", TS_FIXTURE, parse_ts),
+        ("d.csv", "1,2,3,4,5,6,a\n7,8,9,10,11,12,b\n", lambda path: parse_csv(path, 2, labeled=True)),
+        ("d.csv", "1,2,3\n4,5,6\n", lambda path: parse_csv(path, 2, layout="blocked")),
+    ],
+    ids=["ts", "csv-wide", "csv-blocked"],
+)
+def test_a_utf8_byte_order_mark_is_skipped(tmp_path, name, text, load):
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "bom").mkdir()
+    plain, bom = tmp_path / "plain" / name, tmp_path / "bom" / name
+    plain.write_text(text, encoding="utf-8")
+    bom.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    want, got = load(plain), load(bom)
+    assert got.series.tobytes() == want.series.tobytes()
+    assert (got.series.shape, got.name, got.label_names, got.class_count) == (
+        want.series.shape, want.name, want.label_names, want.class_count
+    )
+    assert (got.labels is None and want.labels is None) or got.labels.tobytes() == want.labels.tobytes()
 
 
 class TestNormalization:

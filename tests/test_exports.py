@@ -1,6 +1,7 @@
 """Every name a ``chants`` module exports in ``__all__`` must exist, every
 name it imports must be used or exported, and only ``harness`` names the
-keys of the checkpoint layout that ``pretrain`` writes."""
+keys of the checkpoint layout and the files of the run directory that
+``pretrain`` writes."""
 
 import ast
 import importlib
@@ -40,6 +41,8 @@ def test_every_imported_name_is_used_or_exported(name):
 
 # the keys pretrain writes and load_pretrained reads; no other module may name them
 LAYOUT_KEYS = {"train_config", "norm.mean", "norm.std"}
+# the files of a run directory besides its checkpoints; pretrain alone writes them
+RUN_FILES = {"manifest.json", "log.jsonl"}
 
 
 def _docstrings(tree):
@@ -47,16 +50,25 @@ def _docstrings(tree):
     return {id(body[0].value) for body in bodies if body and isinstance(body[0], ast.Expr)}
 
 
-def test_only_the_harness_names_the_checkpoint_layout():
+def _modules_naming(constants):
+    """``{module: the sorted constants it holds outside docstrings}`` over the modules that hold one."""
     found = {}
     for name in MODULES:
         tree = ast.parse(Path(importlib.import_module(name).__file__).read_text(encoding="utf-8"))
         docstrings = _docstrings(tree)
-        keys = {
+        named = {
             node.value
             for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and node.value in LAYOUT_KEYS and id(node) not in docstrings
+            if isinstance(node, ast.Constant) and node.value in constants and id(node) not in docstrings
         }
-        if keys:
-            found[name] = sorted(keys)
-    assert found == {"chants.harness": sorted(LAYOUT_KEYS)}
+        if named:
+            found[name] = sorted(named)
+    return found
+
+
+def test_only_the_harness_names_the_checkpoint_layout():
+    assert _modules_naming(LAYOUT_KEYS) == {"chants.harness": sorted(LAYOUT_KEYS)}
+
+
+def test_only_the_harness_names_the_run_directory_files():
+    assert _modules_naming(RUN_FILES) == {"chants.harness": sorted(RUN_FILES)}

@@ -2,6 +2,7 @@
 building a training config from plain values."""
 
 import dataclasses
+import hashlib
 import json
 import sys
 import tracemalloc
@@ -10,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+import chants
 import chants.tensor
 from chants import harness
 from chants.augment import AugmentConfig
@@ -432,6 +434,32 @@ class TestPretrain:
         ds = labeled_dataset(rng, channels=3)
         with pytest.raises(ConfigError, match="does not match"):
             pretrain(ds, tiny_cfg(channels=2))
+
+    def test_the_manifest_records_the_config_the_series_and_the_code_version(self, tmp_path):
+        ds = labeled_dataset(np.random.default_rng(34), m=8)
+        cfg = tiny_cfg(pretrain_epochs=1, seed=7, aug=AugmentConfig(segment_count_range=(2, 5)))
+        pretrain(ds, cfg, out_dir=tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        assert sorted(manifest) == ["code_version", "command", "config", "created", "seed", "series_sha256"]
+        assert train_config_from_dict(manifest["config"]) == cfg
+        assert manifest["series_sha256"] == hashlib.sha256(ds.series).hexdigest()
+        assert manifest["code_version"] == chants.__version__
+        assert (manifest["command"], manifest["seed"]) == ("pretrain", 7)
+
+    def test_the_loop_starts_with_no_file_of_an_earlier_run_but_the_new_manifest(self, tmp_path, monkeypatch):
+        ds = labeled_dataset(np.random.default_rng(35), m=8)
+        pretrain(ds, tiny_cfg(pretrain_epochs=2), out_dir=tmp_path)
+        assert (tmp_path / "log.jsonl").exists()
+        at_start = []
+
+        def no_steps(*args, **kwargs):
+            at_start.append(sorted(path.name for path in tmp_path.iterdir()))
+            return False
+
+        monkeypatch.setattr(harness, "fit", no_steps)
+        pretrain(ds, tiny_cfg(pretrain_epochs=2), out_dir=tmp_path)
+        assert at_start == [["manifest.json"]]
+        assert (tmp_path / "log.jsonl").read_text(encoding="utf-8") == ""
 
 
 def with_train_config(manifest, **change):
