@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .augment import AugmentConfig, async_permute, interval_adjust, sync_permute
 from .checkpoint import load_encoder, save_encoder
 from .data import (
-    MtsBatch,
     MtsDataset,
     NormStats,
     batches,

@@ -27,10 +27,8 @@ and two numbers such as ``4, 8`` for a range. ``encoder.channels`` and
 ``encoder.steps`` default to the dataset's and must match it when given.
 Unknown keys, repeated keys and values that do not parse as their field's
 type (``k_ntp = 2.5``) are hard errors. A pretext task is
-switched off by a weight of 0; the older keys ``no_ntp = true`` and
-``no_cs = true`` still work and mean ``weights.alpha1 = 0`` and
-``weights.alpha2 = 0``. ``aug.rng_seed``, which nothing read, is accepted
-and ignored.
+switched off by a weight of 0 (``weights.alpha1 = 0`` for next-trend
+prediction, ``weights.alpha2 = 0`` for contextual similarity).
 
 A ``pretrain`` checkpoint carries everything ``probe`` and ``fewshot``
 need: the encoder config its parameters were saved under, the rest of the

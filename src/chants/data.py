@@ -19,7 +19,6 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 __all__ = [
-    "MtsBatch",
     "MtsDataset",
     "NormStats",
     "apply_norm_stats",
@@ -39,7 +38,10 @@ __all__ = [
 
 @dataclass
 class MtsDataset:
-    """An (M, C, T) stack of equal-length series with optional class labels."""
+    """An (M, C, T) stack of equal-length series with optional class labels.
+
+    ``label_names``, when given, names each of the ``class_count`` classes.
+    """
 
     series: np.ndarray
     labels: np.ndarray | None
@@ -59,6 +61,8 @@ class MtsDataset:
                 )
             if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
                 raise DataError(f"labels must lie in [0, {self.class_count})")
+        if self.label_names is not None and len(self.label_names) != self.class_count:
+            raise DataError(f"{len(self.label_names)} class names for {self.class_count} classes")
 
     @property
     def size(self) -> int:
@@ -71,15 +75,6 @@ class MtsDataset:
     @property
     def steps(self) -> int:
         return self.series.shape[2]
-
-
-@dataclass
-class MtsBatch:
-    """One minibatch plus the source indices it was drawn from."""
-
-    x: np.ndarray
-    labels: np.ndarray | None
-    indices: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +93,8 @@ def _numbered_lines(fh, path: Path) -> Iterator[tuple[int, str]]:
 def parse_ts(path) -> MtsDataset:
     """Parse the ``@``-header sequence format; errors carry 1-based line numbers.
 
-    A UTF-8 byte-order mark is skipped.
+    A UTF-8 byte-order mark is skipped, and class names are kept only under
+    ``@classLabel true``.
     """
     path = Path(path)
     name = path.stem
@@ -193,7 +189,7 @@ def parse_ts(path) -> MtsDataset:
         labels=np.array(labels, dtype=np.int64) if has_labels else None,
         class_count=len(label_names) if has_labels else 0,
         name=name,
-        label_names=label_names or None,
+        label_names=label_names if has_labels else None,
     )
 
 
@@ -433,9 +429,9 @@ def train_test_split(ds: MtsDataset, test_fraction: float, seed: int) -> tuple[M
     return pick(train_idx), pick(test_idx)
 
 
-def batches(ds: MtsDataset, batch_size: int, seed: int, epoch: int = 0) -> Iterator[MtsBatch]:
-    """Minibatches in a shuffled order that is fixed per (seed, epoch); the
-    final short batch is emitted.
+def batches(ds: MtsDataset, batch_size: int, seed: int, epoch: int = 0) -> Iterator[np.ndarray]:
+    """The row indices of each minibatch of ``ds``, in a shuffled order that
+    is fixed per (seed, epoch); the final short batch is emitted.
 
     Epoch e shuffles with ``default_rng([seed, 0, e])``, a stream that no
     other draw shares (``pretrain`` seeds four with ``[seed, 1]`` to
@@ -446,12 +442,7 @@ def batches(ds: MtsDataset, batch_size: int, seed: int, epoch: int = 0) -> Itera
         raise DataError(f"batch size must be >= 1, got {batch_size}")
     order = np.random.default_rng([seed, 0, epoch]).permutation(ds.size)
     for start in range(0, ds.size, batch_size):
-        idx = order[start : start + batch_size]
-        yield MtsBatch(
-            x=ds.series[idx],
-            labels=None if ds.labels is None else ds.labels[idx],
-            indices=idx.copy(),
-        )
+        yield order[start : start + batch_size]
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +450,19 @@ def batches(ds: MtsDataset, batch_size: int, seed: int, epoch: int = 0) -> Itera
 # ---------------------------------------------------------------------------
 
 
-# the fixture's tempos (cycles per ``steps``) and its Gaussian noise sigma
+# the fixture's tempos (cycles per ``steps``), its Gaussian noise sigma and
+# the shift in steps between neighbouring channels
 _SLOW_FREQS = (1.0, 2.0)
 _FAST_FREQS = (4.0, 6.0)
 _NOISE = 0.15
+_LAG = 2
 
 
-def make_synthetic_fixture(
-    m: int = 400, channels: int = 4, steps: int = 32, seed: int = 0, *, lag: int = 2
-) -> MtsDataset:
+def make_synthetic_fixture(m: int = 400, channels: int = 4, steps: int = 32, seed: int = 0) -> MtsDataset:
     """Two balanced classes distinguished only by the order of the channels.
 
     Every sample is a random-phase sinusoid mixture copied onto each channel
-    with a shift of ``lag`` steps per channel, plus Gaussian noise of sigma
+    with a shift of ``_LAG`` steps per channel, plus Gaussian noise of sigma
     ``_NOISE``; the label decides only the *direction* of that shift
     (channel ``j + 1`` leads channel ``j`` for class 0 and trails it for
     class 1). The tempo is drawn per sample, with equal odds and independent
@@ -482,15 +473,13 @@ def make_synthetic_fixture(
     spectra separate them, and only the sign of the lagged cross-correlation
     between neighbouring channels does.
 
-    Raises ``DataError`` when ``lag < 1`` or ``channels < 2``: either leaves
-    the two classes identically distributed.
+    Raises ``DataError`` when ``channels < 2``, which leaves the two classes
+    identically distributed.
     """
     if channels < 2:
         raise DataError(f"the fixture needs channels >= 2 to carry a class signal, got {channels}")
-    if lag < 1:
-        raise DataError(f"the fixture needs lag >= 1 to carry a class signal, got {lag}")
     rng = np.random.default_rng([seed, 0xF1C5])
-    margin = lag * (channels - 1)
+    margin = _LAG * (channels - 1)
     length = steps + 2 * margin
     grid = np.arange(length, dtype=np.float64) - margin
     series = np.empty((m, channels, steps))
@@ -506,7 +495,7 @@ def make_synthetic_fixture(
             base += amp * np.sin(2.0 * np.pi * f_jit * grid / steps + phase)
         direction = 1 if cls == 0 else -1
         for j in range(channels):
-            start = margin + direction * lag * j
+            start = margin + direction * _LAG * j
             series[i, j] = base[start : start + steps]
         series[i] += rng.normal(0.0, _NOISE, size=(channels, steps))
         labels[i] = cls

@@ -196,20 +196,10 @@ def train_config_from_dict(values: Mapping) -> TrainConfig:
 
     Sections are ``encoder``, ``weights`` and ``aug``. Text values are
     parsed by their dataclass field type and the dataclasses check the type
-    of every value; unknown keys raise ``ConfigError``. Keys of
-    older configs and checkpoints still load: ``no_ntp = true`` and
-    ``no_cs = true`` set ``weights.alpha1`` and ``weights.alpha2`` to 0, and
-    ``aug.rng_seed``, which nothing read, is dropped.
+    of every value; a key that is not a field, such as the ``no_ntp``,
+    ``no_cs`` and ``aug.rng_seed`` of configs written before the loss
+    weights switched tasks off, raises ``ConfigError``.
     """
-    values = dict(values)
-    for legacy, alpha in (("no_ntp", "alpha1"), ("no_cs", "alpha2")):
-        switch = _coerce(legacy, values.pop(legacy, False), bool)
-        if not isinstance(switch, bool):
-            raise ConfigError(f"config key '{legacy}' must be bool, got {switch!r}")
-        if switch:
-            values["weights"] = {**values.get("weights", {}), alpha: 0.0}
-    if isinstance(values.get("aug"), Mapping):
-        values["aug"] = {k: v for k, v in values["aug"].items() if k != "rng_seed"}
     return _build(TrainConfig, values)
 
 
@@ -261,6 +251,7 @@ def compute_metrics(pred, truth, class_count: int) -> Metrics:
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit(
     trainables: Mapping[str, Tensor],
     *,
@@ -285,7 +276,9 @@ def fit(
     once the mean has not improved for ``patience`` epochs. The name ->
     array mapping that Adam updates in place is built once per run (so
     nothing may rebind a trainable's ``data`` during it), and a step makes
-    one ``adam_step`` call.
+    one ``adam_step`` call. numpy's overflow, invalid-value and division
+    warnings are off during the run, since a non-finite loss or gradient
+    raises ``FloatingPointError`` instead.
     """
     named = list(trainables.items())
     arrays = {k: t.data for k, t in named}
@@ -512,23 +505,22 @@ def pretrain(
     encoder = Encoder(params, cfg.encoder)
     weights = cfg.weights
 
-    def step_loss(batch):
+    def step_loss(rows):
         # each part is backpropagated as it is computed: its value joins the
         # combined loss as a constant
+        x = ds.series[rows]
         ntp = cs = 0.0
         if weights.alpha1 > 0.0:
             if cfg.use_nvp:
                 task, loss = "NVP", nvp_loss
-                truncated, targets = nvp_instances(batch.x, rng_ntp)
+                truncated, targets = nvp_instances(x, rng_ntp)
             else:
                 task, loss = "NTP", ntp_loss
-                truncated, targets = make_ntp_instances(batch.x, cfg.k_ntp, rng_ntp)
-            b = len(batch.x)
+                truncated, targets = make_ntp_instances(x, cfg.k_ntp, rng_ntp)
+            b = len(x)
             ntp = _in_micro_batches(encoder, heads, task, loss, truncated, targets, rng_drop, weights.alpha1 / b) / b
         if weights.alpha2 > 0.0:
-            cs_batch = build_cs_batch(
-                batch.x, cfg.aug, rng_aug, include_negatives=not cfg.no_neg_augment
-            )
+            cs_batch = build_cs_batch(x, cfg.aug, rng_aug, include_negatives=not cfg.no_neg_augment)
             if cfg.reverse_neg:
                 cs_batch = reverse_neg_mode(cs_batch)
             cs = _cs_grad_cache(encoder, cs_batch, heads, rng_drop, weights.alpha2, weights.tau)
@@ -798,10 +790,11 @@ def supervised_baseline(
         flat = reshape(encoder.encode_batch(x, rng=rng), (len(x), -1))
         return mul(cross_entropy(flat, *head, labels), constant(len(x)))  # the mean times the row count
 
-    def step_loss(batch):
-        n = len(batch.x)
+    def step_loss(rows):
+        n = len(rows)
         head = (head_w, head_b)
-        total = _in_micro_batches(encoder, head, "supervised", summed_loss, batch.x, batch.labels, rng_drop, 1 / n)
+        x, labels = ds_train.series[rows], ds_train.labels[rows]
+        total = _in_micro_batches(encoder, head, "supervised", summed_loss, x, labels, rng_drop, 1 / n)
         return total / n, {}
 
     fit(

@@ -5,6 +5,7 @@ synthetic fixture, with a tiny config (width 8, depth 1, one epoch).
 """
 
 import codecs
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -19,7 +20,7 @@ from chants.checkpoint import load_checkpoint, load_encoder, save_checkpoint, sa
 from chants.cli import main, read_config_file
 from chants.data import make_synthetic_fixture, parse_csv, parse_ts, serialize_ts, znormalize
 from chants.errors import CheckpointError, ConfigError
-from chants.harness import load_pretrained, train_config_from_dict
+from chants.harness import train_config_from_dict
 
 CHANNELS, STEPS = 3, 12
 
@@ -211,19 +212,6 @@ aug.interval_count_range = 3 4
         assert cfg.use_nvp is True and cfg.reverse_neg is False
         assert (cfg.aug.segment_count_range, cfg.aug.interval_count_range) == ((2, 6), (3, 4))
 
-    @pytest.mark.parametrize(
-        "lines, alphas",
-        [
-            ("no_cs = true\n", (2.0, 0.0)),
-            ("no_ntp = true\nweights.alpha1 = 3\n", (0.0, 1.0)),
-            ("no_cs = false\n", (2.0, 1.0)),
-        ],
-    )
-    def test_legacy_switches_zero_the_weights(self, tmp_path, lines, alphas):
-        path = write_config(tmp_path / "legacy.cfg", "encoder.channels = 3\nencoder.steps = 12\n" + lines)
-        cfg = train_config_from_dict(read_config_file(path))
-        assert (cfg.weights.alpha1, cfg.weights.alpha2) == alphas
-
     def test_a_key_set_twice_exits_2_naming_both_lines(self, pretrained, tmp_path, capsys):
         data, _ = pretrained
         out = tmp_path / "out"
@@ -265,7 +253,7 @@ def test_a_run_from_files_with_a_byte_order_mark_matches_the_plain_run(pretraine
     assert manifest["series_sha256"] == hashlib.sha256(trained_on.series).hexdigest()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_run_that_diverges_exits_2_with_one_error_line_leaving_its_manifest_and_log(pretrained, tmp_path, capsys):
     data, _ = pretrained
     out = tmp_path / "out"
@@ -347,16 +335,21 @@ class TestSelfContainedCheckpoint:
         assert main(["probe", str(bare), str(data), str(tmp_path / "out")]) == 4
         assert str(bare) in capsys.readouterr().err
 
-    def test_checkpoint_with_the_legacy_switches_still_loads(self, pretrained, tmp_path):
+    @pytest.mark.parametrize("key", ["no_ntp", "no_cs", "aug.rng_seed"])
+    def test_checkpoint_with_a_legacy_key_exits_4_with_nothing_written(self, pretrained, tmp_path, capsys, key):
         data, run = pretrained
         params, config, manifest, extra = load_encoder(run / "checkpoint.ckpt")
         snapshot = manifest["meta"]["train_config"]
-        snapshot["aug"]["rng_seed"] = 0
-        snapshot.update(no_ntp=False, no_cs=True)
+        section, _, field = key.rpartition(".")
+        (snapshot[section] if section else snapshot)[field] = False
         old = tmp_path / "old.ckpt"
         save_encoder(old, params, config, seed=0, step=0, extra=extra, meta={"train_config": snapshot})
-        assert main(["probe", str(old), str(data), str(tmp_path / "out")]) == 0
-        assert load_pretrained(old)[1].weights.alpha2 == 0.0
+        out = tmp_path / "out"
+        assert main(["probe", str(old), str(data), str(out)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {old}: bad training config: unknown config key '{key}'"
+        ]
+        assert not out.exists()
 
 
 def spy_on_norm_stats(monkeypatch):
@@ -468,9 +461,18 @@ def test_a_non_finite_config_float_exits_2_before_any_file_is_written(pretrained
 
 @pytest.mark.parametrize(
     "line, message",
-    [("encoder.width = 0", "width must be >= 1"), ("encoder.heads = 0", "heads must be >= 1"), ("encoder.heads = -1", "heads must be >= 1")],
+    [
+        ("encoder.width = 0", "width must be >= 1"),
+        ("encoder.heads = 0", "heads must be >= 1"),
+        ("encoder.heads = -1", "heads must be >= 1"),
+        ("encoder.channels = 0", "channels must be >= 1, got 0"),
+        ("encoder.steps = 1", "steps must be >= 2, got 1"),
+        ("encoder.dropout = 1.0", "dropout must lie in [0, 1), got 1.0"),
+        ("probe_lr = 0", "probe_lr must be > 0"),
+        ("save_every = 0", "save_every must be >= 1"),
+    ],
 )
-def test_an_encoder_width_or_head_count_below_one_exits_2_with_nothing_written(pretrained, tmp_path, capsys, line, message):
+def test_a_config_value_out_of_range_exits_2_with_nothing_written(pretrained, tmp_path, capsys, line, message):
     data, _ = pretrained
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "bad.cfg", tiny_config_with(line))
@@ -601,6 +603,31 @@ def test_an_out_dir_that_cannot_be_a_directory_exits_2_before_anything_is_loaded
     assert "Traceback" not in err
     assert taken.read_text() == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "tiny.cfg"]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        (None, "no such config file: {path}"),
+        ("k_ntp 3", "{path}: line {last}: expected 'key = value'"),
+        ("model.width = 8", "unknown config key 'model.width'"),
+        # the switches and seed of configs written before the loss weights switched tasks off
+        ("no_cs = true", "unknown config key 'no_cs'"),
+        ("weights.alpha1 = 3\nno_ntp = true", "unknown config key 'no_ntp'"),
+        ("aug.rng_seed = 0", "unknown config key 'aug.rng_seed'"),
+    ],
+    ids=["missing", "no-equals-sign", "unknown-section", "no_cs", "no_ntp", "aug.rng_seed"],
+)
+def test_a_config_file_it_refuses_exits_2_with_nothing_written(pretrained, tmp_path, capsys, line, message):
+    data, _ = pretrained
+    path = tmp_path / "run.cfg"
+    if line is not None:
+        write_config(path, TINY_CONFIG + line + "\n")
+    out = tmp_path / "out"
+    assert main(["pretrain", str(path), str(data), str(out)]) == 2
+    last = len(TINY_CONFIG.splitlines()) + 1
+    assert capsys.readouterr().err.splitlines() == ["error: " + message.format(path=path, last=last)]
+    assert not out.exists()
 
 
 def test_a_config_path_that_is_a_directory_exits_2_before_anything_is_loaded(tmp_path, capsys):
@@ -765,8 +792,12 @@ def test_a_csv_test_split_of_some_classes_keeps_their_training_indices(pretraine
     labels = [names.index(ds.label_names[k]) for k in ds.labels]
     indexed = tmp_path / "indexed.ts"
     serialize_ts(dataclasses.replace(ds, labels=labels, class_count=len(names), label_names=names), indexed)
-    by_name = written_output(command, run, train, test, tmp_path / "by-name", *flags)
-    assert by_name == written_output(command, run, train, indexed, tmp_path / "by-index", *flags)
+    # a class that only the test split holds is scored wrong, with a warning
+    unseen = "z" in keep
+    with pytest.warns(RuntimeWarning, match="appear in the test split") if unseen else contextlib.nullcontext():
+        by_name = written_output(command, run, train, test, tmp_path / "by-name", *flags)
+        by_index = written_output(command, run, train, indexed, tmp_path / "by-index", *flags)
+    assert by_name == by_index
     if command == "probe":
         # 8 samples each of c (class 2) and, when kept, z (class 3)
         assert np.array(json.loads(by_name)["confusion"]).sum(axis=1).tolist() == [0, 0, 8, 8][: len(names)]

@@ -78,6 +78,18 @@ class TestParseTs:
         with pytest.raises(DataError, match="ragged"):
             parse_ts(path)
 
+    def test_class_names_are_kept_only_under_class_label_true(self, tmp_path):
+        path = tmp_path / "unlabeled.ts"
+        path.write_text("@classLabel false a b\n@data\n1,2,3:4,5,6\n")
+        ds = parse_ts(path)
+        assert (ds.labels, ds.class_count, ds.label_names) == (None, 0, None)
+
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]], ids=["fewer", "more"])
+    def test_class_names_that_do_not_number_the_classes_are_refused(self, names):
+        ds = random_dataset(np.random.default_rng(4))
+        with pytest.raises(DataError, match=f"^{len(names)} class names for 2 classes$"):
+            MtsDataset(ds.series, ds.labels, 2, "n", label_names=names)
+
     def test_missing_data_section(self, tmp_path):
         path = tmp_path / "bad.ts"
         path.write_text("@problemName nope\n@classLabel false\n")
@@ -155,6 +167,19 @@ TS_HEADER = "@dimensions 2\n@seriesLength 3\n@classLabel true a b\n@data\n"
             parse_ts,
             "{path}: line 5: record shape (1, 2) differs from first record (2, 2)",
         ),
+        ("bad.ts", "@classLabel false\n@data\n\n", parse_ts, "{path}: no records after @data"),
+        (
+            "bad.ts",
+            "@dimensions 3\n@classLabel false\n@data\n1,2:3,4\n",
+            parse_ts,
+            "{path}: header declares 3 dimensions but records have 2",
+        ),
+        (
+            "bad.ts",
+            "@univariate true\n@classLabel false\n@data\n1,2:3,4\n",
+            parse_ts,
+            "{path}: header declares univariate but records have 2 channels",
+        ),
         ("d.csv", "1,2\n", load_dataset, "CSV input needs an explicit channel count"),
         ("d.txt", "1,2\n", load_dataset, "unrecognized dataset extension '.txt' (expected .ts or .csv)"),
         (
@@ -168,7 +193,8 @@ TS_HEADER = "@dimensions 2\n@seriesLength 3\n@classLabel true a b\n@data\n"
     ids=[
         "ts-series-length", "ts-dimensions", "ts-class-label-line", "ts-no-label-names", "ts-repeated-label-name",
         "ts-record-before-data", "ts-missing-label", "ts-unknown-label", "ts-non-numeric", "ts-ragged",
-        "ts-length-mismatch", "ts-record-shape", "csv-without-channels", "unknown-extension", "csv-layout",
+        "ts-length-mismatch", "ts-record-shape", "ts-no-records", "ts-dimensions-mismatch",
+        "ts-univariate-mismatch", "csv-without-channels", "unknown-extension", "csv-layout",
         "csv-channels",
     ],
 )
@@ -402,15 +428,15 @@ class TestTrainTestSplit:
 class TestBatches:
     def test_seven_samples_batch_four(self):
         ds = random_dataset(np.random.default_rng(11), m=7)
-        sizes = [b.x.shape[0] for b in batches(ds, 4, seed=0)]
+        sizes = [len(rows) for rows in batches(ds, 4, seed=0)]
         assert sizes == [4, 3]
 
     def test_same_seed_same_order(self):
         ds = random_dataset(np.random.default_rng(12), m=16)
-        a = [b.indices.tolist() for b in batches(ds, 5, seed=3, epoch=2)]
-        b = [b.indices.tolist() for b in batches(ds, 5, seed=3, epoch=2)]
+        a = [rows.tolist() for rows in batches(ds, 5, seed=3, epoch=2)]
+        b = [rows.tolist() for rows in batches(ds, 5, seed=3, epoch=2)]
         assert a == b
-        c = [b.indices.tolist() for b in batches(ds, 5, seed=3, epoch=3)]
+        c = [rows.tolist() for rows in batches(ds, 5, seed=3, epoch=3)]
         assert a != c
 
     @pytest.mark.parametrize("seed", [0, 3, 21, 123456])
@@ -418,7 +444,7 @@ class TestBatches:
         ds = random_dataset(np.random.default_rng(15), m=40)
 
         def order(epoch):
-            return np.concatenate([b.indices for b in batches(ds, 8, seed=seed, epoch=epoch)])
+            return np.concatenate(list(batches(ds, 8, seed=seed, epoch=epoch)))
 
         # epoch 0 keeps the order of the [seed, 0] stream
         np.testing.assert_array_equal(order(0), np.random.default_rng([seed, 0]).permutation(40))
@@ -430,13 +456,16 @@ class TestBatches:
 
     def test_epoch_covers_every_index_once(self):
         ds = random_dataset(np.random.default_rng(13), m=23)
-        seen = np.concatenate([b.indices for b in batches(ds, 4, seed=1)])
+        seen = np.concatenate(list(batches(ds, 4, seed=1)))
         assert sorted(seen.tolist()) == list(range(23))
 
-    def test_labels_travel_with_rows(self):
+    def test_yields_integer_row_indices_in_runs_of_the_batch_size(self):
         ds = random_dataset(np.random.default_rng(14), m=9)
-        for batch in batches(ds, 2, seed=7):
-            np.testing.assert_array_equal(batch.labels, ds.labels[batch.indices])
+        order = np.random.default_rng([7, 0, 0]).permutation(9)
+        got = list(batches(ds, 2, seed=7))
+        assert [rows.dtype.kind for rows in got] == ["i"] * 5
+        for k, rows in enumerate(got):
+            np.testing.assert_array_equal(rows, order[2 * k : 2 * k + 2])
 
 
 class TestSyntheticFixture:
@@ -465,10 +494,6 @@ class TestSyntheticFixture:
         mean1 = spectrum[ds.labels == 1].mean(axis=0)
         peak = max(mean0.max(), mean1.max())
         assert np.abs(mean0 - mean1).max() < 0.2 * peak
-
-    def test_zero_lag_rejected(self):
-        with pytest.raises(DataError, match="lag"):
-            make_synthetic_fixture(m=4, lag=0)
 
     def test_single_channel_rejected(self):
         with pytest.raises(DataError, match="channels"):

@@ -969,19 +969,6 @@ class TestTrainConfigFromDict:
         assert snapshot["aug"]["segment_count_range"] == [5, 9]
         assert train_config_from_dict(snapshot) == cfg
 
-    def test_legacy_switches_of_a_stored_snapshot_zero_the_weights(self):
-        snapshot = json.loads(json.dumps(dataclasses.asdict(tiny_cfg())))
-        snapshot["aug"]["rng_seed"] = 7
-        snapshot.update(no_ntp=False, no_cs=True)
-        cfg = train_config_from_dict(snapshot)
-        assert (cfg.weights.alpha1, cfg.weights.alpha2) == (2.0, 0.0)
-        snapshot.update(no_ntp=True, no_cs=False)
-        cfg = train_config_from_dict(snapshot)
-        assert (cfg.weights.alpha1, cfg.weights.alpha2) == (0.0, 1.0)
-        snapshot.update(no_ntp=True, no_cs=True)
-        with pytest.raises(ConfigError, match="at least one loss weight"):
-            train_config_from_dict(snapshot)
-
     @pytest.mark.parametrize(
         "change, message",
         [
@@ -1001,8 +988,10 @@ class TestTrainConfigFromDict:
             ({"aug": {"jitter_sigma": " inf"}}, "jitter_sigma must be finite"),
             ({"encoder": {"channels": 2, "steps": 8, "dropout": float("nan")}}, "dropout must be finite"),
             ({"seed": -1}, "seed must be >= 0"),
-            ({"no_ntp": 1}, "config key 'no_ntp' must be bool, got 1"),
-            ({"no_cs": "maybe"}, "'no_cs'"),
+            # the switches and seed of configs written before the loss weights switched tasks off
+            ({"no_ntp": False}, "^unknown config key 'no_ntp'$"),
+            ({"no_cs": True}, "^unknown config key 'no_cs'$"),
+            ({"aug": {"rng_seed": 7}}, "^unknown config key 'aug.rng_seed'$"),
             (
                 {"encoder": {"channels": 2, "steps": 8, "heads": 2.0}},
                 "config section 'encoder': config field 'heads' must be int, got 2.0",
