@@ -57,7 +57,6 @@ from .pretext import (
     make_ntp_instances,
     ntp_loss,
     nvp_loss,
-    reverse_neg_mode,
 )
 from .tensor import (
     AttnWeights,

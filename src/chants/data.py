@@ -61,6 +61,8 @@ class MtsDataset:
                 )
             if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
                 raise DataError(f"labels must lie in [0, {self.class_count})")
+        elif self.class_count != 0:
+            raise DataError(f"an unlabeled dataset has 0 classes, got {self.class_count}")
         if self.label_names is not None and len(self.label_names) != self.class_count:
             raise DataError(f"{len(self.label_names)} class names for {self.class_count} classes")
 
@@ -141,7 +143,7 @@ def parse_ts(path) -> MtsDataset:
                     if has_labels and not label_names:
                         raise DataError(f"{path}: line {lineno}: classLabel true needs label names")
                     repeated = [n for k, n in enumerate(label_names) if n in label_names[:k]]
-                    if repeated:
+                    if has_labels and repeated:
                         raise DataError(f"{path}: line {lineno}: class label {repeated[0]!r} is listed twice")
                 # other @keys (equalLength, timeStamps, ...) carry no information we need
                 continue

@@ -74,7 +74,6 @@ from .pretext import (
     ntp_loss,
     nvp_instances,
     nvp_loss,
-    reverse_neg_mode,
 )
 from .tensor import (
     MicroBatchMasks,
@@ -321,7 +320,7 @@ def fit(
 
 MICRO_BATCH = 5
 """Most series that a trainer or feature extraction passes the encoder in
-one call, with a graph or without: one CS origin group, an original with
+one call, with a graph or without: one CS group, an original with
 its two positives and two negatives. No trainer builds a graph of more,
 and :func:`extract_features` encodes no more at a time."""
 
@@ -437,8 +436,9 @@ def pretrain(
 
     Per step: build the contrastive batch and the trend instances on the same
     originals, combine the two losses with their weights (a weight of 0
-    skips its task; ablation flags drop the negatives, flip them to
-    positives, or swap the trend task for value regression), and take one
+    skips its task; ablation flags drop the contrastive negatives, count
+    them as positives (:func:`chants.pretext.build_cs_batch` builds either
+    batch), or swap the trend task for value regression), and take one
     Adam step. No graph holds more than ``MICRO_BATCH`` (5) encoded series:
     every task runs in micro-batches, each backpropagated before the next is
     encoded, with the dropout masks one whole-batch pass would draw, so the
@@ -520,9 +520,9 @@ def pretrain(
             b = len(x)
             ntp = _in_micro_batches(encoder, heads, task, loss, truncated, targets, rng_drop, weights.alpha1 / b) / b
         if weights.alpha2 > 0.0:
-            cs_batch = build_cs_batch(x, cfg.aug, rng_aug, include_negatives=not cfg.no_neg_augment)
-            if cfg.reverse_neg:
-                cs_batch = reverse_neg_mode(cs_batch)
+            cs_batch = build_cs_batch(
+                x, cfg.aug, rng_aug, include_negatives=not cfg.no_neg_augment, reverse_neg=cfg.reverse_neg
+            )
             cs = _cs_grad_cache(encoder, cs_batch, heads, rng_drop, weights.alpha2, weights.tau)
         combined = combined_loss(constant(ntp), constant(cs), weights).item()
         return combined, {"ntp_loss": ntp, "cs_loss": cs, "combined": combined}

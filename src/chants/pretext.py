@@ -6,8 +6,10 @@ whether each channel rises or falls at the following step (ties count as a
 rise). Contextual similarity builds a 5B contrastive batch per B originals -
 one jittered positive, one synchronously permuted positive, and two
 asynchronously permuted negatives each - and applies a temperature-scaled
-similarity loss whose anchors are the originals. A next-value regression
-task and a reversed-negative mode exist as baseline/ablation variants.
+similarity loss whose anchors are the originals. :func:`build_cs_batch`
+derives the anchor rows and each anchor's positive mask once, from that
+layout; its ablations drop the negatives or count them as positives. A
+next-value regression task is the baseline variant of next-trend prediction.
 
 Both truncation tasks cut their series through one function,
 :func:`_truncate`; their makers (:func:`make_ntp_instances`,
@@ -44,9 +46,6 @@ __all__ = [
     "CS_PROJECTION_DIM",
     "CsBatch",
     "LossWeights",
-    "NEGATIVE",
-    "ORIGINAL",
-    "POSITIVE",
     "PretextHeads",
     "build_cs_batch",
     "combined_loss",
@@ -59,12 +58,7 @@ __all__ = [
     "nvp_instances",
     "nvp_loss",
     "nvp_truncation_count",
-    "reverse_neg_mode",
 ]
-
-ORIGINAL = "original"
-POSITIVE = "positive"
-NEGATIVE = "negative"
 
 CS_PROJECTION_DIM = 128
 
@@ -87,6 +81,14 @@ class LossWeights:
             raise ConfigError(f"temperature must be > 0, got {self.tau}")
 
 
+def _as_batch(xs) -> np.ndarray:
+    """``xs`` as a float64 (B, C, T) array; another shape or an empty batch raises ``ShapeError``."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 3 or len(xs) == 0:
+        raise ShapeError(f"expected a nonempty batch of shape (B, C, T), got {xs.shape}")
+    return xs
+
+
 def _truncate(xs: np.ndarray, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cut each (C, T) sample of ``xs`` at ``count`` points t drawn from ``rng``.
 
@@ -96,9 +98,7 @@ def _truncate(xs: np.ndarray, count: int, rng: np.random.Generator) -> tuple[np.
     grouped by sample (B * count, C, T), the points (B * count,) and the
     values after each cut, x[:, t] (B * count, C).
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 3 or len(xs) == 0:
-        raise ShapeError(f"expected a nonempty batch of shape (B, C, T), got {xs.shape}")
+    xs = _as_batch(xs)
     steps = xs.shape[-1]
     if steps < 3:
         raise ConfigError(f"truncated instances need at least 3 steps, got {steps}")
@@ -134,17 +134,33 @@ def make_ntp_instances(
 
 @dataclass
 class CsBatch:
-    """Contrastive batch: originals plus tagged augmentations.
+    """Contrastive batch: the stacked samples, the rows that anchor the loss and their positives.
 
-    ``samples`` stacks all elements; ``origin[i]`` is the source sample index
-    and ``polarity[i]`` one of original/positive/negative. The standard batch
-    holds B originals, 2 positives and 2 negatives per origin (5B total);
-    dropping negatives yields 3B.
+    ``anchors`` holds the m anchor row indices and ``positives`` is the
+    (m, n) boolean mask of each anchor's positive rows, as
+    :func:`chants.tensor.contrastive_loss` takes them. A batch with no
+    anchor, anchors that are not distinct rows, an anchor without a
+    positive, or a mask of another shape is refused at construction.
     """
 
     samples: np.ndarray  # (n, C, T)
-    origin: np.ndarray  # (n,) ints in [0, B)
-    polarity: list[str]
+    anchors: np.ndarray  # (m,) row indices
+    positives: np.ndarray  # (m, n) bool
+
+    def __post_init__(self):
+        self.anchors = np.asarray(self.anchors, dtype=np.int64)
+        self.positives = np.asarray(self.positives, dtype=bool)
+        if self.anchors.size == 0:
+            raise ConfigError("contrastive batch has no originals to anchor the loss")
+        distinct = np.unique(self.anchors)  # a repeated anchor would get part of its gradient only
+        if distinct.size != self.anchors.size or distinct[0] < 0 or distinct[-1] >= self.size:
+            raise ShapeError(f"anchors must be distinct rows of {self.size}, got {self.anchors.tolist()}")
+        want = (self.anchors.size, self.size)
+        if self.positives.shape != want:
+            raise ShapeError(f"expected a positive mask of shape (anchors, rows) {want}, got {self.positives.shape}")
+        lonely = self.anchors[~self.positives.any(axis=-1)]
+        if lonely.size:
+            raise ConfigError(f"anchor {lonely[0]} has no positives")
 
     @property
     def size(self) -> int:
@@ -157,39 +173,26 @@ def build_cs_batch(
     rng: np.random.Generator,
     *,
     include_negatives: bool = True,
+    reverse_neg: bool = False,
 ) -> CsBatch:
-    """Expand B originals into the contrastive batch.
+    """Expand B originals into the contrastive batch, one group of rows per original.
 
-    Per original: the sample itself, an interval-jittered positive, a
-    synchronously permuted positive, and (unless disabled) two independent
-    asynchronously permuted negatives.
+    A group is the original (its anchor), an interval-jittered positive, a
+    synchronously permuted positive and, unless ``include_negatives`` is
+    off, two independent asynchronously permuted negatives: 5B rows, or 3B.
+    Each anchor's positives are the two positives of its group; under
+    ``reverse_neg`` (ablation) its negatives count as positives too.
     """
-    originals = np.asarray(originals, dtype=np.float64)
-    if originals.ndim != 3:
-        raise ShapeError(f"expected originals of shape (B, C, T), got {originals.shape}")
     samples: list[np.ndarray] = []
-    origin: list[int] = []
-    polarity: list[str] = []
-    for i, x in enumerate(originals):
-        group = [
-            (x, ORIGINAL),
-            (interval_adjust(x, aug_cfg, rng), POSITIVE),
-            (sync_permute(x, aug_cfg, rng), POSITIVE),
-        ]
+    for x in _as_batch(originals):
+        samples += [x, interval_adjust(x, aug_cfg, rng), sync_permute(x, aug_cfg, rng)]
         if include_negatives:
-            group.append((async_permute(x, aug_cfg, rng), NEGATIVE))
-            group.append((async_permute(x, aug_cfg, rng), NEGATIVE))
-        for arr, tag in group:
-            samples.append(arr)
-            origin.append(i)
-            polarity.append(tag)
-    return CsBatch(samples=np.stack(samples), origin=np.array(origin, dtype=np.int64), polarity=polarity)
-
-
-def reverse_neg_mode(batch: CsBatch) -> CsBatch:
-    """Relabel every negative as positive (ablation); sizes are unchanged."""
-    flipped = [POSITIVE if p == NEGATIVE else p for p in batch.polarity]
-    return CsBatch(samples=batch.samples, origin=batch.origin, polarity=flipped)
+            samples += [async_permute(x, aug_cfg, rng), async_permute(x, aug_cfg, rng)]
+    anchors = np.arange(0, len(samples), 5 if include_negatives else 3)
+    offset = np.arange(len(samples)) - anchors[:, None]  # each row's place in each anchor's group
+    # rows 1 and 2 of a group are its positives; under reverse_neg rows 3 and 4 (the negatives) too
+    positives = (offset >= 1) & (offset < (5 if include_negatives and reverse_neg else 3))
+    return CsBatch(np.stack(samples), anchors, positives)
 
 
 @dataclass
@@ -242,29 +245,20 @@ def contrastive_loss_from_projections(
     batch: CsBatch,
     tau: float,
 ) -> Tensor:
-    """Temperature-scaled similarity loss given projected rows.
+    """Temperature-scaled similarity loss given one projected row per row of ``batch``.
 
-    Anchors are the originals; each anchor's loss sums, over the positives
-    of its origin, the log-ratio of that positive's scaled-similarity weight
-    against every other batch element (the denominator spans every element
-    but the anchor, positives included). The result is averaged over
-    anchors. One tape node (:func:`chants.tensor.contrastive_loss`), whose
-    backward is the gradient with respect to ``projections`` in closed form.
+    Each of the batch's anchors sums, over its positives, the log-ratio of
+    that positive's scaled-similarity weight against every other batch row
+    (the denominator spans every row but the anchor, positives included).
+    The result is averaged over anchors. One tape node
+    (:func:`chants.tensor.contrastive_loss`), whose backward is the gradient
+    with respect to ``projections`` in closed form.
     """
     if tau <= 0:
         raise ConfigError(f"temperature must be > 0, got {tau}")
-    n = batch.size
-    if projections.shape[0] != n:
-        raise ShapeError(f"{projections.shape[0]} projections for a batch of {n}")
-    polarity = np.asarray(batch.polarity)
-    anchors = np.flatnonzero(polarity == ORIGINAL)
-    if anchors.size == 0:
-        raise ConfigError("contrastive batch has no originals to anchor the loss")
-    positives = (polarity == POSITIVE) & (batch.origin == batch.origin[anchors, None])
-    lonely = anchors[~positives.any(axis=-1)]
-    if lonely.size:
-        raise ConfigError(f"anchor {lonely[0]} has no positives")
-    return contrastive_loss(projections, anchors, positives, tau)
+    if projections.shape[0] != batch.size:
+        raise ShapeError(f"{projections.shape[0]} projections for a batch of {batch.size}")
+    return contrastive_loss(projections, batch.anchors, batch.positives, tau)
 
 
 def cs_projections(encoder: Encoder, samples: np.ndarray, heads: PretextHeads, *, rng=None) -> Tensor:

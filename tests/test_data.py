@@ -80,9 +80,15 @@ class TestParseTs:
 
     def test_class_names_are_kept_only_under_class_label_true(self, tmp_path):
         path = tmp_path / "unlabeled.ts"
-        path.write_text("@classLabel false a b\n@data\n1,2,3:4,5,6\n")
-        ds = parse_ts(path)
-        assert (ds.labels, ds.class_count, ds.label_names) == (None, 0, None)
+        for names in ("a b", "a a"):  # discarded names are not checked for repeats either
+            path.write_text(f"@classLabel false {names}\n@data\n1,2,3:4,5,6\n")
+            ds = parse_ts(path)
+            assert (ds.labels, ds.class_count, ds.label_names) == (None, 0, None)
+
+    @pytest.mark.parametrize("rows, count", [(2, 3), (0, -4)], ids=["three-classes", "negative-count"])
+    def test_an_unlabeled_dataset_with_classes_is_refused(self, rows, count):
+        with pytest.raises(DataError, match=f"^an unlabeled dataset has 0 classes, got {count}$"):
+            MtsDataset(np.zeros((rows, 1, 3)), None, count, "x")
 
     @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]], ids=["fewer", "more"])
     def test_class_names_that_do_not_number_the_classes_are_refused(self, names):

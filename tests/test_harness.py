@@ -44,7 +44,6 @@ from chants.pretext import (
     ntp_loss,
     nvp_instances,
     nvp_loss,
-    reverse_neg_mode,
 )
 from chants.tensor import Tensor, constant, cross_entropy, mul
 
@@ -670,9 +669,9 @@ def test_cs_grad_cache_matches_one_whole_batch_pass(kind):
     encoder = Encoder(params, cfg)
     leaves = {**params.trainable(), **heads.named()}
     xs = rng.normal(size=(1 if kind == "single" else 3, 3, 16))
-    batch = build_cs_batch(xs, AugmentConfig(), rng, include_negatives=kind != "no_neg_augment")
-    if kind == "reverse_neg":
-        batch = reverse_neg_mode(batch)
+    batch = build_cs_batch(
+        xs, AugmentConfig(), rng, include_negatives=kind != "no_neg_augment", reverse_neg=kind == "reverse_neg"
+    )
     weights = LossWeights(alpha2=1.5, tau=0.2)
 
     def run(cs):

@@ -2,19 +2,17 @@
 
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
 
 from chants.augment import AugmentConfig
 from chants.encoder import Encoder, EncoderConfig, init_cat_params
-from chants.errors import ConfigError
+from chants.errors import ConfigError, ShapeError
 from chants.pretext import (
     CsBatch,
     LossWeights,
-    NEGATIVE,
-    ORIGINAL,
-    POSITIVE,
     _truncate,
     build_cs_batch,
     combined_loss,
@@ -26,7 +24,6 @@ from chants.pretext import (
     nvp_instances,
     nvp_loss,
     nvp_truncation_count,
-    reverse_neg_mode,
 )
 from chants.tensor import (
     Tensor,
@@ -199,18 +196,24 @@ class TestNtpLoss:
         assert fused == composed
 
 
+def positive_rows(batch):
+    """Each anchor's positive row indices."""
+    return [np.flatnonzero(row).tolist() for row in batch.positives]
+
+
 class TestCsBatch:
     def test_batch_of_ten_expands_to_fifty(self):
         rng = np.random.default_rng(17)
         batch = build_cs_batch(rng.normal(size=(10, 2, 8)), AugmentConfig(), rng)
         assert batch.size == 50
 
-    def test_polarity_counts_per_origin(self):
+    def test_each_original_anchors_its_group_of_five_with_two_positives(self):
         rng = np.random.default_rng(18)
-        batch = build_cs_batch(rng.normal(size=(4, 2, 8)), AugmentConfig(), rng)
-        for origin in range(4):
-            tags = [p for p, o in zip(batch.polarity, batch.origin) if o == origin]
-            assert sorted(tags) == [NEGATIVE, NEGATIVE, ORIGINAL, POSITIVE, POSITIVE]
+        xs = rng.normal(size=(4, 2, 8))
+        batch = build_cs_batch(xs, AugmentConfig(), rng)
+        assert batch.anchors.tolist() == [0, 5, 10, 15]
+        assert positive_rows(batch) == [[a + 1, a + 2] for a in batch.anchors]
+        np.testing.assert_array_equal(batch.samples[batch.anchors], xs)
 
     def test_single_original_gives_five(self):
         rng = np.random.default_rng(19)
@@ -221,18 +224,33 @@ class TestCsBatch:
         rng = np.random.default_rng(20)
         batch = build_cs_batch(rng.normal(size=(3, 2, 8)), AugmentConfig(), rng, include_negatives=False)
         assert batch.size == 9
-        assert NEGATIVE not in batch.polarity
+        assert batch.anchors.tolist() == [0, 3, 6]
+        assert positive_rows(batch) == [[a + 1, a + 2] for a in batch.anchors]
 
-    def test_reverse_neg_flips_polarity_only(self):
-        rng = np.random.default_rng(21)
-        batch = build_cs_batch(rng.normal(size=(2, 2, 8)), AugmentConfig(), rng)
-        flipped = reverse_neg_mode(batch)
-        assert flipped.size == batch.size
-        assert NEGATIVE not in flipped.polarity
-        for origin in range(2):
-            tags = [p for p, o in zip(flipped.polarity, flipped.origin) if o == origin]
-            assert tags.count(POSITIVE) == 4
+    def test_reverse_neg_counts_the_negatives_as_positives(self):
+        xs = np.random.default_rng(21).normal(size=(2, 2, 8))
+        batch = build_cs_batch(xs, AugmentConfig(), np.random.default_rng(22))
+        flipped = build_cs_batch(xs, AugmentConfig(), np.random.default_rng(22), reverse_neg=True)
         np.testing.assert_array_equal(flipped.samples, batch.samples)
+        np.testing.assert_array_equal(flipped.anchors, batch.anchors)
+        assert positive_rows(flipped) == [[a + 1, a + 2, a + 3, a + 4] for a in flipped.anchors]
+
+    def test_reverse_neg_without_negatives_is_the_batch_without_negatives(self):
+        xs = np.random.default_rng(23).normal(size=(3, 2, 8))
+        plain, both = (
+            build_cs_batch(xs, AugmentConfig(), np.random.default_rng(24), include_negatives=False, reverse_neg=flag)
+            for flag in (False, True)
+        )
+        np.testing.assert_array_equal(both.samples, plain.samples)
+        np.testing.assert_array_equal(both.anchors, plain.anchors)
+        np.testing.assert_array_equal(both.positives, plain.positives)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 8), (2, 8)], ids=["empty", "two-dimensional"])
+    @pytest.mark.parametrize("build", [build_cs_batch, make_ntp_instances])
+    def test_an_empty_or_misshapen_batch_is_refused(self, shape, build):
+        args = (AugmentConfig(),) if build is build_cs_batch else (2,)
+        with pytest.raises(ShapeError, match=re.escape(f"expected a nonempty batch of shape (B, C, T), got {shape}")):
+            build(np.zeros(shape), *args, np.random.default_rng(25))
 
 
 class TestCsLoss:
@@ -256,11 +274,7 @@ class TestCsLoss:
         # denominator, so the two-term loss tends to 2 log 2
         u = np.array([1.0, 0.0, 0.0])
         rows = np.stack([u, u, u, -u, -u])
-        batch = CsBatch(
-            samples=np.zeros((5, 1, 2)),
-            origin=np.zeros(5, dtype=np.int64),
-            polarity=[ORIGINAL, POSITIVE, POSITIVE, NEGATIVE, NEGATIVE],
-        )
+        batch = CsBatch(samples=np.zeros((5, 1, 2)), anchors=[0], positives=[[False, True, True, False, False]])
         loss = contrastive_loss_from_projections(constant(rows), batch, tau=0.01)
         assert abs(loss.item() - 2.0 * math.log(2.0)) < 1e-3
 
@@ -277,10 +291,11 @@ class TestCsLoss:
         batch = build_cs_batch(rng.normal(size=(2, 2, 5)), AugmentConfig(), rng)
         base = contrastive_loss_from_projections(constant(rows), batch, tau=0.2).item()
         perm = rng.permutation(10)
+        # old row perm[i] is new row i
         shuffled = CsBatch(
             samples=batch.samples[perm],
-            origin=batch.origin[perm],
-            polarity=[batch.polarity[i] for i in perm],
+            anchors=np.argsort(perm)[batch.anchors],
+            positives=batch.positives[:, perm],
         )
         again = contrastive_loss_from_projections(constant(rows[perm]), shuffled, tau=0.2).item()
         assert abs(base - again) < 1e-10
@@ -291,12 +306,9 @@ class TestCsLoss:
         # ten-element batch at tau = 0.5 keeps the moved positive in that regime
         rng = np.random.default_rng(25)
         rows = rng.normal(size=(10, 8))
-        tags = [ORIGINAL, POSITIVE, POSITIVE, NEGATIVE, NEGATIVE] * 2
-        batch = CsBatch(
-            samples=np.zeros((10, 1, 2)),
-            origin=np.repeat([0, 1], 5),
-            polarity=tags,
-        )
+        positives = np.zeros((2, 10), dtype=bool)
+        positives[0, [1, 2]] = positives[1, [6, 7]] = True
+        batch = CsBatch(samples=np.zeros((10, 1, 2)), anchors=[0, 5], positives=positives)
         anchor = rows[0]
         tau = 0.5
 
@@ -335,16 +347,13 @@ def composed_contrastive_loss(projections, batch, tau):
     norms = sqrt(add(tensor_sum(mul(projections, projections), axis=-1, keepdims=True), constant(1e-24)))
     unit = div(projections, norms)
     sims = mul(matmul(unit, transpose(unit)), constant(1.0 / tau))
-    anchors = sorted((i for i, p in enumerate(batch.polarity) if p == ORIGINAL), key=lambda i: batch.origin[i])
+    anchors = batch.anchors
     select = np.zeros((len(anchors), n))
     self_mask = np.zeros((len(anchors), n))
-    pos_mask = np.zeros((len(anchors), n))
     for row, a in enumerate(anchors):
         select[row, a] = 1.0
         self_mask[row, a] = -1e30
-        for i, p in enumerate(batch.polarity):
-            if p == POSITIVE and batch.origin[i] == batch.origin[a]:
-                pos_mask[row, i] = 1.0
+    pos_mask = batch.positives.astype(np.float64)
     anchor_rows = add(matmul(constant(select), sims), constant(self_mask))
     shift = constant(anchor_rows.data.max(axis=-1, keepdims=True))
     lse = add(log(tensor_sum(exp(add(anchor_rows, mul(constant(-1.0), shift))), axis=-1, keepdims=True)), shift)
@@ -362,8 +371,13 @@ def composed_cs_loss(encoder, batch, heads, weights, *, rng):
 
 def cs_batch_of(kind, rng):
     b = 1 if kind == "single" else 3
-    batch = build_cs_batch(rng.normal(size=(b, 2, 6)), AugmentConfig(), rng, include_negatives=kind != "no_neg")
-    return reverse_neg_mode(batch) if kind == "reverse_neg" else batch
+    return build_cs_batch(
+        rng.normal(size=(b, 2, 6)),
+        AugmentConfig(),
+        rng,
+        include_negatives=kind != "no_neg",
+        reverse_neg=kind == "reverse_neg",
+    )
 
 
 class TestFusedContrastiveNode:
@@ -432,17 +446,23 @@ class TestFusedContrastiveNode:
         assert np.isfinite(leaf.grad).all() and np.abs(leaf.grad).max() < 10.0
 
     def test_anchor_without_positives_is_rejected(self):
-        batch = CsBatch(
-            samples=np.zeros((6, 1, 2)),
-            origin=np.repeat([0, 1], 3),
-            polarity=[ORIGINAL, POSITIVE, NEGATIVE, ORIGINAL, NEGATIVE, NEGATIVE],
-        )
-        rows = np.random.default_rng(46).normal(size=(6, 4))
+        samples = np.zeros((6, 1, 2))
+        positives = np.zeros((2, 6), dtype=bool)
+        positives[0, 1] = True
         with pytest.raises(ConfigError, match="anchor 3 has no positives"):
-            contrastive_loss_from_projections(constant(rows), batch, tau=0.2)
-        no_anchor = CsBatch(samples=batch.samples, origin=batch.origin, polarity=[POSITIVE] * 6)
+            CsBatch(samples=samples, anchors=[0, 3], positives=positives)
         with pytest.raises(ConfigError, match="no originals"):
-            contrastive_loss_from_projections(constant(rows), no_anchor, tau=0.2)
+            CsBatch(samples=samples, anchors=[], positives=np.zeros((0, 6), dtype=bool))
+
+    @pytest.mark.parametrize("anchors", [[0, 0], [-1, 3], [0, 6]], ids=["repeated", "negative", "past-the-end"])
+    def test_anchors_that_are_not_distinct_rows_are_rejected(self, anchors):
+        with pytest.raises(ShapeError, match=re.escape(f"anchors must be distinct rows of 6, got {anchors}")):
+            CsBatch(samples=np.zeros((6, 1, 2)), anchors=anchors, positives=np.ones((2, 6), dtype=bool))
+
+    @pytest.mark.parametrize("shape", [(1, 6), (2, 5), (6,)], ids=["anchors", "rows", "flat"])
+    def test_a_positive_mask_of_another_shape_is_rejected(self, shape):
+        with pytest.raises(ShapeError, match=re.escape(f"shape (anchors, rows) (2, 6), got {shape}")):
+            CsBatch(samples=np.zeros((6, 1, 2)), anchors=[0, 3], positives=np.ones(shape, dtype=bool))
 
 
 class TestNvpLoss:
