@@ -11,24 +11,30 @@ Subcommands bind config files to harness runs:
 Exit codes are a stable contract: 0 success, 2 usage or config error,
 3 data error, 4 checkpoint or shape error. A run whose loss or gradient
 turns non-finite (``FloatingPointError``) exits 2: its config cannot train
-on its data.
+on its data. So does an output file name that a directory holds, before
+any training or extraction.
 
 ``pretrain`` reads the config and data, normalizes the data unless
 ``--no-normalize`` is given, and hands both to
 :func:`chants.harness.pretrain`, which writes the whole run directory (its
 manifest, step log and checkpoints); this module writes none of it.
 
-Config files are plain ``key = value`` text, one key per line, ``#`` starting
-a comment line. Keys are the ``TrainConfig`` field names, with the
-``encoder``, ``weights`` and ``aug`` sections addressed by a dot
-(``encoder.width = 512``, ``weights.alpha1 = 2``, ``k_ntp = 10`` ...). Each
-value is text, parsed by its field's type: ``true``/``false`` for switches,
-and two numbers such as ``4, 8`` for a range. ``encoder.channels`` and
-``encoder.steps`` default to the dataset's and must match it when given.
-Unknown keys, repeated keys and values that do not parse as their field's
-type (``k_ntp = 2.5``) are hard errors. A pretext task is
-switched off by a weight of 0 (``weights.alpha1 = 0`` for next-trend
-prediction, ``weights.alpha2 = 0`` for contextual similarity).
+Config files are TOML. Keys are the ``TrainConfig`` field names, with the
+``encoder``, ``weights`` and ``aug`` tables addressed by a dot or a
+``[table]`` header, and each value is of its field's type::
+
+    encoder.variant = "tat"             # a string, quoted
+    weights.alpha1 = 2                  # a float; an integer reads as one
+    k_ntp = 10                          # an integer
+    use_nvp = true                      # a switch, in lower case
+    aug.segment_count_range = [2, 6]    # a range: an array of two integers
+
+``encoder.channels`` and ``encoder.steps`` default to the dataset's and must
+match it when given. A file that is not TOML (an unquoted string, ``2, 6``,
+``.5``, ``TRUE``, a key set twice) exits 2 naming its line and column; so
+do unknown keys and values of the wrong type (``k_ntp = 2.5``). A pretext
+task is switched off by a weight of 0 (``weights.alpha1 = 0`` for
+next-trend prediction, ``weights.alpha2 = 0`` for contextual similarity).
 
 A ``pretrain`` checkpoint carries everything ``probe`` and ``fewshot``
 need: the encoder config its parameters were saved under, the rest of the
@@ -51,6 +57,7 @@ import dataclasses
 import json
 import logging
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -79,57 +86,43 @@ from .tensor import flop_estimate
 
 logger = logging.getLogger(__name__)
 
-_SECTIONS = ("encoder", "weights", "aug")
-
 
 def read_config_file(path) -> dict:
-    """Read ``key = value`` lines into ``{section: {field: text}}`` plus top-level text.
+    """The TOML config file at ``path`` as ``{field: value, section: {field: value}}``.
 
-    A UTF-8 byte-order mark is skipped. A key given on two lines, or a file
-    that is not UTF-8, raises ``ConfigError``.
+    Values keep their TOML types; :func:`chants.harness.train_config_from_dict`
+    checks them. A UTF-8 byte-order mark is skipped. A missing path, one that
+    is not a file, a file that is not UTF-8 and one that is not TOML (a key
+    set twice, an unquoted string ...) raise ``ConfigError`` naming the path,
+    the last with the line and column of the fault.
     """
-    raw: dict = {section: {} for section in _SECTIONS}
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no such config file: {path}")
     if not path.is_file():
         raise ConfigError(f"config path is not a file: {path}")
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        return tomllib.loads(path.read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} 0x{exc.object[exc.start]:02x}") from exc
-    first_line: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in first_line:
-            raise ConfigError(f"{path}: config key '{key}' is set on line {first_line[key]} and again on line {lineno}")
-        first_line[key] = lineno
-        section, dot, field = key.partition(".")
-        if dot and section in _SECTIONS:
-            raw[section][field] = value
-        elif dot or key in _SECTIONS:
-            raise ConfigError(f"unknown config key '{key}'")
-        else:
-            raw[key] = value
-    return raw
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
-def _out_dir(path) -> Path:
-    """``path`` as an output directory, created later; checked before any data is loaded.
+def _out_dir(path, *files) -> Path:
+    """``path`` as the output directory of ``files``, created later; checked
+    before any data is loaded.
 
     ``ConfigError`` if it, or the nearest of its ancestors that exists, is
-    not a directory.
+    not a directory, or if one of ``files`` in it is a directory.
     """
     path = Path(path)
     existing = next(p for p in (path, *path.parents) if p.exists())
     if not existing.is_dir():
         raise ConfigError(f"output directory {path}: {existing} is not a directory")
+    for name in files:
+        if (path / name).is_dir():
+            raise ConfigError(f"output file is a directory: {path / name}")
     return path
 
 
@@ -191,7 +184,8 @@ def cmd_pretrain(args) -> int:
     out_dir = _out_dir(args.out_dir)
     raw = read_config_file(args.config)
     ds = _load_data(args)
-    raw["encoder"] = {"channels": ds.channels, "steps": ds.steps, **raw["encoder"]}
+    if isinstance(raw.setdefault("encoder", {}), dict):
+        raw["encoder"] = {"channels": ds.channels, "steps": ds.steps, **raw["encoder"]}
     cfg = train_config_from_dict(raw)
     stats = None
     if args.normalize:
@@ -219,7 +213,7 @@ def _probe_setup(args):
 def cmd_probe(args) -> int:
     if args.fraction is not None:
         check_fraction(args.fraction)
-    out_dir = _out_dir(args.out_dir)
+    out_dir = _out_dir(args.out_dir, "metrics.json", "metrics.csv")
     params, cfg, train, test = _probe_setup(args)
     if args.fraction is not None:
         train = subsample(train, args.fraction, seed=cfg.seed)
@@ -235,7 +229,7 @@ def cmd_fewshot(args) -> int:
         check_fraction(fraction)
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
-    out_dir = _out_dir(args.out_dir)
+    out_dir = _out_dir(args.out_dir, "fewshot.csv")
     params, cfg, train, test = _probe_setup(args)
     rows = fewshot_sweep(train, test, params, cfg, args.fractions, repeats=args.repeats)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -258,9 +252,8 @@ _STRATEGIES = {"interval": interval_adjust, "sync": sync_permute, "async": async
 def cmd_augment_preview(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
-    if Path(args.out_csv).is_dir():
-        raise ConfigError(f"output file is a directory: {args.out_csv}")
-    out_dir = _out_dir(Path(args.out_csv).parent)
+    out_csv = Path(args.out_csv)
+    out_dir = _out_dir(out_csv.parent, out_csv.name)
     ds = _load_data(args)
     if not 0 <= args.index < ds.size:
         raise ConfigError(f"sample index {args.index} outside [0, {ds.size})")
@@ -299,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pretrain", help="self-supervised pretraining")
-    p.add_argument("config", help="key = value config file")
+    p.add_argument("config", help="TOML config file")
     p.add_argument("data", help="dataset file (.ts or .csv)")
     p.add_argument("out_dir")
     p.add_argument("--no-normalize", dest="normalize", action="store_false")

@@ -143,45 +143,29 @@ class TrainConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def _coerce(key: str, value, kind):
-    """``value`` parsed as the field type ``kind`` when it is text, and a list
-    as a tuple; any other value is returned as it is.
-
-    Text comes from config files, JSON values from checkpoint snapshots; a
-    tuple field takes "a, b" text or a list of its length. Text that does
-    not parse raises ``ConfigError``; the config dataclass checks the type of
-    what this returns (:func:`chants.errors.check_fields`).
-    """
-    try:
-        if typing.get_origin(kind) is tuple and isinstance(value, (str, list)):
-            parts = value.replace(",", " ").split() if isinstance(value, str) else value
-            args = typing.get_args(kind)
-            if len(parts) != len(args):
-                raise ValueError
-            return tuple(_coerce(key, part, arg) for part, arg in zip(parts, args))
-        if isinstance(value, str):
-            text = value.strip()
-            if kind is bool:
-                return {"true": True, "false": False}[text.lower()]
-            return kind(text)
-        return value
-    except (KeyError, ValueError):
-        raise ConfigError(f"config key '{key}': cannot parse value {value!r}") from None
-
-
 def _build(cls, values: Mapping, prefix: str = ""):
-    """An instance of the dataclass ``cls``; nested dataclass fields take mappings.
+    """An instance of the dataclass ``cls`` from typed values, as TOML and
+    JSON read them.
 
-    An error from building a nested section names the section.
+    A nested dataclass field builds its instance from a mapping, a tuple
+    field takes a list as a tuple, and a float field an integer as a float;
+    every other value is passed on as it is, for the dataclass to check its
+    type (:func:`chants.errors.check_fields`), so text is refused whatever
+    it spells. An error from building a nested section names the section.
     """
     hints = field_types(cls)
     kwargs = {}
     for key, value in values.items():
         kind = hints.get(key)
-        nested = kind is not None and dataclasses.is_dataclass(kind)
-        if kind is None or nested != isinstance(value, Mapping):
+        if kind is None:
             raise ConfigError(f"unknown config key '{prefix}{key}'")
-        kwargs[key] = _build(kind, value, f"{prefix}{key}.") if nested else _coerce(prefix + key, value, kind)
+        if dataclasses.is_dataclass(kind) and isinstance(value, Mapping):
+            value = _build(kind, value, f"{prefix}{key}.")
+        elif isinstance(value, list) and typing.get_origin(kind) is tuple:
+            value = tuple(value)
+        elif kind is float and type(value) is int:
+            value = float(value)
+        kwargs[key] = value
     try:
         return cls(**kwargs)
     except TypeError as exc:
@@ -193,11 +177,15 @@ def _build(cls, values: Mapping, prefix: str = ""):
 def train_config_from_dict(values: Mapping) -> TrainConfig:
     """Build a ``TrainConfig`` from ``{field: value, section: {field: value}}``.
 
-    Sections are ``encoder``, ``weights`` and ``aug``. Text values are
-    parsed by their dataclass field type and the dataclasses check the type
-    of every value; a key that is not a field, such as the ``no_ntp``,
-    ``no_cs`` and ``aug.rng_seed`` of configs written before the loss
-    weights switched tasks off, raises ``ConfigError``.
+    Sections are ``encoder``, ``weights`` and ``aug``. This is the one
+    builder of a config file (:func:`chants.cli.read_config_file`), a run
+    manifest's ``config`` and a checkpoint's training config: values are
+    typed as TOML and JSON read them, a list standing for a range and an
+    integer for a float (:func:`_build`), and the dataclasses check every
+    value's type, so text such as ``"7"`` or ``"true"`` is refused. A key
+    that is not a field, such as the ``no_ntp``, ``no_cs`` and
+    ``aug.rng_seed`` of configs written before the loss weights switched
+    tasks off, raises ``ConfigError``.
     """
     return _build(TrainConfig, values)
 
@@ -221,7 +209,7 @@ def compute_metrics(pred, truth, class_count: int) -> Metrics:
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if pred.shape != truth.shape:
-        raise ConfigError(f"{pred.shape[0]} predictions for {truth.shape[0]} labels")
+        raise ConfigError(f"predictions of shape {pred.shape} for labels of shape {truth.shape}")
     if pred.size == 0:
         raise ConfigError("compute_metrics needs at least one sample")
     for arr, what in ((pred, "prediction"), (truth, "label")):
@@ -260,7 +248,7 @@ def fit(
     epoch_batches: Callable[[int], Iterable],
     step_loss: Callable[[object], tuple[float, dict]],
     log: list[dict] | None = None,
-    on_epoch: Callable[[int, float, int], None] | None = None,
+    on_epoch: Callable[[int, float, int, bool], None] | None = None,
 ) -> bool:
     """Train ``trainables`` with Adam; return whether the run stopped early.
 
@@ -270,9 +258,10 @@ def fit(
     and the fields to log with it; once the step's update is taken,
     ``{"epoch", "step", **fields}`` is appended to ``log`` (when given). A
     non-finite loss raises ``FloatingPointError`` before the update, and an
-    epoch that yields no batch raises ``ConfigError``. After each epoch
-    ``on_epoch(epoch, mean loss, steps so far)`` runs, and the run stops
-    once the mean has not improved for ``patience`` epochs. The name ->
+    epoch that yields no batch raises ``ConfigError``. The run stops once
+    the epoch mean has not improved for ``patience`` epochs; after each
+    epoch ``on_epoch(epoch, mean loss, steps so far, last)`` runs, ``last``
+    telling whether the run ends with this epoch, early or not. The name ->
     array mapping that Adam updates in place is built once per run (so
     nothing may rebind a trainable's ``data`` during it), and a step makes
     one ``adam_step`` call. numpy's overflow, invalid-value and division
@@ -301,15 +290,15 @@ def fit(
         if not losses:
             raise ConfigError(f"epoch {epoch} yielded no batch")
         epoch_mean = float(np.mean(losses))
-        if on_epoch is not None:
-            on_epoch(epoch, epoch_mean, step)
         if epoch_mean < best - 1e-12:
             best, stale = epoch_mean, 0
         else:
             stale += 1
-            if stale >= patience:
-                logger.info("loss plateaued for %d epochs, stopping early", stale)
-                return True
+        if on_epoch is not None:
+            on_epoch(epoch, epoch_mean, step, stale >= patience or epoch == epochs - 1)
+        if stale >= patience:
+            logger.info("loss plateaued for %d epochs, stopping early", stale)
+            return True
     return False
 
 
@@ -461,10 +450,10 @@ def pretrain(
     ``TrainConfig``), ``code_version``, ``seed``, ``created`` (UTC, ISO
     8601) and ``series_sha256``, the SHA-256 of ``ds.series`` as the
     float64 array this run trains on. An epoch checkpoint is written every
-    ``save_every`` epochs and after the last, keeping the last two and the
-    first with the lowest loss, ``log.jsonl`` once the loop ends or aborts,
-    and ``checkpoint.ckpt`` at the end. Each checkpoint holds the encoder
-    config (the checkpoint manifest's ``config``, which
+    ``save_every`` epochs and after the last, early stop or not, keeping the
+    last two and the first with the lowest loss, ``log.jsonl`` once the
+    loop ends or aborts, and ``checkpoint.ckpt`` at the end. Each checkpoint
+    holds the encoder config (the checkpoint manifest's ``config``, which
     :func:`chants.checkpoint.load_encoder` builds the parameters under), the
     heads, every other ``TrainConfig`` field as ``meta.train_config`` and,
     when ``norm`` gives the stats ``ds`` was normalized with, those stats as
@@ -472,19 +461,24 @@ def pretrain(
     :func:`load_pretrained` reads all three back. A non-finite loss or
     gradient raises ``FloatingPointError`` with the manifest, the log so
     far and this run's checkpoints left in place. A run
-    :func:`_check_pretrain` rejects raises ``ConfigError`` before
-    ``out_dir`` is touched, and a config with a field of the wrong type
-    never reaches it: every config dataclass refuses one at construction
-    (:func:`chants.errors.check_fields`).
+    :func:`_check_pretrain` rejects, and an ``out_dir`` where a directory
+    holds the name of ``manifest.json``, ``log.jsonl`` or a checkpoint,
+    raise ``ConfigError`` before ``out_dir`` is touched, and a config with a
+    field of the wrong type never reaches it: every config dataclass
+    refuses one at construction (:func:`chants.errors.check_fields`).
     """
     _check_pretrain(ds, cfg)
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         # every checkpoint and log in out_dir must belong to this run, even if it aborts
-        for stale in sorted([*out_dir.glob("checkpoint*.ckpt"), *out_dir.glob("log.jsonl")]):
-            logger.info("removing %s, left by an earlier run", stale.name)
-            stale.unlink()
+        stale = sorted([*out_dir.glob("checkpoint*.ckpt"), *out_dir.glob("log.jsonl")])
+        for path in (out_dir / "manifest.json", *stale):
+            if path.is_dir():
+                raise ConfigError(f"output file is a directory: {path}")
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for path in stale:
+            logger.info("removing %s, left by an earlier run", path.name)
+            path.unlink()
         manifest = {
             "command": "pretrain",
             "config": dataclasses.asdict(cfg),
@@ -536,9 +530,9 @@ def pretrain(
 
     saved: list[tuple[float, Path]] = []
 
-    def on_epoch(epoch: int, mean: float, step: int) -> None:
+    def on_epoch(epoch: int, mean: float, step: int, last: bool) -> None:
         logger.info("pretrain epoch %d: combined loss %.6f (%d steps so far)", epoch, mean, step)
-        if out_dir is not None and ((epoch + 1) % cfg.save_every == 0 or epoch == cfg.pretrain_epochs - 1):
+        if out_dir is not None and ((epoch + 1) % cfg.save_every == 0 or last):
             path = out_dir / f"checkpoint_epoch{epoch:04d}.ckpt"
             save(path, step, epoch=epoch, train_loss=mean)
             # keep the last two epoch checkpoints plus the first with the lowest train loss
@@ -804,7 +798,7 @@ def supervised_baseline(
         patience=cfg.early_stop_patience,
         epoch_batches=lambda epoch: batches(ds_train, cfg.probe_batch, seed=cfg.seed, epoch=epoch),
         step_loss=step_loss,
-        on_epoch=lambda epoch, mean, _: logger.info("supervised epoch %d: loss %.6f", epoch, mean),
+        on_epoch=lambda epoch, mean, *_: logger.info("supervised epoch %d: loss %.6f", epoch, mean),
     )
 
     feats_test = extract_features(encoder, ds_test.series)

@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -131,11 +132,11 @@ class TestExitCodes:
         assert main(["pretrain", str(cfg), str(data), str(tmp_path / "out")]) == 2
         assert "encoder.bogus" in capsys.readouterr().err
 
-    def test_unparsable_value_exits_2(self, pretrained, tmp_path, capsys):
+    def test_a_value_of_the_wrong_type_exits_2(self, pretrained, tmp_path, capsys):
         data, _ = pretrained
-        cfg = write_config(tmp_path / "bad.cfg", tiny_config_with("k_ntp = many"))
+        cfg = write_config(tmp_path / "bad.cfg", tiny_config_with('k_ntp = "many"'))
         assert main(["pretrain", str(cfg), str(data), str(tmp_path / "out")]) == 2
-        assert "k_ntp" in capsys.readouterr().err
+        assert "config field 'k_ntp' must be int, got 'many'" in capsys.readouterr().err
 
     def test_missing_data_file_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "tiny.cfg")
@@ -196,30 +197,34 @@ class TestConfigFile:
         path = write_config(tmp_path / "all.cfg", """\
 encoder.channels = 3
 encoder.steps = 12
-encoder.variant = tat
+encoder.variant = "tat"
 encoder.dropout = 0.25
 k_ntp = 7
 pretrain_lr = 2.5e-4
 use_nvp = true
-reverse_neg = False
-aug.segment_count_range = 2, 6
-aug.interval_count_range = 3 4
+reverse_neg = false
+aug.segment_count_range = [2, 6]
+
+[weights]
+alpha1 = 2
 """)
         cfg = train_config_from_dict(read_config_file(path))
         assert (cfg.encoder.variant, cfg.encoder.dropout, cfg.encoder.width) == ("tat", 0.25, 512)
         assert cfg.k_ntp == 7 and type(cfg.k_ntp) is int
         assert cfg.pretrain_lr == 2.5e-4
+        assert cfg.weights.alpha1 == 2.0 and type(cfg.weights.alpha1) is float
         assert cfg.use_nvp is True and cfg.reverse_neg is False
-        assert (cfg.aug.segment_count_range, cfg.aug.interval_count_range) == ((2, 6), (3, 4))
+        assert cfg.aug.segment_count_range == (2, 6)
 
-    def test_a_key_set_twice_exits_2_naming_both_lines(self, pretrained, tmp_path, capsys):
+    def test_a_key_set_twice_exits_2_naming_the_second_line(self, pretrained, tmp_path, capsys):
         data, _ = pretrained
         out = tmp_path / "out"
         path = write_config(tmp_path / "twice.cfg", "k_ntp = 3\n# a comment\nencoder.width = 8\nk_ntp = 4\n")
-        with pytest.raises(ConfigError, match="'k_ntp' is set on line 1 and again on line 4"):
+        message = f"{path}: Cannot overwrite a value (at line 4, column 10)"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             read_config_file(path)
         assert main(["pretrain", str(path), str(data), str(out)]) == 2
-        assert "'k_ntp' is set on line 1 and again on line 4" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
     def test_config_dims_must_match_the_data(self, pretrained, tmp_path, capsys):
@@ -484,8 +489,8 @@ def test_a_config_value_out_of_range_exits_2_with_nothing_written(pretrained, tm
 @pytest.mark.parametrize(
     "steps, lines, message",
     [
-        (STEPS, ["encoder.variant = tat"], "tat has a row per step"),
-        (STEPS, ["encoder.variant = tat", "use_nvp = true"], "tat has a row per step"),
+        (STEPS, ['encoder.variant = "tat"'], "tat has a row per step"),
+        (STEPS, ['encoder.variant = "tat"', "use_nvp = true"], "tat has a row per step"),
         (2, [], "at least 3 steps"),
         (2, ["use_nvp = true"], "at least 3 steps"),
     ],
@@ -609,14 +614,26 @@ def test_an_out_dir_that_cannot_be_a_directory_exits_2_before_anything_is_loaded
     "line, message",
     [
         (None, "no such config file: {path}"),
-        ("k_ntp 3", "{path}: line {last}: expected 'key = value'"),
-        ("model.width = 8", "unknown config key 'model.width'"),
+        ("k_ntp 3", "{path}: Expected '=' after a key in a key/value pair (at line {last}, column 7)"),
+        ("model.width = 8", "unknown config key 'model'"),
         # the switches and seed of configs written before the loss weights switched tasks off
         ("no_cs = true", "unknown config key 'no_cs'"),
         ("weights.alpha1 = 3\nno_ntp = true", "unknown config key 'no_ntp'"),
         ("aug.rng_seed = 0", "unknown config key 'aug.rng_seed'"),
+        ("weights = 0.5", "config field 'weights' must be LossWeights, got 0.5"),
+        # values of the plain key = value text that configs were written in before TOML
+        ("encoder.variant = tat", "{path}: Invalid value (at line {last}, column 19)"),
+        (
+            "aug.segment_count_range = 2, 6",
+            "{path}: Expected newline or end of document after a statement (at line {last}, column 28)",
+        ),
+        ("encoder.dropout = .5", "{path}: Invalid value (at line {last}, column 19)"),
+        ("use_nvp = TRUE", "{path}: Invalid value (at line {last}, column 11)"),
     ],
-    ids=["missing", "no-equals-sign", "unknown-section", "no_cs", "no_ntp", "aug.rng_seed"],
+    ids=[
+        "missing", "no-equals-sign", "unknown-section", "no_cs", "no_ntp", "aug.rng_seed", "value-for-a-section",
+        "unquoted-string", "comma-separated-range", "leading-point", "upper-case-switch",
+    ],
 )
 def test_a_config_file_it_refuses_exits_2_with_nothing_written(pretrained, tmp_path, capsys, line, message):
     data, _ = pretrained
@@ -628,6 +645,38 @@ def test_a_config_file_it_refuses_exits_2_with_nothing_written(pretrained, tmp_p
     last = len(TINY_CONFIG.splitlines()) + 1
     assert capsys.readouterr().err.splitlines() == ["error: " + message.format(path=path, last=last)]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        ("probe", "metrics.json"),
+        ("probe", "metrics.csv"),
+        ("fewshot", "fewshot.csv"),
+        ("pretrain", "manifest.json"),
+        ("pretrain", "log.jsonl"),
+        ("pretrain", "checkpoint.ckpt"),
+        ("pretrain", "checkpoint_epoch0000.ckpt"),
+    ],
+)
+def test_an_output_file_name_held_by_a_directory_exits_2_before_any_work(
+    pretrained, tmp_path, capsys, monkeypatch, command, name
+):
+    data, run = pretrained
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    worked = []
+    monkeypatch.setattr(harness, "extract_features", lambda *args, **kwargs: worked.append(args))
+    monkeypatch.setattr(harness, "fit", lambda *args, **kwargs: worked.append(args))
+    argv = {
+        "pretrain": ["pretrain", str(write_config(tmp_path / "tiny.cfg")), str(data), str(out)],
+        "probe": ["probe", str(run / "checkpoint.ckpt"), str(data), str(out)],
+        "fewshot": ["fewshot", str(run / "checkpoint.ckpt"), str(data), str(out), "--fractions", "0.5"],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: output file is a directory: {out / name}"]
+    assert worked == []
+    assert [p.name for p in out.iterdir()] == [name] and not list((out / name).iterdir())
 
 
 def test_a_config_path_that_is_a_directory_exits_2_before_anything_is_loaded(tmp_path, capsys):
@@ -833,9 +882,11 @@ def with_manifest_blob(raw, blob):
     return raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + size :]
 
 
-def with_k_ntp(manifest, value):
-    meta = manifest["meta"]
-    return {**manifest, "meta": {**meta, "train_config": {**meta["train_config"], "k_ntp": value}}}
+def with_train_config(manifest, **change):
+    """``manifest`` with ``change`` merged into its ``meta.train_config``, an ``aug`` dict into its ``aug``."""
+    snapshot = manifest["meta"]["train_config"]
+    change = {**change, "aug": {**snapshot["aug"], **change.get("aug", {})}}
+    return {**manifest, "meta": {**manifest["meta"], "train_config": {**snapshot, **change}}}
 
 
 W_CHAN = "params.embed.w_chan"
@@ -854,8 +905,26 @@ ENTRY_FAULTS = {
     "wrong-shape": (lambda m, a: (m, {**a, W_CHAN: a[W_CHAN].ravel()}), "parameter 'embed.w_chan' has shape"),
     "unknown-array": (lambda m, a: (m, {**a, "params.bogus": np.zeros(1)}), "unrecognized arrays ['params.bogus']"),
     "mistyped-training-config": (
-        lambda m, a: (with_k_ntp(m, 2.5), a),
+        lambda m, a: (with_train_config(m, k_ntp=2.5), a),
         "bad training config: config field 'k_ntp' must be int, got 2.5",
+    ),
+    # text is refused in the training config as in the encoder block, whatever it spells
+    "text-int": (
+        lambda m, a: (with_train_config(m, k_ntp="7"), a),
+        "bad training config: config field 'k_ntp' must be int, got '7'",
+    ),
+    "text-switch": (
+        lambda m, a: (with_train_config(m, use_nvp="TRUE"), a),
+        "bad training config: config field 'use_nvp' must be bool, got 'TRUE'",
+    ),
+    "text-range": (
+        lambda m, a: (with_train_config(m, aug={"segment_count_range": "1, 5"}), a),
+        "bad training config: config section 'aug': "
+        "config field 'segment_count_range' must be tuple[int, int], got '1, 5'",
+    ),
+    "text-encoder-int": (
+        lambda m, a: ({**m, "config": {**m["config"], "width": "8"}}, a),
+        "bad config block: config field 'width' must be int, got '8'",
     ),
 }
 

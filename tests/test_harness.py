@@ -4,6 +4,7 @@ building a training config from plain values."""
 import dataclasses
 import hashlib
 import json
+import re
 import sys
 import tracemalloc
 import warnings
@@ -105,9 +106,14 @@ class TestComputeMetrics:
         np.testing.assert_array_equal(m.confusion.sum(axis=1), np.bincount(truth, minlength=3))
         assert 0.0 <= m.accuracy <= 1.0 and 0.0 <= m.macro_f1 <= 1.0
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            compute_metrics([0, 1], [0], 2)
+    @pytest.mark.parametrize(
+        "pred, truth, shapes",
+        [([0, 1], [0], "(2,) for labels of shape (1,)"), (np.int64(1), [0, 1], "() for labels of shape (2,)")],
+        ids=["length", "0-d"],
+    )
+    def test_a_shape_mismatch_is_refused_naming_both_shapes(self, pred, truth, shapes):
+        with pytest.raises(ConfigError, match=re.escape(f"predictions of shape {shapes}")):
+            compute_metrics(pred, truth, 2)
 
 
 class TestLinearHead:
@@ -405,6 +411,20 @@ class TestPretrain:
         assert [p.name for p in paths] == [f"checkpoint_epoch000{e}.ckpt" for e in (1, 3, 4)]
         metas = [load_checkpoint(p)[0]["meta"] for p in paths]
         assert min(metas, key=lambda meta: meta["train_loss"])["epoch"] == 1
+
+    def test_an_early_stop_writes_the_epoch_checkpoint_the_run_ends_with(self, tmp_path):
+        # with patience 1 this run stops after 2 of 6 epochs, before the first
+        # epoch that save_every = 3 saves
+        ds = labeled_dataset(np.random.default_rng(41), m=8)
+        cfg = tiny_cfg(pretrain_epochs=6, save_every=3, early_stop_patience=1)
+        params, _, log = pretrain(ds, cfg, out_dir=tmp_path)
+        assert log[-1]["epoch"] == 1
+        assert sorted(p.name for p in tmp_path.glob("*.ckpt")) == ["checkpoint.ckpt", "checkpoint_epoch0001.ckpt"]
+        assert load_checkpoint(tmp_path / "checkpoint.ckpt")[0]["meta"]["stopped_early"] is True
+        loaded, _, _ = load_pretrained(tmp_path / "checkpoint_epoch0001.ckpt")
+        assert {k: t.data.tobytes() for k, t in loaded.named().items()} == {
+            k: t.data.tobytes() for k, t in params.named().items()
+        }
 
     def test_aborted_run_into_a_reused_out_dir_leaves_no_earlier_checkpoint(self, tmp_path):
         rng = np.random.default_rng(27)
@@ -787,10 +807,11 @@ def test_fit_stops_once_the_loss_has_not_improved_for_patience_epochs(patience, 
 
     result = fit(
         {"w": w}, lr=0.1, epochs=6, patience=patience, epoch_batches=lambda epoch: ["a", "b"],
-        step_loss=step_loss, log=log, on_epoch=lambda epoch, mean, steps: seen.append((epoch, mean, steps)),
+        step_loss=step_loss, log=log, on_epoch=lambda *args: seen.append(args),
     )
     assert result is stopped
-    assert seen == [(e, 0.0, 2 * (e + 1)) for e in range(epochs_run)]
+    # on_epoch is told which epoch is the last, whether the run stops early or not
+    assert seen == [(e, 0.0, 2 * (e + 1), e == epochs_run - 1) for e in range(epochs_run)]
     assert log[:3] == [
         {"epoch": 0, "step": 0, "batch": "a"},
         {"epoch": 0, "step": 1, "batch": "b"},
@@ -968,6 +989,16 @@ class TestTrainConfigFromDict:
         assert snapshot["aug"]["segment_count_range"] == [5, 9]
         assert train_config_from_dict(snapshot) == cfg
 
+    def test_an_integer_reads_as_a_float_and_an_array_as_a_range(self):
+        # as TOML reads "weights.alpha1 = 2" and "aug.interval_count_range = [2, 3]"
+        cfg = train_config_from_dict(
+            {"encoder": {"channels": 2, "steps": 8, "dropout": 0}, "weights": {"alpha1": 2}, "pretrain_lr": 1,
+             "aug": {"interval_count_range": [2, 3]}}
+        )
+        floats = (cfg.encoder.dropout, cfg.weights.alpha1, cfg.pretrain_lr)
+        assert [json.dumps(v) for v in floats] == ["0.0", "2.0", "1.0"]  # as the run manifest writes them
+        assert cfg.aug.interval_count_range == (2, 3)
+
     @pytest.mark.parametrize(
         "change, message",
         [
@@ -975,16 +1006,17 @@ class TestTrainConfigFromDict:
             ({"encoder": {"channels": 2, "steps": 8, "bogus": 1}}, "'encoder.bogus'"),
             ({"k_ntp": 2.5}, "'k_ntp'"),
             ({"use_nvp": "maybe"}, "'use_nvp'"),
-            ({"aug": {"segment_count_range": [1, 2, 3]}}, "'aug.segment_count_range'"),
-            ({"weights": 1.0}, "'weights'"),
+            ({"aug": {"segment_count_range": [1, 2, 3]}}, "section 'aug': config field 'segment_count_range' must be"),
+            ({"weights": 1.0}, "config field 'weights' must be LossWeights, got 1.0"),
+            ({"seed": {"value": 1}}, "config field 'seed' must be int, got {'value': 1}"),
             ({"encoder": {"channels": 2}}, "steps"),
             ({"pretrain_lr": float("nan")}, "pretrain_lr must be finite"),
-            ({"probe_lr": "inf"}, "probe_lr must be finite"),
+            ({"probe_lr": float("inf")}, "probe_lr must be finite"),
             ({"supervised_lr": -float("inf")}, "supervised_lr must be finite"),
-            ({"weights": {"alpha1": "nan"}}, "alpha1 must be finite"),
+            ({"weights": {"alpha1": float("nan")}}, "alpha1 must be finite"),
             ({"weights": {"alpha2": float("inf")}}, "alpha2 must be finite"),
             ({"weights": {"tau": float("nan")}}, "tau must be finite"),
-            ({"aug": {"jitter_sigma": " inf"}}, "jitter_sigma must be finite"),
+            ({"aug": {"jitter_sigma": -float("inf")}}, "jitter_sigma must be finite"),
             ({"encoder": {"channels": 2, "steps": 8, "dropout": float("nan")}}, "dropout must be finite"),
             ({"seed": -1}, "seed must be >= 0"),
             # the switches and seed of configs written before the loss weights switched tasks off
@@ -997,6 +1029,11 @@ class TestTrainConfigFromDict:
             ),
             ({"weights": {"alpha1": True}}, "config section 'weights': config field 'alpha1' must be float, got True"),
             ({"aug": {"jitter_sigma": float("nan")}}, "config section 'aug': jitter_sigma must be finite"),
+            # text is refused whatever it spells
+            ({"k_ntp": "7"}, "config field 'k_ntp' must be int, got '7'"),
+            ({"use_nvp": "TRUE"}, "config field 'use_nvp' must be bool, got 'TRUE'"),
+            ({"probe_lr": "inf"}, "config field 'probe_lr' must be float, got 'inf'"),
+            ({"aug": {"segment_count_range": "1, 5"}}, r"'segment_count_range' must be tuple\[int, int\], got '1, 5'"),
         ],
     )
     def test_rejects_unknown_keys_and_mistyped_values(self, change, message):
