@@ -109,11 +109,20 @@ def save_encoder(
 
 
 def load_encoder(path) -> tuple[CatParams, EncoderConfig, dict, dict[str, np.ndarray]]:
-    """Restore (params, config, manifest, extra arrays) from :func:`save_encoder`."""
+    """Restore (params, config, manifest, extra arrays) from :func:`save_encoder`.
+
+    The manifest's ``config`` block must name every ``EncoderConfig`` field:
+    a field left out would take its default and load another model, so it
+    raises ``CheckpointError`` naming the missing fields, as any other bad
+    block or array does.
+    """
     manifest, arrays = load_checkpoint(path)
     if manifest.get("kind") != "encoder":
         raise CheckpointError(f"{path}: not an encoder checkpoint")
     try:
+        missing = [f.name for f in dataclasses.fields(EncoderConfig) if f.name not in manifest["config"]]
+        if missing:
+            raise ValueError("missing " + ", ".join(map(repr, missing)))
         config = EncoderConfig(**manifest["config"])
         params = init_cat_params(config, np.random.default_rng(0))
     except (KeyError, TypeError, ValueError) as exc:

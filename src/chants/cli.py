@@ -12,7 +12,8 @@ Exit codes are a stable contract: 0 success, 2 usage or config error,
 3 data error, 4 checkpoint or shape error. A run whose loss or gradient
 turns non-finite (``FloatingPointError``) exits 2: its config cannot train
 on its data. So does an output file name that a directory holds, before
-any training or extraction.
+any training or extraction, and a ``.csv`` data file without a
+``--csv-channels`` count >= 1, before any data is read.
 
 ``pretrain`` reads the config and data, normalizes the data unless
 ``--no-normalize`` is given, and hands both to
@@ -126,6 +127,16 @@ def _out_dir(path, *files) -> Path:
     return path
 
 
+def _check_csv_flags(args, *paths) -> None:
+    """``ConfigError`` if one of the data ``paths`` is a ``.csv`` file and
+    ``--csv-channels`` does not give a count >= 1; checked before any data
+    is read."""
+    for path in paths:
+        if path is not None and Path(path).suffix == ".csv" and (args.csv_channels or 0) < 1:
+            given = "none" if args.csv_channels is None else args.csv_channels
+            raise ConfigError(f"{path}: CSV input needs --csv-channels N with N >= 1, given {given}")
+
+
 def _load_data(args, path=None) -> MtsDataset:
     return load_dataset(
         path if path is not None else args.data,
@@ -140,6 +151,7 @@ def _load_splits(args) -> tuple[MtsDataset, MtsDataset]:
     onto the training split's class names, names only it has appended.
     Without ``--test``, a 30% holdout that leaves no training row raises
     ``DataError`` naming the data file."""
+    _check_csv_flags(args, args.data, args.test)
     train = _load_data(args)
     if args.test is None:
         logger.warning("no --test split given; holding out 30%% of %s deterministically", args.data)
@@ -182,6 +194,7 @@ def _write_metrics(out_dir: Path, metrics) -> None:
 
 def cmd_pretrain(args) -> int:
     out_dir = _out_dir(args.out_dir)
+    _check_csv_flags(args, args.data)
     raw = read_config_file(args.config)
     ds = _load_data(args)
     if isinstance(raw.setdefault("encoder", {}), dict):
@@ -254,6 +267,7 @@ def cmd_augment_preview(args) -> int:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
     out_csv = Path(args.out_csv)
     out_dir = _out_dir(out_csv.parent, out_csv.name)
+    _check_csv_flags(args, args.data)
     ds = _load_data(args)
     if not 0 <= args.index < ds.size:
         raise ConfigError(f"sample index {args.index} outside [0, {ds.size})")

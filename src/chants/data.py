@@ -56,9 +56,7 @@ class MtsDataset:
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
             if self.labels.shape != (self.series.shape[0],):
-                raise DataError(
-                    f"{self.labels.shape[0]} labels for {self.series.shape[0]} series"
-                )
+                raise DataError(f"labels of shape {self.labels.shape} for {self.series.shape[0]} series")
             if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
                 raise DataError(f"labels must lie in [0, {self.class_count})")
         elif self.class_count != 0:

@@ -17,9 +17,11 @@ without: no trainer builds a graph of more, whatever the batch size and
 ``k_ntp``, and extraction encodes no more at a time. Every micro-batch loop
 of a trainer is a plain iteration of one
 :class:`chants.tensor.MicroBatchMasks`, which serves every micro-batch the
-dropout masks of one whole-batch pass, and each part goes through
-:func:`_backward`, the one caller of ``Tensor.backward``, which checks it
-is finite before its backward.
+dropout masks of one whole-batch pass. The loops encode each micro-batch
+once themselves and hand its representation to a head (NTP, NVP, the CS
+projection or the supervised classifier), whose loss sums over its rows,
+and each part goes through :func:`_backward`, the one caller of
+``Tensor.backward``, which checks it is finite before its backward.
 
 ``pretrain`` alone writes a run directory, and refuses a run it cannot do
 before it writes anything. The directory holds:
@@ -83,7 +85,6 @@ from .tensor import (
     _onehot,
     constant,
     cross_entropy,
-    mul,
     no_grad,
     reshape,
 )
@@ -338,20 +339,21 @@ def _in_micro_batches(
 ) -> float:
     """The summed ``loss`` over the rows of ``inputs``, with ``weight`` times its gradient added to the leaves.
 
-    ``loss(encoder, inputs, targets, heads, rng=...)`` must be a sum over
-    rows (NTP and NVP over truncated copies, the supervised class loss over
-    samples). The rows run in micro-batches of at most ``MICRO_BATCH``
-    consecutive rows, each with its rows of the dropout masks that one
-    ``loss`` pass over all of them would draw from ``rng``, and each
-    backpropagated before the next is encoded. So the summed values and
-    gradients are those of that one pass, up to rounding, and ``rng`` ends
-    where it would leave it. A non-finite part raises
-    ``FloatingPointError`` naming ``task`` and its rows before its backward.
+    The rows run in micro-batches of at most ``MICRO_BATCH`` consecutive
+    rows. Each is encoded with its rows of the dropout masks that one pass
+    over all of them would draw from ``rng``, scored by
+    ``loss(rep, targets, heads)``, a head that sums over the rows of the
+    representation ``rep`` (NTP and NVP over truncated copies, the
+    supervised class loss over samples), and backpropagated before the next
+    is encoded. So the summed values and gradients are those of that one
+    pass, up to rounding, and ``rng`` ends where it would leave it. A
+    non-finite part raises ``FloatingPointError`` naming ``task`` and its
+    rows before its backward.
     """
     masks, grad = _micro_batch_masks(rng, len(inputs)), np.asarray(weight)
     total = 0.0
     for lo, hi in masks:
-        out = loss(encoder, inputs[lo:hi], targets[lo:hi], heads, rng=masks)
+        out = loss(encoder.encode_batch(inputs[lo:hi], rng=masks), targets[lo:hi], heads)
         total += _backward(out, grad, lambda value: f"{task} loss {value} on rows {lo} to {hi - 1} of the batch")
     return total
 
@@ -377,12 +379,12 @@ def _cs_grad_cache(
     """
     masks = _micro_batch_masks(rng, batch.size)
     with no_grad():
-        rows = [cs_projections(encoder, batch.samples[lo:hi], heads, rng=masks).data for lo, hi in masks]
+        rows = [cs_projections(encoder.encode_batch(batch.samples[lo:hi], rng=masks), heads).data for lo, hi in masks]
     cached = Tensor(np.concatenate(rows), requires_grad=True)
     loss = contrastive_loss_from_projections(cached, batch, tau)
     value = _backward(loss, np.asarray(weight), lambda value: f"CS loss {value}")
     for lo, hi in masks:
-        out = cs_projections(encoder, batch.samples[lo:hi], heads, rng=masks)
+        out = cs_projections(encoder.encode_batch(batch.samples[lo:hi], rng=masks), heads)
         _backward(
             out, cached.grad[lo:hi], lambda value: f"CS projections (sum {value}) of rows {lo} to {hi - 1} of the batch"
         )
@@ -640,13 +642,15 @@ def train_linear_head(
     the Glorot-initialised weights ``w`` with the zero bias ``b`` as its last
     row, both returned as views of it, so ``features @ w + b`` are the
     logits. Each epoch gathers its shuffled rows and one-hot rows once and
-    slices its batches of ``batch_size`` rows from them. A step takes the
-    loss and its gradient with respect to the packed array in closed form
-    (the arithmetic of :func:`chants.tensor.cross_entropy`, so ``w`` and
-    ``b`` are bitwise those of that node with Adam on each), records no
-    tape node, and makes one ``adam_step`` over the one array. Bad shapes
-    raise ``ShapeError``, an empty set of rows or a batch size under 1
-    raises ``ConfigError``, and a label outside [0, ``class_count``) raises
+    slices its batches of ``batch_size`` rows from them. A step of m rows
+    takes the batch's mean loss and its gradient with respect to the packed
+    array in closed form: the summed arithmetic of
+    :func:`chants.tensor.cross_entropy` with 1/m as the upstream gradient,
+    and its sum times 1/m, so ``w`` and ``b`` are bitwise those of the mean
+    cross entropy's node with Adam on each. A step records no tape node and
+    makes one ``adam_step`` over the one array. Bad shapes raise
+    ``ShapeError``, an empty set of rows or a batch size under 1 raises
+    ``ConfigError``, and a label outside [0, ``class_count``) raises
     ``IndexError``, all before any step.
     """
     features = np.asarray(features)
@@ -674,11 +678,11 @@ def train_linear_head(
     def step_loss(batch):
         rows, hot = batch
         loss, e, total = _cross_entropy_forward(rows, w, b, hot)
-        d = _cross_entropy_backward(1.0, hot, e, total)
+        d = _cross_entropy_backward(1.0 / len(rows), hot, e, total)
         np.matmul(rows.T, d, out=grad[:-1])
         np.add.reduce(d, axis=0, out=grad[-1])
         head.grad = grad
-        return loss, {}
+        return loss * (1.0 / len(rows)), {}
 
     fit({"head": head}, lr=lr, epochs=epochs, patience=patience, epoch_batches=epoch_batches, step_loss=step_loss)
     return w, b
@@ -763,12 +767,12 @@ def supervised_baseline(
     """Train encoder plus head end to end with cross entropy, then score.
 
     A step of n samples runs through :func:`_in_micro_batches`, as NTP and
-    NVP do: each micro-batch's class loss, summed over its samples, is
-    backpropagated at weight 1/n, so the step's gradient is that of the
-    batch's mean loss, up to rounding, and no graph holds more than
-    ``MICRO_BATCH`` series. Classes absent from the training split trigger
-    a warning and are masked so they are never predicted, scoring their
-    test samples wrong.
+    NVP do: it encodes each micro-batch, and the class head's cross entropy,
+    summed over the micro-batch's samples, is backpropagated at weight 1/n,
+    so the step's gradient is that of the batch's mean loss, up to
+    rounding, and no graph holds more than ``MICRO_BATCH`` series. Classes
+    absent from the training split trigger a warning and are masked so they
+    are never predicted, scoring their test samples wrong.
     """
     if ds_train.labels is None or ds_test.labels is None:
         raise DataError("supervised_baseline needs labeled train and test splits")
@@ -780,9 +784,8 @@ def supervised_baseline(
     head_w = _glorot(rng_init, encoder.flat_dim, k)
     head_b = Tensor(np.zeros(k), requires_grad=True)
 
-    def summed_loss(encoder, x, labels, head, rng):
-        flat = reshape(encoder.encode_batch(x, rng=rng), (len(x), -1))
-        return mul(cross_entropy(flat, *head, labels), constant(len(x)))  # the mean times the row count
+    def summed_loss(rep, labels, head):
+        return cross_entropy(reshape(rep, (len(labels), -1)), *head, labels)
 
     def step_loss(rows):
         n = len(rows)

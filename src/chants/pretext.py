@@ -13,9 +13,12 @@ next-value regression task is the baseline variant of next-trend prediction.
 
 Both truncation tasks cut their series through one function,
 :func:`_truncate`; their makers (:func:`make_ntp_instances`,
-:func:`nvp_instances`) return (truncated copies, targets) arrays, and their
-losses (:func:`ntp_loss`, :func:`nvp_loss`) take those arrays with one
-signature and sum over the copies they are given.
+:func:`nvp_instances`) return (truncated copies, targets) arrays. The heads
+do not encode: :func:`ntp_loss`, :func:`nvp_loss` and :func:`cs_projections`
+take the encoder's (n, rows, D) representation of the rows they score, and
+the two losses sum over those rows, so the harness's micro-batch loops
+encode each micro-batch once and add the parts up. :func:`cs_loss` alone
+encodes, as the whole-batch reference of contrastive similarity.
 """
 
 from __future__ import annotations
@@ -228,16 +231,13 @@ def init_pretext_heads(config: EncoderConfig, rng: np.random.Generator) -> Prete
     )
 
 
-def ntp_loss(encoder: Encoder, truncated: np.ndarray, targets: np.ndarray, heads: PretextHeads, *, rng=None) -> Tensor:
-    """Trend cross-entropy of the (n, C, T) ``truncated`` copies against their (n, C) labels.
+def ntp_loss(rep: Tensor, targets: np.ndarray, heads: PretextHeads) -> Tensor:
+    """Trend cross-entropy of the (n, C, D) representation of n truncated copies against their (n, C) labels.
 
     Summed over channels and copies; pretraining divides by the batch size.
-    Dropout is on exactly when ``rng`` is given.
     """
-    rep = encoder.encode_batch(truncated, rng=rng)
     n, rows, d = rep.shape
-    ce_mean = cross_entropy(reshape(rep, (n * rows, d)), heads.ntp_w, heads.ntp_b, targets.reshape(-1))
-    return mul(ce_mean, constant(n * rows))
+    return cross_entropy(reshape(rep, (n * rows, d)), heads.ntp_w, heads.ntp_b, targets.reshape(-1))
 
 
 def contrastive_loss_from_projections(
@@ -261,19 +261,19 @@ def contrastive_loss_from_projections(
     return contrastive_loss(projections, batch.anchors, batch.positives, tau)
 
 
-def cs_projections(encoder: Encoder, samples: np.ndarray, heads: PretextHeads, *, rng=None) -> Tensor:
-    """Encode ``samples`` and project each flat representation (affine, GELU, affine)."""
-    rep = encoder.encode_batch(samples, rng=rng)
-    return ffn(reshape(rep, (len(samples), -1)), heads.cs_w1, heads.cs_b1, heads.cs_w2, heads.cs_b2)
+def cs_projections(rep: Tensor, heads: PretextHeads) -> Tensor:
+    """Project each sample's flattened (rows, D) representation of ``rep`` (affine, GELU, affine)."""
+    return ffn(reshape(rep, (rep.shape[0], -1)), heads.cs_w1, heads.cs_b1, heads.cs_w2, heads.cs_b2)
 
 
 def cs_loss(encoder: Encoder, batch: CsBatch, heads: PretextHeads, weights: LossWeights, *, rng=None) -> Tensor:
-    """Project the whole batch in one graph, then apply the similarity loss.
+    """Encode and project the whole batch in one graph, then apply the similarity loss.
 
     The whole-batch reference: pretraining computes the same value and
-    gradients a few rows at a time (``harness._cs_grad_cache``).
+    gradients a few rows at a time (``harness._cs_grad_cache``). Dropout is
+    on exactly when ``rng`` is given.
     """
-    projections = cs_projections(encoder, batch.samples, heads, rng=rng)
+    projections = cs_projections(encoder.encode_batch(batch.samples, rng=rng), heads)
     return contrastive_loss_from_projections(projections, batch, weights.tau)
 
 
@@ -293,13 +293,12 @@ def nvp_instances(xs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray,
     return truncated, following
 
 
-def nvp_loss(encoder: Encoder, truncated: np.ndarray, targets: np.ndarray, heads: PretextHeads, *, rng=None) -> Tensor:
+def nvp_loss(rep: Tensor, targets: np.ndarray, heads: PretextHeads) -> Tensor:
     """Next-value regression baseline: squared error of the value head on the (n, C) ``targets``.
 
+    ``rep`` is the (n, C, D) representation of the n truncated copies.
     Summed over channels and copies; pretraining divides by the batch size.
-    Dropout is on exactly when ``rng`` is given.
     """
-    rep = encoder.encode_batch(truncated, rng=rng)
     n, rows, d = rep.shape
     pred = add(matmul(reshape(rep, (n * rows, d)), heads.nvp_w), heads.nvp_b)
     err = add(pred, mul(constant(targets.reshape(-1, 1)), constant(-1.0)))

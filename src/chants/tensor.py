@@ -13,9 +13,10 @@ backward runs and a second backward through it raises. Leaves keep their
 ``.grad``. The encoder's blocks (layer norm, attention, the FFN), the
 contrastive-similarity loss and the classifier head with its cross entropy
 (``cross_entropy(x, w, b, labels)``, which the NTP head and the supervised
-baseline call) are single tape nodes with closed-form backward. The
-linear-probe head calls the cross entropy's arithmetic,
-``_cross_entropy_forward`` and ``_cross_entropy_backward``, directly and
+baseline call) are single tape nodes with closed-form backward. The cross
+entropy is summed over its rows, like every loss a micro-batch loop adds
+up. The linear-probe head calls its arithmetic, ``_cross_entropy_forward``
+and ``_cross_entropy_backward``, directly, scales it to the batch mean and
 records no tape at all.
 The FFN runs one series at a time, taped or not; with no graph to build
 (feature extraction, the first gradient-caching pass of contrastive
@@ -694,7 +695,7 @@ def _onehot(labels, k: int) -> np.ndarray:
 
 
 def _cross_entropy_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, onehot: np.ndarray):
-    """Mean negative log softmax of the ``onehot`` entries of the logits ``x @ w + b``.
+    """Summed negative log softmax of the ``onehot`` entries of the logits ``x @ w + b``.
 
     Returns the loss with the softmax numerators ``e`` and their row sums
     ``total``, which :func:`_cross_entropy_backward` takes.
@@ -708,28 +709,30 @@ def _cross_entropy_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, onehot: 
     total = np.add.reduce(e, axis=-1, keepdims=True)
     logits -= np.log(total) + shift  # the log probabilities
     logits *= onehot  # times 1.0 or 0.0
-    return np.add.reduce(logits, axis=None) * (-1.0 / len(logits)), e, total
+    return -np.add.reduce(logits, axis=None), e, total
 
 
 def _cross_entropy_backward(g, onehot: np.ndarray, e: np.ndarray, total: np.ndarray) -> np.ndarray:
     """d(logits) of :func:`_cross_entropy_forward` for the upstream gradient ``g``.
 
-    (softmax - onehot) * g / n, in the rounding of the composed ops.
+    (softmax - onehot) * g, in the rounding of the composed ops.
     """
-    g_true = g * (-1.0 / len(onehot))
+    g_true = -g
     return g_true * onehot + (-g_true / total) * e
 
 
 def cross_entropy(x, w, b, labels) -> Tensor:
-    """Affine classifier head and its mean softmax cross entropy, as one node.
+    """Affine classifier head and its summed softmax cross entropy, as one node.
 
     The logits are ``x @ w + b`` for (n, d) rows ``x``, a (d, k) matrix ``w``
-    and a (k,) bias ``b``; the loss is the mean over the n rows of the
+    and a (k,) bias ``b``; the loss is the sum over the n rows of the
     negative log softmax probability of the row's label, one of n integers
-    in [0, k). One tape node; backward keeps the softmax numerators and
-    their sums, and gives ``x``, ``w`` and ``b`` their gradients in closed
-    form, bitwise those of the composed matmul, add and cross entropy. The
-    arithmetic lives in ``_cross_entropy_forward`` and
+    in [0, k), so the losses of a batch's micro-batches add up to the
+    batch's. One tape node; backward keeps the softmax numerators and their
+    sums, and gives ``x``, ``w`` and ``b`` their gradients in closed form:
+    at an upstream gradient of 1/n they are bitwise those of the composed
+    matmul, add and mean cross entropy at 1, as x * (-1/n) and (-x) * (1/n)
+    round alike. The arithmetic lives in ``_cross_entropy_forward`` and
     ``_cross_entropy_backward``, which the linear-probe head also calls
     without a tape.
     """

@@ -722,6 +722,15 @@ def test_an_augment_preview_output_below_a_file_exits_2_before_loading(tmp_path,
     assert taken.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("index", [-1, 24])
+def test_an_augment_preview_index_outside_the_data_exits_2_with_nothing_written(tmp_path, capsys, index):
+    data = write_fixture(tmp_path / "train.ts")  # 24 samples
+    out = tmp_path / "out" / "preview.csv"
+    assert main(["augment-preview", str(data), "sync", "0", str(out), "--index", str(index)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: sample index {index} outside [0, 24)"]
+    assert not out.parent.exists()
+
+
 def test_augment_preview_creates_a_missing_output_directory(tmp_path, capsys):
     data = write_fixture(tmp_path / "train.ts")
     out = tmp_path / "new" / "dir" / "preview.csv"
@@ -762,6 +771,32 @@ def test_a_file_that_is_not_utf8_exits_naming_it_with_nothing_written(tmp_path, 
     err = capsys.readouterr().err
     assert f"error: {bad}: not UTF-8 text: invalid start byte 0xff" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [[], ["--csv-channels", "0"], ["--csv-channels", "-2"]], ids=["none", "zero", "negative"]
+)
+@pytest.mark.parametrize("command", ["pretrain", "probe", "augment-preview"])
+def test_a_csv_file_without_a_channel_count_exits_2_before_any_data_is_read(
+    pretrained, tmp_path, capsys, monkeypatch, command, flags
+):
+    data, run = pretrained
+    split = write_wide_csv(tmp_path / "split.csv")
+    out = tmp_path / "out"
+    argv = {
+        "pretrain": ["pretrain", str(write_config(tmp_path / "tiny.cfg")), str(split), str(out)],
+        # the .ts training split comes first and is not read either
+        "probe": ["probe", str(run / "checkpoint.ckpt"), str(data), str(out), "--test", str(split)],
+        "augment-preview": ["augment-preview", str(split), "sync", "0", str(out / "preview.csv")],
+    }[command]
+    loaded = []
+    monkeypatch.setattr(chants.cli, "load_dataset", lambda path, **_: loaded.append(path))
+    assert main([*argv, *flags, "--csv-labeled"]) == 2
+    given = flags[-1] if flags else "none"
+    message = f"error: {split}: CSV input needs --csv-channels N with N >= 1, given {given}"
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert loaded == []
     assert not out.exists()
 
 
@@ -889,6 +924,11 @@ def with_train_config(manifest, **change):
     return {**manifest, "meta": {**manifest["meta"], "train_config": {**snapshot, **change}}}
 
 
+def without_encoder_field(manifest, name):
+    """``manifest`` with the field ``name`` left out of its encoder ``config`` block."""
+    return {**manifest, "config": {k: v for k, v in manifest["config"].items() if k != name}}
+
+
 W_CHAN = "params.embed.w_chan"
 # each fault rewrites the checkpoint's bytes, or its (manifest, arrays) entries
 BYTE_FAULTS = {
@@ -926,6 +966,9 @@ ENTRY_FAULTS = {
         lambda m, a: ({**m, "config": {**m["config"], "width": "8"}}, a),
         "bad config block: config field 'width' must be int, got '8'",
     ),
+    # a field left out would take its default and load another model
+    "missing-heads": (lambda m, a: (without_encoder_field(m, "heads"), a), "bad config block: missing 'heads'"),
+    "missing-variant": (lambda m, a: (without_encoder_field(m, "variant"), a), "bad config block: missing 'variant'"),
 }
 
 

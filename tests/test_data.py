@@ -96,6 +96,21 @@ class TestParseTs:
         with pytest.raises(DataError, match=f"^{len(names)} class names for 2 classes$"):
             MtsDataset(ds.series, ds.labels, 2, "n", label_names=names)
 
+    @pytest.mark.parametrize(
+        "series, labels, message",
+        [
+            (np.zeros((2, 3)), None, "series must be (M, C, T), got shape (2, 3)"),
+            (np.zeros((2, 1, 3)), [0, 1, 0], "labels of shape (3,) for 2 series"),
+            (np.zeros((2, 1, 3)), 0, "labels of shape () for 2 series"),
+            (np.zeros((2, 1, 3)), [0, 2], "labels must lie in [0, 2)"),
+            (np.zeros((2, 1, 3)), [-1, 0], "labels must lie in [0, 2)"),
+        ],
+        ids=["two-dimensional", "label-count", "0-d-labels", "label-at-k", "negative-label"],
+    )
+    def test_series_and_labels_it_cannot_hold_are_refused(self, series, labels, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            MtsDataset(series, labels, 0 if labels is None else 2, "x")
+
     def test_missing_data_section(self, tmp_path):
         path = tmp_path / "bad.ts"
         path.write_text("@problemName nope\n@classLabel false\n")
@@ -431,7 +446,18 @@ class TestTrainTestSplit:
             np.testing.assert_array_equal(split.labels, labels[split.series.ravel().astype(int)])
 
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, float("nan")])
+    def test_a_test_fraction_outside_zero_one_is_refused(self, fraction):
+        with pytest.raises(DataError, match=re.escape(f"test_fraction must lie in (0, 1), got {fraction}")):
+            train_test_split(random_dataset(np.random.default_rng(12)), fraction, seed=0)
+
+
 class TestBatches:
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_a_batch_size_below_one_is_refused(self, size):
+        with pytest.raises(DataError, match=f"^batch size must be >= 1, got {size}$"):
+            next(batches(random_dataset(np.random.default_rng(13)), size, seed=0))
+
     def test_seven_samples_batch_four(self):
         ds = random_dataset(np.random.default_rng(11), m=7)
         sizes = [len(rows) for rows in batches(ds, 4, seed=0)]

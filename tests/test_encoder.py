@@ -1,5 +1,7 @@
 """Unit tests for the channel-aware encoder and its variants."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,16 @@ class TestEncode:
     def test_width_and_heads_below_one_are_rejected(self, width, heads, message):
         with pytest.raises(ConfigError, match=message):
             EncoderConfig(channels=2, steps=4, width=width, depth=1, heads=heads)
+
+    def test_a_width_the_heads_do_not_divide_is_rejected(self):
+        with pytest.raises(ConfigError, match="^width 6 is not divisible by 4 heads$"):
+            EncoderConfig(channels=2, steps=4, width=6, depth=1, heads=4)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (1, 2, 3, 5)])
+    def test_encode_batch_refuses_a_batch_that_is_not_three_dimensional(self, shape):
+        config, params = make()
+        with pytest.raises(ShapeError, match=re.escape(f"Encoder.encode_batch expects (B, C, T), got shape {shape}")):
+            Encoder(params, config).encode_batch(np.zeros(shape))
 
     def test_shape_sweep_over_random_configs(self):
         rng = np.random.default_rng(14)

@@ -1,7 +1,8 @@
 """Every name a ``chants`` module exports in ``__all__`` must exist, every
-name it imports must be used or exported, and only ``harness`` names the
-keys of the checkpoint layout and the files of the run directory that
-``pretrain`` writes."""
+name it imports must be used or exported, only ``harness`` names the keys
+of the checkpoint layout and the files of the run directory that
+``pretrain`` writes, and only the micro-batch drivers, feature extraction
+and the whole-batch CS reference encode: the heads take encoded rows."""
 
 import ast
 import importlib
@@ -72,3 +73,34 @@ def test_only_the_harness_names_the_checkpoint_layout():
 
 def test_only_the_harness_names_the_run_directory_files():
     assert _modules_naming(RUN_FILES) == {"chants.harness": sorted(RUN_FILES)}
+
+
+# the functions that may call Encoder.encode_batch: the heads take what they encode
+ENCODERS = {
+    "chants.harness._in_micro_batches",
+    "chants.harness._cs_grad_cache",
+    "chants.harness.extract_features",
+    "chants.pretext.cs_loss",
+}
+
+
+def _callers_of(method):
+    """``{module.function}`` over every function whose own body calls ``.method(...)``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == method:
+                found.add(scope)
+            visit(child, inner)
+
+    for name in MODULES:
+        visit(ast.parse(Path(importlib.import_module(name).__file__).read_text(encoding="utf-8")), name)
+    return found
+
+
+def test_only_the_drivers_extraction_and_the_cs_reference_call_the_encoder():
+    assert _callers_of("encode_batch") == ENCODERS

@@ -19,7 +19,7 @@ from chants.augment import AugmentConfig
 from chants.checkpoint import load_checkpoint, save_checkpoint
 from chants.data import MtsDataset, make_synthetic_fixture, subsample, train_test_split, znormalize
 from chants.encoder import Encoder, EncoderConfig, _glorot, init_cat_params
-from chants.errors import CheckpointError, ConfigError, ShapeError
+from chants.errors import CheckpointError, ConfigError, DataError, ShapeError
 from chants.harness import (
     Metrics,
     TrainConfig,
@@ -113,6 +113,19 @@ class TestComputeMetrics:
     )
     def test_a_shape_mismatch_is_refused_naming_both_shapes(self, pred, truth, shapes):
         with pytest.raises(ConfigError, match=re.escape(f"predictions of shape {shapes}")):
+            compute_metrics(pred, truth, 2)
+
+    @pytest.mark.parametrize(
+        "pred, truth, message",
+        [
+            ([], [], "compute_metrics needs at least one sample"),
+            ([0, 2], [0, 1], "prediction outside [0, 2)"),
+            ([0, 1], [-1, 1], "label outside [0, 2)"),
+        ],
+        ids=["empty", "prediction-at-k", "negative-label"],
+    )
+    def test_no_sample_or_a_class_out_of_range_is_refused(self, pred, truth, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             compute_metrics(pred, truth, 2)
 
 
@@ -448,6 +461,12 @@ class TestPretrain:
             pretrain(ds, tiny_cfg(pretrain_epochs=2, **change), out_dir=tmp_path)
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
+    def test_an_empty_dataset_is_refused(self, tmp_path):
+        empty = MtsDataset(np.zeros((0, 2, 8)), np.zeros(0, dtype=np.int64), 2, "empty")
+        with pytest.raises(ConfigError, match="^pretraining needs at least one sample$"):
+            pretrain(empty, tiny_cfg(), out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_dataset_dims_must_match_config(self):
         rng = np.random.default_rng(12)
         ds = labeled_dataset(rng, channels=3)
@@ -658,7 +677,7 @@ def test_micro_batched_truncations_match_one_whole_batch_pass(task):
         return value, grads, rng_drop.random(4)
 
     def whole_batch(rng_drop):
-        mean = mul(loss(encoder, truncated, targets, heads, rng=rng_drop), constant(1 / len(xs)))
+        mean = mul(loss(encoder.encode_batch(truncated, rng=rng_drop), targets, heads), constant(1 / len(xs)))
         mul(mean, constant(weight)).backward()
         return mean.item()
 
@@ -740,6 +759,15 @@ class TestSupervisedBaseline:
         with pytest.warns(RuntimeWarning, match=r"\[2\]"):
             metrics = supervised_baseline(train, test, tiny_cfg(probe_epochs=2))
         assert metrics.confusion[:, 2].sum() == 0
+
+    @pytest.mark.parametrize("unlabeled", ["train", "test"])
+    def test_an_unlabeled_split_is_refused(self, unlabeled):
+        rng = np.random.default_rng(14)
+        splits = {"train": labeled_dataset(rng, m=8), "test": labeled_dataset(rng, m=4)}
+        split = splits[unlabeled]
+        splits[unlabeled] = MtsDataset(split.series, None, 0, "unlabeled")
+        with pytest.raises(DataError, match="^supervised_baseline needs labeled train and test splits$"):
+            supervised_baseline(splits["train"], splits["test"], tiny_cfg(probe_epochs=1))
 
     def test_encodes_at_most_a_micro_batch_per_graph(self, monkeypatch):
         # each step of 8 samples encodes 5 with a graph, backpropagates

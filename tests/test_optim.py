@@ -1,8 +1,11 @@
 """Unit tests for the Adam optimizer."""
 
+import re
+
 import numpy as np
 import pytest
 
+from chants.errors import ShapeError
 from chants.optim import adam_step, init_adam_state
 
 
@@ -105,6 +108,15 @@ def test_infinite_gradient_aborts_naming_parameter(bad):
     state = init_adam_state(params, lr=0.1)
     with pytest.raises(FloatingPointError, match="w_value"):
         adam_step(params, {"w_value": np.array([0.5, bad])}, state)
+
+
+def test_a_gradient_of_another_shape_is_refused_naming_parameter():
+    params = {"w_key": np.array([1.0, 2.0])}
+    state = init_adam_state(params, lr=0.1)
+    with pytest.raises(ShapeError, match=re.escape("gradient for 'w_key' has shape (1, 2), parameter has (2,)")):
+        adam_step(params, {"w_key": np.array([[0.5, 0.5]])}, state)
+    np.testing.assert_array_equal(params["w_key"], [1.0, 2.0])
+    assert state.step_count == 0
 
 
 def test_missing_gradient_counts_as_zero():

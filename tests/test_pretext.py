@@ -126,6 +126,11 @@ class TestMakeNtpInstances:
         with pytest.raises(ConfigError):
             make_ntp_instances(np.zeros((1, 1, 2)), 1, np.random.default_rng(9))
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_fewer_than_one_truncation_point_is_refused(self, count):
+        with pytest.raises(ConfigError, match=f"^need at least one truncation point per sample, got {count}$"):
+            make_ntp_instances(np.zeros((1, 1, 6)), count, np.random.default_rng(9))
+
 
 class TestNtpLoss:
     def test_uniform_logits_give_kc_log2_per_sample(self):
@@ -136,7 +141,7 @@ class TestNtpLoss:
         rng = np.random.default_rng(11)
         xs = rng.normal(size=(2, 3, 6))
         truncated, labels = make_ntp_instances(xs, 4, rng)
-        loss = ntp_loss(enc, truncated, labels, heads)
+        loss = ntp_loss(enc.encode_batch(truncated), labels, heads)
         assert abs(loss.item() * (1 / len(xs)) - 4 * 3 * math.log(2.0)) < 1e-9
 
     def test_sixty_terms_for_six_channels_ten_points(self):
@@ -146,7 +151,7 @@ class TestNtpLoss:
         heads.ntp_b.data[:] = 0.0
         x = np.random.default_rng(13).normal(size=(1, 6, 12))
         truncated, labels = make_ntp_instances(x, 10, np.random.default_rng(14))
-        loss = ntp_loss(enc, truncated, labels, heads)
+        loss = ntp_loss(enc.encode_batch(truncated), labels, heads)
         assert abs(loss.item() - 60 * math.log(2.0)) < 1e-9
 
     def test_gradient_reaches_embeddings_and_layer_weights(self):
@@ -155,7 +160,11 @@ class TestNtpLoss:
         rng = np.random.default_rng(16)
         x = rng.normal(size=(1, 2, 4))
         truncated, labels = make_ntp_instances(x, 2, rng)
-        loss = ntp_loss(enc, truncated, labels, heads)
+
+        def loss_of_encoded():
+            return ntp_loss(enc.encode_batch(truncated), labels, heads)
+
+        loss = loss_of_encoded()
         loss.backward()
         named = enc.params.named()
         for key in ("embed.w_time", "embed.w_chan", "layers.0.time_attn.w_q", "layers.0.chan_ffn.w1"):
@@ -167,9 +176,9 @@ class TestNtpLoss:
         base = loss.item()
         h = 1e-5
         w.data[0, 0] += h
-        up = ntp_loss(enc, truncated, labels, heads).item()
+        up = loss_of_encoded().item()
         w.data[0, 0] -= 2 * h
-        down = ntp_loss(enc, truncated, labels, heads).item()
+        down = loss_of_encoded().item()
         w.data[0, 0] += h
         numeric = (up - down) / (2 * h)
         assert abs(numeric - w.grad[0, 0]) < 1e-4 * max(1.0, abs(numeric))
@@ -180,18 +189,22 @@ class TestNtpLoss:
         rng = np.random.default_rng(19)
         truncated, labels = make_ntp_instances(rng.normal(size=(2, 3, 6)), 3, rng)
         leaves = {**enc.params.named(), **heads.named()}
+        terms = labels.size
 
-        def run(loss):
+        def run(loss, scale):
+            # the summed loss scaled by 1/terms against the composed mean at 1:
+            # x * (-1/terms) and (-x) * (1/terms) round alike
             for leaf in leaves.values():
                 leaf.zero_grad()
-            loss.backward()
-            return loss.data.tobytes(), {k: None if t.grad is None else t.grad.tobytes() for k, t in leaves.items()}
+            loss.backward(np.asarray(scale))
+            value = loss.data * scale
+            return value.tobytes(), {k: None if t.grad is None else t.grad.tobytes() for k, t in leaves.items()}
 
-        fused = run(ntp_loss(enc, truncated, labels, heads))
+        fused = run(ntp_loss(enc.encode_batch(truncated), labels, heads), 1.0 / terms)
         rep = enc.encode_batch(truncated)
         n, rows, d = rep.shape
         ce = composed_head(reshape(rep, (n * rows, d)), heads.ntp_w, heads.ntp_b, labels.reshape(-1))
-        composed = run(mul(ce, constant(n * rows)))
+        composed = run(ce, 1.0)
         assert fused[1]["heads.ntp.w"] is not None
         assert fused == composed
 
@@ -284,6 +297,21 @@ class TestCsLoss:
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ConfigError):
             LossWeights(tau=0.0)
+
+    @pytest.mark.parametrize(
+        "rows, tau, error, message",
+        [
+            (5, 0.0, ConfigError, "temperature must be > 0, got 0.0"),
+            (5, -0.2, ConfigError, "temperature must be > 0, got -0.2"),
+            (4, 0.2, ShapeError, "4 projections for a batch of 5"),
+        ],
+        ids=["zero-temperature", "negative-temperature", "row-count"],
+    )
+    def test_projections_it_cannot_score_are_refused(self, rows, tau, error, message):
+        batch = CsBatch(samples=np.zeros((5, 1, 2)), anchors=[0], positives=[[False, True, True, False, False]])
+        projections = constant(np.random.default_rng(25).normal(size=(rows, 3)))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            contrastive_loss_from_projections(projections, batch, tau)
 
     def test_invariant_under_batch_reordering(self):
         rng = np.random.default_rng(24)
@@ -473,7 +501,7 @@ class TestNvpLoss:
         heads.nvp_b.data[:] = 3.25
         xs = np.full((2, 2, 8), 3.25)
         truncated, targets = nvp_instances(xs, np.random.default_rng(29))
-        loss = nvp_loss(enc, truncated, targets, heads)
+        loss = nvp_loss(enc.encode_batch(truncated), targets, heads)
         assert loss.item() == 0.0
 
     def test_fifteen_percent_of_35_is_six(self):
@@ -484,7 +512,7 @@ class TestNvpLoss:
         heads = init_pretext_heads(enc.config, np.random.default_rng(30))
         xs = np.random.default_rng(31).normal(size=(3, 2, 6))
         truncated, targets = nvp_instances(xs, np.random.default_rng(32))
-        assert nvp_loss(enc, truncated, targets, heads).item() >= 0.0
+        assert nvp_loss(enc.encode_batch(truncated), targets, heads).item() >= 0.0
 
 
 class TestCombinedLoss:
@@ -520,3 +548,8 @@ class TestCombinedLoss:
     def test_both_weights_zero_rejected(self):
         with pytest.raises(ConfigError):
             LossWeights(alpha1=0.0, alpha2=0.0)
+
+    @pytest.mark.parametrize("alpha1, alpha2", [(-1.0, 1.0), (2.0, -0.5)])
+    def test_a_negative_weight_is_refused(self, alpha1, alpha2):
+        with pytest.raises(ConfigError, match=f"^loss weights must be nonnegative, got {alpha1}, {alpha2}$"):
+            LossWeights(alpha1=alpha1, alpha2=alpha2)

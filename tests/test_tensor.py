@@ -1,6 +1,7 @@
 """Unit tests for the tensor/autodiff core."""
 
 import math
+import re
 import weakref
 
 import numpy as np
@@ -14,6 +15,7 @@ from chants.tensor import (
     Tensor,
     add,
     constant,
+    contrastive_loss,
     cross_entropy,
     div,
     dropout,
@@ -299,7 +301,7 @@ class TestCrossEntropy:
 
     def test_uniform_fourteen_way(self):
         loss = identity_head(constant(np.zeros((3, 14))), [0, 5, 13])
-        assert abs(loss.item() - math.log(14.0)) < 1e-12
+        assert abs(loss.item() - 3 * math.log(14.0)) < 1e-12
 
     def test_out_of_range_label(self):
         with pytest.raises(IndexError):
@@ -447,9 +449,63 @@ class TestFusedKernelsMatchComposition:
         rng = np.random.default_rng(35)
         labels = rng.integers(0, 5, size=7)
         arrays = [rng.normal(size=(7, 4)), rng.normal(size=(4, 5)), rng.normal(size=5)]
-        assert_fused_matches_composed(
-            lambda *args: cross_entropy(*args, labels), lambda *args: composed_head(*args, labels), arrays
+        assert_fused_matches_composed(  # the fused node sums what the composed head averages
+            lambda *args: cross_entropy(*args, labels),
+            lambda *args: mul(composed_head(*args, labels), constant(len(labels))),
+            arrays,
         )
+
+
+W6 = AttnWeights(*(np.eye(6) for _ in range(3)), None)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: matmul(np.zeros(3), np.zeros((3, 2))),
+            ShapeError,
+            "matmul needs matrices, got shapes (3,) and (3, 2)",
+        ),
+        (
+            lambda: dropout(np.ones((2, 3)), 1.0, np.random.default_rng(0)),
+            ConfigError,
+            "dropout rate must lie in [0, 1), got 1.0",
+        ),
+        (
+            lambda: layer_norm(np.zeros((2, 4)), np.ones(3), np.zeros(4)),
+            ShapeError,
+            "layer_norm feature axis 4 does not match gain (3,) / bias (4,)",
+        ),
+        (
+            lambda: multi_head_attention(np.zeros(6), np.zeros((2, 6)), W6, 2),
+            ShapeError,
+            "attention needs (..., L, D) inputs, got shapes (6,) and (2, 6)",
+        ),
+        (
+            lambda: multi_head_attention(np.zeros((2, 6)), np.zeros((3, 4)), W6, 2),
+            ShapeError,
+            "query width 6 does not match key/value width 4",
+        ),
+        (
+            lambda: ffn(np.zeros((2, 4)), np.zeros((5, 8)), np.zeros(8), np.zeros((8, 4)), np.zeros(4)),
+            ShapeError,
+            "ffn shapes disagree: x (2, 4), w1 (5, 8), w2 (8, 4)",
+        ),
+        (
+            lambda: contrastive_loss(np.ones(4), [0], np.ones((1, 4), dtype=bool), 0.2),
+            ShapeError,
+            "contrastive_loss expects (n, k) projections, got (4,)",
+        ),
+    ],
+    ids=[
+        "matmul-vector", "dropout-rate-1", "layer-norm-gain", "attention-vector", "attention-kv-width", "ffn-w1",
+        "contrastive-vector",
+    ],
+)
+def test_a_kernel_refuses_inputs_it_cannot_take(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestFlopEstimate:
@@ -490,6 +546,7 @@ class TestAutodiffPlumbing:
             (lambda a: tensor_sum(mul(exp(a), constant(probe))), [x]),
             (lambda a: tensor_sum(mul(log(add(mul(a, a), constant(0.5))), a)), [x]),
             (lambda a: tensor_sum(mul(sqrt(add(mul(a, a), constant(0.5))), constant(probe))), [x]),
+            (lambda a: tensor_sum(mul(tensor_sum(mul(a, a), axis=0), constant(probe[0]))), [x]),
         ]
         for fn, args in cases:
             check_gradients(fn, args)
@@ -522,20 +579,26 @@ class TestAutodiffPlumbing:
         np.testing.assert_array_equal(a.grad, first)
 
     @pytest.mark.parametrize(
-        "build, bad",
+        "build, bad, message",
         [
             # one node whose parents are all leaves
-            (lambda w, b: cross_entropy(constant(np.eye(2)), w, b, [0, 2]), np.ones(2)),
+            (lambda w, b: cross_entropy(constant(np.eye(2)), w, b, [0, 2]), np.ones(2), "gradient of shape (2,)"),
             # an interior node under the output
-            (lambda w, b: add(matmul(constant(np.eye(2)), w), b), np.ones((1, 3))),
+            (lambda w, b: add(matmul(constant(np.eye(2)), w), b), np.ones((1, 3)), "gradient of shape (1, 3)"),
+            # no gradient for an output that is not a scalar
+            (
+                lambda w, b: add(matmul(constant(np.eye(2)), w), b),
+                None,
+                "backward() without an explicit gradient needs a scalar, got shape (2, 3)",
+            ),
         ],
-        ids=["one-node", "two-nodes"],
+        ids=["one-node", "two-nodes", "no-gradient-for-a-matrix"],
     )
-    def test_a_gradient_of_another_shape_is_rejected(self, build, bad):
+    def test_a_gradient_of_another_shape_is_rejected(self, build, bad, message):
         w = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(RNG.normal(size=3), requires_grad=True)
         out = build(w, b)
-        with pytest.raises(ShapeError, match="gradient of shape"):
+        with pytest.raises(ShapeError, match=re.escape(message)):
             out.backward(bad)
         assert w.grad is None and b.grad is None
         out.backward(np.ones(out.shape))  # the graph is still whole
