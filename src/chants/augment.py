@@ -8,7 +8,7 @@ chosen time intervals and leaves everything outside untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,17 +29,18 @@ class AugmentConfig:
     """Knobs of the three strategies.
 
     Interval lengths are drawn uniformly from [1, max(1, T // 4)]; counts and
-    segment counts come from the inclusive ranges below.
+    segment counts come from the inclusive ranges below. ``jitter_sigma``
+    declares its bound (> 0) for :func:`chants.errors.check_fields`;
+    ``__post_init__`` checks that each range is nonempty and starts at 1 or
+    above.
     """
 
-    jitter_sigma: float = 0.1
+    jitter_sigma: float = field(default=0.1, metadata={">": 0})
     interval_count_range: tuple[int, int] = (1, 5)
     segment_count_range: tuple[int, int] = (4, 8)
 
     def __post_init__(self):
         check_fields(self)
-        if self.jitter_sigma <= 0.0:
-            raise ConfigError(f"jitter_sigma must be > 0, got {self.jitter_sigma}")
         for name in ("interval_count_range", "segment_count_range"):
             lo, hi = getattr(self, name)
             if lo < 1 or hi < lo:

@@ -12,8 +12,10 @@ Exit codes are a stable contract: 0 success, 2 usage or config error,
 3 data error, 4 checkpoint or shape error. A run whose loss or gradient
 turns non-finite (``FloatingPointError``) exits 2: its config cannot train
 on its data. So does an output file name that a directory holds, before
-any training or extraction, and a ``.csv`` data file without a
-``--csv-channels`` count >= 1, before any data is read.
+any training or extraction. Before any data is read, a ``.csv`` data file
+without a ``--csv-channels`` count >= 1 exits 2, and so does a CSV flag
+(``--csv-channels``, ``--csv-layout`` or ``--csv-labeled``) on a run whose
+data files, ``--test`` included, are all ``.ts`` files.
 
 ``pretrain`` reads the config and data, normalizes the data unless
 ``--no-normalize`` is given, and hands both to
@@ -32,8 +34,10 @@ Config files are TOML. Keys are the ``TrainConfig`` field names, with the
 
 ``encoder.channels`` and ``encoder.steps`` default to the dataset's and must
 match it when given. A file that is not TOML (an unquoted string, ``2, 6``,
-``.5``, ``TRUE``, a key set twice) exits 2 naming its line and column; so
-do unknown keys and values of the wrong type (``k_ntp = 2.5``). A pretext
+``.5``, ``TRUE``, a key set twice) exits 2 naming its line and column.
+Unknown keys, values of the wrong type (``k_ntp = 2.5``) and values past
+their field's bound (``k_ntp = 0``, ``weights.tau = 0``) exit 2 naming the
+key or field; in a checkpoint's training config they exit 4. A pretext
 task is switched off by a weight of 0 (``weights.alpha1 = 0`` for
 next-trend prediction, ``weights.alpha2 = 0`` for contextual similarity).
 
@@ -128,11 +132,17 @@ def _out_dir(path, *files) -> Path:
 
 
 def _check_csv_flags(args, *paths) -> None:
-    """``ConfigError`` if one of the data ``paths`` is a ``.csv`` file and
-    ``--csv-channels`` does not give a count >= 1; checked before any data
-    is read."""
+    """``ConfigError`` if every data path of ``paths`` is a ``.ts`` file and
+    a CSV flag is given, or if one is a ``.csv`` file and ``--csv-channels``
+    does not give a count >= 1; checked before any data is read."""
+    paths = [Path(path) for path in paths if path is not None]
+    flags = {"--csv-channels": args.csv_channels is not None, "--csv-layout": args.csv_layout is not None,
+             "--csv-labeled": args.csv_labeled}
+    given = [flag for flag, on in flags.items() if on]
+    if given and all(path.suffix == ".ts" for path in paths):
+        raise ConfigError(f"{', '.join(given)} given, but no data file is CSV: {', '.join(map(str, paths))}")
     for path in paths:
-        if path is not None and Path(path).suffix == ".csv" and (args.csv_channels or 0) < 1:
+        if path.suffix == ".csv" and (args.csv_channels or 0) < 1:
             given = "none" if args.csv_channels is None else args.csv_channels
             raise ConfigError(f"{path}: CSV input needs --csv-channels N with N >= 1, given {given}")
 
@@ -141,7 +151,7 @@ def _load_data(args, path=None) -> MtsDataset:
     return load_dataset(
         path if path is not None else args.data,
         channels=args.csv_channels,
-        layout=args.csv_layout,
+        layout=args.csv_layout or "wide",
         labeled=args.csv_labeled,
     )
 
@@ -296,7 +306,7 @@ def cmd_flops(args) -> int:
 
 def _add_csv_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--csv-channels", type=int, default=None, help="channel count for CSV input")
-    parser.add_argument("--csv-layout", choices=("wide", "blocked"), default="wide")
+    parser.add_argument("--csv-layout", choices=("wide", "blocked"), default=None, help="CSV layout (default: wide)")
     parser.add_argument("--csv-labeled", action="store_true")
 
 

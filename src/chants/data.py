@@ -24,6 +24,7 @@ __all__ = [
     "apply_norm_stats",
     "batches",
     "check_fraction",
+    "class_indices",
     "load_dataset",
     "make_synthetic_fixture",
     "parse_csv",
@@ -36,10 +37,27 @@ __all__ = [
 ]
 
 
+def class_indices(values, what: str, error: type[Exception]) -> np.ndarray:
+    """``values`` as an int64 array. A value that the cast would change (0.5,
+    NaN) raises ``error`` naming the first one, and so does a text or object
+    array, naming its first value."""
+    arr = np.asarray(values)
+    numeric = arr.dtype.kind in "biuf"
+    with np.errstate(invalid="ignore"):
+        ints = arr.astype(np.int64) if numeric else np.zeros(arr.shape, np.int64)
+    bad = np.flatnonzero(ints != arr) if numeric else np.arange(arr.size)
+    if len(bad):
+        raise error(f"{what} must be integers, got {arr.ravel().tolist()[bad[0]]!r}")
+    return ints
+
+
 @dataclass
 class MtsDataset:
     """An (M, C, T) stack of equal-length series with optional class labels.
 
+    ``class_count`` is an integer >= 0 (not a bool nor a float), 0 when
+    unlabeled; labels are integers in [0, ``class_count``), and a label that
+    is text or not a whole number is refused, never truncated.
     ``label_names``, when given, names each of the ``class_count`` classes.
     """
 
@@ -53,8 +71,11 @@ class MtsDataset:
         self.series = np.asarray(self.series, dtype=np.float64)
         if self.series.ndim != 3:
             raise DataError(f"series must be (M, C, T), got shape {self.series.shape}")
+        integral = isinstance(self.class_count, (int, np.integer)) and not isinstance(self.class_count, bool)
+        if not integral or (self.labels is not None and self.class_count < 0):
+            raise DataError(f"class_count must be an integer >= 0, got {self.class_count!r}")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
+            self.labels = class_indices(self.labels, "labels", DataError)
             if self.labels.shape != (self.series.shape[0],):
                 raise DataError(f"labels of shape {self.labels.shape} for {self.series.shape[0]} series")
             if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.class_count):

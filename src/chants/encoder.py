@@ -63,28 +63,24 @@ VARIANTS = ("cat", "self_aggregate", "channel_self", "no_aggregate", "tat")
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    """Dimensions and switches of the encoder."""
+    """Dimensions and switches of the encoder.
 
-    channels: int
-    steps: int
-    width: int = 512
-    depth: int = 8
-    heads: int = 8
+    Each count declares its lower bound, which
+    :func:`chants.errors.check_fields` enforces; ``__post_init__`` adds the
+    rules no one field states: ``width`` divisible by ``heads``, ``dropout``
+    in [0, 1) and a known ``variant``.
+    """
+
+    channels: int = field(metadata={">=": 1})
+    steps: int = field(metadata={">=": 2})
+    width: int = field(default=512, metadata={">=": 1})
+    depth: int = field(default=8, metadata={">=": 1})
+    heads: int = field(default=8, metadata={">=": 1})
     dropout: float = 0.2
     variant: str = "cat"
 
     def __post_init__(self):
         check_fields(self)
-        if self.channels < 1:
-            raise ConfigError(f"channels must be >= 1, got {self.channels}")
-        if self.steps < 2:
-            raise ConfigError(f"steps must be >= 2, got {self.steps}")
-        if self.width < 1:
-            raise ConfigError(f"width must be >= 1, got {self.width}")
-        if self.depth < 1:
-            raise ConfigError(f"depth must be >= 1, got {self.depth}")
-        if self.heads < 1:
-            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.width % self.heads != 0:
             raise ConfigError(f"width {self.width} is not divisible by {self.heads} heads")
         if not 0.0 <= self.dropout < 1.0:

@@ -3,18 +3,29 @@ config field may hold.
 
 Every config dataclass (``EncoderConfig``, ``LossWeights``, ``AugmentConfig``
 and ``TrainConfig``) calls :func:`check_fields` from ``__post_init__``, so a
-value of the wrong type is refused at construction with a ``ConfigError``
+value it may not hold is refused at construction with a ``ConfigError``
 naming the field, whether the config is built in Python, from a config file
-or from a checkpoint. An ``int`` field takes only a Python ``int`` (not a
-``bool``, nor a numpy integer, which the JSON writer cannot store); a
-``float`` field takes an ``int`` or a finite ``float``, not a ``bool``; a
-``bool``, ``str`` or nested config field takes its own type; a
-``tuple[int, int]`` field takes a tuple of two such ints.
+or from a checkpoint. Each field is checked for its type, then finiteness,
+then its declared bound, in field order, and the first failure is raised.
+
+- Type: an ``int`` field takes only a Python ``int`` (not a ``bool``, nor a
+  numpy integer, which the JSON writer cannot store); a ``float`` field
+  takes an ``int`` or a ``float``, not a ``bool``; a ``bool``, ``str`` or
+  nested config field takes its own type; a ``tuple[int, int]`` field takes
+  a tuple of two such ints.
+- Finiteness: a ``float`` value must be finite.
+- Bound: a field declared as ``field(metadata={">=": 1})`` or
+  ``field(metadata={">": 0})`` refuses a value past it, as
+  ``k_ntp must be >= 1, got 0``.
+
+Rules that tie two fields together, or that bound a field on both sides,
+stay in the dataclass's own ``__post_init__``, after this check.
 """
 
 import dataclasses
 import functools
 import math
+import operator
 import typing
 
 
@@ -56,12 +67,21 @@ def _fits(value, kind) -> bool:
     return isinstance(value, kind)
 
 
+_BOUNDS = {">=": operator.ge, ">": operator.gt}
+
+
 def check_fields(config) -> None:
-    """Raise ``ConfigError`` unless every field of the dataclass ``config`` holds a value of its type."""
-    for name, kind in field_types(type(config)).items():
-        value = getattr(config, name)
+    """Raise ``ConfigError`` unless every field of the dataclass ``config``
+    holds a value of its type, finite if a float, and within the bound its
+    ``metadata`` declares; fields are checked in order."""
+    kinds = field_types(type(config))
+    for f in dataclasses.fields(config):
+        name, kind, value = f.name, kinds[f.name], getattr(config, f.name)
         if not _fits(value, kind):
             type_name = str(kind) if typing.get_origin(kind) else kind.__name__
             raise ConfigError(f"config field '{name}' must be {type_name}, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{name} must be finite, got {value!r}")
+        for op, holds in _BOUNDS.items():
+            if op in f.metadata and not holds(value, f.metadata[op]):
+                raise ConfigError(f"{name} must be {op} {f.metadata[op]}, got {value!r}")

@@ -59,7 +59,7 @@ import numpy as np
 from . import __version__
 from .augment import AugmentConfig
 from .checkpoint import load_encoder, save_encoder
-from .data import MtsDataset, NormStats, batches, subsample_rows
+from .data import MtsDataset, NormStats, batches, class_indices, subsample_rows
 from .encoder import CatParams, Encoder, EncoderConfig, _glorot, init_cat_params
 from .errors import CheckpointError, ConfigError, DataError, ShapeError, check_fields, field_types
 from .optim import adam_step, init_adam_state
@@ -111,37 +111,30 @@ class TrainConfig:
     """Every hyperparameter of a run, ablation switches included.
 
     A pretext task is switched off by setting its weight in ``weights`` to 0.
+    Each number declares its bound on its field (learning rates > 0, counts
+    >= 1, ``seed`` >= 0), which :func:`chants.errors.check_fields` enforces.
     """
 
     encoder: EncoderConfig
     weights: LossWeights = field(default_factory=LossWeights)
     aug: AugmentConfig = field(default_factory=AugmentConfig)
-    k_ntp: int = 10
-    pretrain_lr: float = 5e-5
-    probe_lr: float = 1e-3
-    supervised_lr: float = 1e-4
-    pretrain_batch: int = 10
-    probe_batch: int = 4
-    pretrain_epochs: int = 40
-    probe_epochs: int = 100
-    early_stop_patience: int = 10
-    save_every: int = 1
-    seed: int = 0
+    k_ntp: int = field(default=10, metadata={">=": 1})
+    pretrain_lr: float = field(default=5e-5, metadata={">": 0})
+    probe_lr: float = field(default=1e-3, metadata={">": 0})
+    supervised_lr: float = field(default=1e-4, metadata={">": 0})
+    pretrain_batch: int = field(default=10, metadata={">=": 1})
+    probe_batch: int = field(default=4, metadata={">=": 1})
+    pretrain_epochs: int = field(default=40, metadata={">=": 1})
+    probe_epochs: int = field(default=100, metadata={">=": 1})
+    early_stop_patience: int = field(default=10, metadata={">=": 1})
+    save_every: int = field(default=1, metadata={">=": 1})
+    seed: int = field(default=0, metadata={">=": 0})
     no_neg_augment: bool = False
     reverse_neg: bool = False
     use_nvp: bool = False
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("pretrain_lr", "probe_lr", "supervised_lr"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
-        for name in ("pretrain_batch", "probe_batch", "pretrain_epochs", "probe_epochs",
-                     "k_ntp", "early_stop_patience", "save_every"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _build(cls, values: Mapping, prefix: str = ""):
@@ -205,10 +198,12 @@ def compute_metrics(pred, truth, class_count: int) -> Metrics:
     """Exact-match accuracy and unweighted mean F1 over classes.
 
     ``confusion[i, j]`` counts samples of true class i predicted as j; a class
-    with zero precision+recall contributes an F1 of 0.
+    with zero precision+recall contributes an F1 of 0. Predictions and labels
+    must be integers in [0, ``class_count``): text or a value such as 0.9
+    raises ``ConfigError`` naming it, rather than being truncated.
     """
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
+    pred = class_indices(pred, "predictions", ConfigError)
+    truth = class_indices(truth, "labels", ConfigError)
     if pred.shape != truth.shape:
         raise ConfigError(f"predictions of shape {pred.shape} for labels of shape {truth.shape}")
     if pred.size == 0:

@@ -58,10 +58,14 @@ def adam_step(
     temporaries (the gradient term, reused for the denominator, and the
     update) instead of a fresh array per operation. A missing gradient counts
     as zero. Every gradient is checked before any array changes: a gradient
-    of the wrong shape raises ``ShapeError`` and a NaN or infinite one raises
-    ``FloatingPointError`` naming the parameter, and either leaves the
-    parameters and the state as they were.
+    whose name matches no parameter or whose shape is wrong raises
+    ``ShapeError`` and a NaN or infinite one raises ``FloatingPointError``,
+    each naming the gradient, and each leaves the parameters and the state as
+    they were.
     """
+    if not grads.keys() <= params.keys():
+        name = next(name for name in grads if name not in params)
+        raise ShapeError(f"gradient for '{name}' matches no parameter")
     checked: dict[str, np.ndarray] = {}
     for name, p in params.items():
         g = grads.get(name)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -68,20 +68,21 @@ CS_PROJECTION_DIM = 128
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Mixing weights of the combined objective and the CS temperature."""
+    """Mixing weights of the combined objective and the CS temperature.
 
-    alpha1: float = 2.0
-    alpha2: float = 1.0
-    tau: float = 0.2
+    The weights are >= 0 and ``tau`` is > 0, bounds declared on the fields
+    and enforced by :func:`chants.errors.check_fields`; ``__post_init__``
+    refuses both weights at 0.
+    """
+
+    alpha1: float = field(default=2.0, metadata={">=": 0})
+    alpha2: float = field(default=1.0, metadata={">=": 0})
+    tau: float = field(default=0.2, metadata={">": 0})
 
     def __post_init__(self):
         check_fields(self)
-        if self.alpha1 < 0 or self.alpha2 < 0:
-            raise ConfigError(f"loss weights must be nonnegative, got {self.alpha1}, {self.alpha2}")
         if self.alpha1 == 0 and self.alpha2 == 0:
             raise ConfigError("at least one loss weight must be positive")
-        if self.tau <= 0:
-            raise ConfigError(f"temperature must be > 0, got {self.tau}")
 
 
 def _as_batch(xs) -> np.ndarray:

@@ -800,6 +800,37 @@ def test_a_csv_file_without_a_channel_count_exits_2_before_any_data_is_read(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--csv-channels", "-2"], "--csv-channels"),
+        (["--csv-layout", "wide"], "--csv-layout"),
+        (["--csv-layout", "blocked", "--csv-labeled"], "--csv-layout, --csv-labeled"),
+    ],
+    ids=["channels", "default-layout", "layout-and-labeled"],
+)
+@pytest.mark.parametrize("command", ["pretrain", "probe", "fewshot", "augment-preview"])
+def test_a_csv_flag_on_a_run_without_a_csv_file_exits_2_before_any_data_is_read(
+    pretrained, tmp_path, capsys, monkeypatch, command, flags, named
+):
+    data, run = pretrained
+    out = tmp_path / "out"
+    checkpoint = str(run / "checkpoint.ckpt")
+    argv = {
+        "pretrain": ["pretrain", str(write_config(tmp_path / "tiny.cfg")), str(data), str(out)],
+        "probe": ["probe", checkpoint, str(data), str(out), "--test", str(data)],
+        "fewshot": ["fewshot", checkpoint, str(data), str(out), "--test", str(data), "--fractions", "0.5"],
+        "augment-preview": ["augment-preview", str(data), "sync", "0", str(out / "preview.csv")],
+    }[command]
+    loaded = []
+    monkeypatch.setattr(chants.cli, "load_dataset", lambda path, **_: loaded.append(path))
+    assert main([*argv, *flags]) == 2
+    files = f"{data}, {data}" if command in ("probe", "fewshot") else f"{data}"
+    assert capsys.readouterr().err.splitlines() == [f"error: {named} given, but no data file is CSV: {files}"]
+    assert loaded == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["probe", "fewshot"])
 def test_a_test_split_of_another_shape_exits_4_naming_it_before_normalization(
     pretrained, tmp_path, capsys, monkeypatch, command

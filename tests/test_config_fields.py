@@ -1,6 +1,6 @@
-"""Every field of every config dataclass refuses a value of the wrong type at
-construction, however the config is built: in Python, from plain values or
-from a checkpoint's config block."""
+"""Every field of every config dataclass refuses a value of the wrong type,
+or past the bound it declares, at construction, however the config is
+built: in Python, from plain values or from a checkpoint's config block."""
 
 import dataclasses
 import re
@@ -35,9 +35,12 @@ WRONG = {
     AugmentConfig: [dataclasses.asdict(AugmentConfig())],
 }
 FIELDS = [(cls, field) for cls in VALID for field in dataclasses.fields(cls)]
+FIELD_IDS = [f"{cls.__name__}.{field.name}" for cls, field in FIELDS]
+# one head, so that width may sit at its bound of 1 and stay divisible by heads
+AT_BOUNDS = {**VALID, EncoderConfig: dataclasses.replace(ENCODER, heads=1)}
 
 
-@pytest.mark.parametrize("cls, field", FIELDS, ids=[f"{cls.__name__}.{field.name}" for cls, field in FIELDS])
+@pytest.mark.parametrize("cls, field", FIELDS, ids=FIELD_IDS)
 def test_each_config_field_refuses_a_wrong_typed_value(cls, field):
     for value in WRONG[typing.get_type_hints(cls)[field.name]]:
         with pytest.raises(ConfigError, match=re.escape(f"config field '{field.name}' must be")):
@@ -45,6 +48,23 @@ def test_each_config_field_refuses_a_wrong_typed_value(cls, field):
         # nor can it be set after the check
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(VALID[cls], field.name, value)
+
+
+@pytest.mark.parametrize("cls, field", FIELDS, ids=FIELD_IDS)
+def test_each_numeric_config_field_declares_its_bound_and_refuses_one_step_past_it(cls, field):
+    kind = typing.get_type_hints(cls)[field.name]
+    bounds = {op: field.metadata[op] for op in (">=", ">") if op in field.metadata}
+    if kind not in (int, float) or field.name == "dropout":  # dropout's range is two-sided
+        assert bounds == {}
+        return
+    assert len(bounds) == 1, f"{field.name} declares no bound"
+    ((op, bound),) = bounds.items()
+    if op == ">=":
+        assert getattr(dataclasses.replace(AT_BOUNDS[cls], **{field.name: kind(bound)}), field.name) == bound
+    past = kind(bound) - 1 if op == ">=" else kind(bound)
+    message = f"{field.name} must be {op} {bound}, got {past!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(AT_BOUNDS[cls], **{field.name: past})
 
 
 @pytest.mark.parametrize("change", [{"heads": 2.0}, {"depth": True}])

@@ -97,19 +97,35 @@ class TestParseTs:
             MtsDataset(ds.series, ds.labels, 2, "n", label_names=names)
 
     @pytest.mark.parametrize(
-        "series, labels, message",
+        "series, labels, count, message",
         [
-            (np.zeros((2, 3)), None, "series must be (M, C, T), got shape (2, 3)"),
-            (np.zeros((2, 1, 3)), [0, 1, 0], "labels of shape (3,) for 2 series"),
-            (np.zeros((2, 1, 3)), 0, "labels of shape () for 2 series"),
-            (np.zeros((2, 1, 3)), [0, 2], "labels must lie in [0, 2)"),
-            (np.zeros((2, 1, 3)), [-1, 0], "labels must lie in [0, 2)"),
+            (np.zeros((2, 3)), None, 0, "series must be (M, C, T), got shape (2, 3)"),
+            (np.zeros((2, 1, 3)), [0, 1, 0], 2, "labels of shape (3,) for 2 series"),
+            (np.zeros((2, 1, 3)), 0, 2, "labels of shape () for 2 series"),
+            (np.zeros((2, 1, 3)), [0, 2], 2, "labels must lie in [0, 2)"),
+            (np.zeros((2, 1, 3)), [-1, 0], 2, "labels must lie in [0, 2)"),
+            (np.zeros((2, 1, 3)), [0.5, 1.7], 2, "labels must be integers, got 0.5"),
+            (np.zeros((2, 1, 3)), [1.0, np.nan], 2, "labels must be integers, got nan"),
+            (np.zeros((2, 1, 3)), ["a", "b"], 2, "labels must be integers, got 'a'"),
+            (np.zeros((2, 1, 3)), [0, 1], 2.5, "class_count must be an integer >= 0, got 2.5"),
+            (np.zeros((2, 1, 3)), [0, 1], True, "class_count must be an integer >= 0, got True"),
+            (np.zeros((0, 1, 3)), [], -1, "class_count must be an integer >= 0, got -1"),
         ],
-        ids=["two-dimensional", "label-count", "0-d-labels", "label-at-k", "negative-label"],
+        ids=[
+            "two-dimensional", "label-count", "0-d-labels", "label-at-k", "negative-label", "fractional-label",
+            "nan-label", "text-label", "fractional-count", "bool-count", "negative-count-no-rows",
+        ],
     )
-    def test_series_and_labels_it_cannot_hold_are_refused(self, series, labels, message):
+    def test_series_and_labels_it_cannot_hold_are_refused(self, series, labels, count, message):
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            MtsDataset(series, labels, 0 if labels is None else 2, "x")
+            MtsDataset(series, labels, count, "x")
+
+    @pytest.mark.parametrize(
+        "labels", [[0, 1], np.array([0, 1], dtype=np.int32), [0.0, 1.0]], ids=["list", "int32", "whole-floats"]
+    )
+    def test_integer_valued_labels_load_as_int64(self, labels):
+        ds = MtsDataset(np.zeros((2, 1, 3)), labels, np.int64(2), "x")
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1]
 
     def test_missing_data_section(self, tmp_path):
         path = tmp_path / "bad.ts"

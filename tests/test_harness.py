@@ -121,8 +121,10 @@ class TestComputeMetrics:
             ([], [], "compute_metrics needs at least one sample"),
             ([0, 2], [0, 1], "prediction outside [0, 2)"),
             ([0, 1], [-1, 1], "label outside [0, 2)"),
+            ([0.9, 1.2], [0, 1], "predictions must be integers, got 0.9"),
+            ([0, 1], ["0", "1"], "labels must be integers, got '0'"),
         ],
-        ids=["empty", "prediction-at-k", "negative-label"],
+        ids=["empty", "prediction-at-k", "negative-label", "fractional-prediction", "text-label"],
     )
     def test_no_sample_or_a_class_out_of_range_is_refused(self, pred, truth, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):

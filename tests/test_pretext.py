@@ -549,7 +549,11 @@ class TestCombinedLoss:
         with pytest.raises(ConfigError):
             LossWeights(alpha1=0.0, alpha2=0.0)
 
-    @pytest.mark.parametrize("alpha1, alpha2", [(-1.0, 1.0), (2.0, -0.5)])
-    def test_a_negative_weight_is_refused(self, alpha1, alpha2):
-        with pytest.raises(ConfigError, match=f"^loss weights must be nonnegative, got {alpha1}, {alpha2}$"):
+    @pytest.mark.parametrize(
+        "alpha1, alpha2, message",
+        [(-1.0, 1.0, "alpha1 must be >= 0, got -1.0"), (2.0, -0.5, "alpha2 must be >= 0, got -0.5")],
+        ids=["-1.0-1.0", "2.0--0.5"],
+    )
+    def test_a_negative_weight_is_refused(self, alpha1, alpha2, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             LossWeights(alpha1=alpha1, alpha2=alpha2)
