@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, class_indices
 
 __all__ = [
     "MtsDataset",
@@ -24,7 +24,6 @@ __all__ = [
     "apply_norm_stats",
     "batches",
     "check_fraction",
-    "class_indices",
     "load_dataset",
     "make_synthetic_fixture",
     "parse_csv",
@@ -35,20 +34,6 @@ __all__ = [
     "train_test_split",
     "znormalize",
 ]
-
-
-def class_indices(values, what: str, error: type[Exception]) -> np.ndarray:
-    """``values`` as an int64 array. A value that the cast would change (0.5,
-    NaN) raises ``error`` naming the first one, and so does a text or object
-    array, naming its first value."""
-    arr = np.asarray(values)
-    numeric = arr.dtype.kind in "biuf"
-    with np.errstate(invalid="ignore"):
-        ints = arr.astype(np.int64) if numeric else np.zeros(arr.shape, np.int64)
-    bad = np.flatnonzero(ints != arr) if numeric else np.arange(arr.size)
-    if len(bad):
-        raise error(f"{what} must be integers, got {arr.ravel().tolist()[bad[0]]!r}")
-    return ints
 
 
 @dataclass

@@ -20,6 +20,10 @@ then its declared bound, in field order, and the first failure is raised.
 
 Rules that tie two fields together, or that bound a field on both sides,
 stay in the dataclass's own ``__post_init__``, after this check.
+
+Class labels and predictions, wherever they come in, are read by
+:func:`class_indices`, which refuses a value that is not a whole number
+rather than truncating it.
 """
 
 import dataclasses
@@ -27,6 +31,8 @@ import functools
 import math
 import operator
 import typing
+
+import numpy as np
 
 
 class ChantsError(Exception):
@@ -85,3 +91,17 @@ def check_fields(config) -> None:
         for op, holds in _BOUNDS.items():
             if op in f.metadata and not holds(value, f.metadata[op]):
                 raise ConfigError(f"{name} must be {op} {f.metadata[op]}, got {value!r}")
+
+
+def class_indices(values, what: str, error: type[Exception]) -> np.ndarray:
+    """``values`` as an int64 array. A value that the cast would change (0.5,
+    NaN) raises ``error`` naming the first one, and so does a text or object
+    array, naming its first value."""
+    arr = np.asarray(values)
+    numeric = arr.dtype.kind in "biuf"
+    with np.errstate(invalid="ignore"):
+        ints = arr.astype(np.int64) if numeric else np.zeros(arr.shape, np.int64)
+    bad = np.flatnonzero(ints != arr) if numeric else np.arange(arr.size)
+    if len(bad):
+        raise error(f"{what} must be integers, got {arr.ravel().tolist()[bad[0]]!r}")
+    return ints

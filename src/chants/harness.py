@@ -59,9 +59,9 @@ import numpy as np
 from . import __version__
 from .augment import AugmentConfig
 from .checkpoint import load_encoder, save_encoder
-from .data import MtsDataset, NormStats, batches, class_indices, subsample_rows
+from .data import MtsDataset, NormStats, batches, subsample_rows
 from .encoder import CatParams, Encoder, EncoderConfig, _glorot, init_cat_params
-from .errors import CheckpointError, ConfigError, DataError, ShapeError, check_fields, field_types
+from .errors import CheckpointError, ConfigError, DataError, ShapeError, check_fields, class_indices, field_types
 from .optim import adam_step, init_adam_state
 from .pretext import (
     CsBatch,
@@ -200,8 +200,12 @@ def compute_metrics(pred, truth, class_count: int) -> Metrics:
     ``confusion[i, j]`` counts samples of true class i predicted as j; a class
     with zero precision+recall contributes an F1 of 0. Predictions and labels
     must be integers in [0, ``class_count``): text or a value such as 0.9
-    raises ``ConfigError`` naming it, rather than being truncated.
+    raises ``ConfigError`` naming it, rather than being truncated, and so
+    does a ``class_count`` that is not an integer >= 1 (a bool or a float
+    included).
     """
+    if isinstance(class_count, bool) or not isinstance(class_count, (int, np.integer)) or class_count < 1:
+        raise ConfigError(f"class_count must be an integer >= 1, got {class_count!r}")
     pred = class_indices(pred, "predictions", ConfigError)
     truth = class_indices(truth, "labels", ConfigError)
     if pred.shape != truth.shape:
@@ -604,8 +608,9 @@ def extract_features(encoder: Encoder, series: np.ndarray, chunk: int = MICRO_BA
     (0, flat_dim) array. The encoder never mixes series, so every block
     size gives bitwise the same rows. ``chunk`` can only shrink the block
     below ``MICRO_BATCH``, and so the chunk-sized attention and layer-norm
-    arrays with it (the FFN runs one series at a time whatever the block);
-    a larger ``chunk`` changes nothing. A ``chunk`` that is not
+    arrays with it (the FFN runs in blocks of whole series of at most 2**15
+    hidden values, one series when a series holds more, whatever the
+    chunk); a larger ``chunk`` changes nothing. A ``chunk`` that is not
     an integer >= 1 raises ``ConfigError``.
     """
     if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
@@ -644,9 +649,9 @@ def train_linear_head(
     and its sum times 1/m, so ``w`` and ``b`` are bitwise those of the mean
     cross entropy's node with Adam on each. A step records no tape node and
     makes one ``adam_step`` over the one array. Bad shapes raise
-    ``ShapeError``, an empty set of rows or a batch size under 1 raises
-    ``ConfigError``, and a label outside [0, ``class_count``) raises
-    ``IndexError``, all before any step.
+    ``ShapeError``, an empty set of rows, a batch size under 1 or a label
+    that is text or not a whole number raises ``ConfigError``, and a label
+    outside [0, ``class_count``) raises ``IndexError``, all before any step.
     """
     features = np.asarray(features)
     labels = np.asarray(labels)

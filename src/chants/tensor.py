@@ -18,14 +18,20 @@ entropy is summed over its rows, like every loss a micro-batch loop adds
 up. The linear-probe head calls its arithmetic, ``_cross_entropy_forward``
 and ``_cross_entropy_backward``, directly, scales it to the batch mean and
 records no tape at all.
-The FFN runs one series at a time, taped or not; with no graph to build
-(feature extraction, the first gradient-caching pass of contrastive
-similarity) it never holds more than one series' hidden layer. Dropout, in
-``dropout`` and inside ``ffn``, has one switch, its mask source ``rng``:
-None for inference, a generator, or a :class:`MicroBatchMasks`, whose
-iteration runs a batch as micro-batches that see the masks of one
-whole-batch pass. The rest of the package uses only ``matmul``, ``add``,
-``mul``, ``reshape``, ``transpose``, ``tensor_sum`` and ``dropout``.
+The FFN runs in blocks of whole series, taped or not: as many series as
+hold at most ``_PHI_BLOCK`` (2**15) hidden values, or one series when a
+single series holds more. With no graph to build (feature extraction, the
+first gradient-caching pass of contrastive similarity) it never holds more
+than one block's hidden layer. The GELU's Phi is ``_ndtr``, a numpy port of
+Cephes' ``ndtr`` (the code behind ``scipy.special.ndtr``), evaluated once
+per block so that its arrays stay in cache: bitwise scipy's for
+|z| < sqrt(2), within a few ulp beyond, so the package needs numpy alone.
+Dropout, in ``dropout`` and inside ``ffn``, has one switch, its mask
+source ``rng``: None for inference, a generator, or a
+:class:`MicroBatchMasks`, whose iteration runs a batch as micro-batches
+that see the masks of one whole-batch pass. The rest of the package uses
+only ``matmul``, ``add``, ``mul``, ``reshape``, ``transpose``,
+``tensor_sum`` and ``dropout``.
 ``div``, ``sqrt``, ``exp``, ``log``, ``softmax`` and ``gelu`` have no
 caller in the package: they stay because the benchmark's tracer patches
 them by name, and the tests compose the fused kernels' references from
@@ -41,9 +47,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, class_indices
 
 __all__ = [
     "AttnWeights",
@@ -75,6 +80,14 @@ __all__ = [
 _GRAD_ENABLED = True
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# hidden values per Phi call in the FFN: its input, output and two scratch
+# arrays (1 MB) stay in a core's cache
+_PHI_BLOCK = 2**15
+# the FFN's block work arrays, reused by every call whose block fits: z,
+# Phi's two scratch arrays and, with no graph, the hidden layer. No call
+# reads what an earlier one left; like ``no_grad``'s flag, it assumes one
+# thread runs the package
+_FFN_SCRATCH = np.empty((4, _PHI_BLOCK))
 _NORM_FLOOR = 1e-24
 _LAYER_NORM_EPS = 1e-12
 
@@ -364,6 +377,98 @@ def sqrt(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
+# Cephes ndtr.c (S. L. Moshier), the code behind scipy.special.ndtr: rational
+# approximations of erf and erfc in the manner of Cody (1969). polevl(x, c)
+# is ((c0*x + c1)*x + c2)...; p1evl(x, c) is ((x + c0)*x + c1)..., monic.
+# erf(x) = x*polevl(x*x, T)/p1evl(x*x, U) for |x| < 1; erfc(x) =
+# exp(-x*x)*polevl(x, P)/p1evl(x, Q) for 1 <= x < 8, with R and S from 8 on,
+# and 0 once -x*x < -MAXLOG.
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+# every |x| past sqrt(MAXLOG) = 26.64 gives erfc 0; clipping there keeps x*x
+# and the polynomials finite, so infinities raise no warning
+_ERFC_CLIP = 27.0
+
+
+def _polevl(x: np.ndarray, coefs, out: np.ndarray) -> np.ndarray:
+    np.multiply(x, coefs[0], out=out)
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _p1evl(x: np.ndarray, coefs, out: np.ndarray) -> np.ndarray:
+    np.add(x, coefs[0], out=out)
+    for c in coefs[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """Cephes' erfc of ``x`` >= 1, as a new array."""
+    x = np.minimum(x, _ERFC_CLIP)
+    y = np.multiply(x, x)
+    under = y > _MAXLOG
+    np.negative(y, out=y)
+    np.exp(y, out=y)
+    y[under] = 0.0
+    p, q = _polevl(x, _ERFC_P, np.empty_like(x)), _p1evl(x, _ERFC_Q, np.empty_like(x))
+    far = np.flatnonzero(x >= 8.0)
+    if far.size:
+        x_far = x[far]
+        p[far] = _polevl(x_far, _ERFC_R, np.empty_like(x_far))
+        q[far] = _p1evl(x_far, _ERFC_S, np.empty_like(x_far))
+    y *= p
+    y /= q
+    return y
+
+
+def _ndtr(a: np.ndarray, out: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Phi(a), the standard normal CDF, into ``out``; ``s1`` and ``s2`` are scratch of ``a``'s shape.
+
+    A numpy port of Cephes' ``ndtr``. With x = a * sqrt(1/2), every element
+    with |x| < 1 takes 0.5 + 0.5 * erf(x) in Cephes' order of operations,
+    so for |a| < sqrt(2) the result is bitwise ``scipy.special.ndtr``'s.
+    The others are gathered and take 0.5 * erfc(|x|), or 1 minus it for
+    x > 0; numpy's ``exp`` may round an ulp off the C library's, so there
+    the two agree to a few ulp. NaN gives NaN, and no input warns.
+    """
+    x = np.multiply(a, _SQRT1_2, out=s1)
+    np.abs(x, out=s2)
+    tail = np.flatnonzero(s2 >= 1.0)
+    x_tail = np.take(x, tail)
+    np.put(x, tail, 0.0)  # keeps x*x finite; the tail's central values are overwritten below
+    np.multiply(x, x, out=s2)
+    _polevl(s2, _ERF_T, out)
+    out *= x
+    out /= _p1evl(s2, _ERF_U, s1)
+    out *= 0.5
+    out += 0.5
+    if tail.size:
+        y = _erfc(np.abs(x_tail))
+        y *= 0.5
+        np.subtract(1.0, y, out=y, where=x_tail > 0.0)
+        np.put(out, tail, y)
+    return out
+
+
 def _gelu_slope(z: np.ndarray, cdf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """d/dz of z * Phi(z) = Phi(z) + z * phi(z), given ``cdf`` = Phi(z); into ``out`` if given."""
     slope = np.multiply(z, z, out=out)
@@ -378,7 +483,8 @@ def _gelu_slope(z: np.ndarray, cdf: np.ndarray, out: np.ndarray | None = None) -
 def gelu(a) -> Tensor:
     """Gaussian error linear unit, z * Phi(z) with the exact normal CDF."""
     a = constant(a)
-    cdf = ndtr(a.data)
+    cdf, s1, s2 = np.empty((3, *a.shape))
+    _ndtr(a.data, cdf, s1, s2)
     out_data = a.data * cdf
 
     def backward(g):
@@ -623,14 +729,20 @@ def ffn(x, w1, b1, w2, b2, *, rate: float = 0.0, rng=None) -> Tensor:
     """Two affine maps with a GELU between; dropout after the activation.
 
     One tape node; backward keeps the hidden activations, the GELU slope
-    and the boolean dropout mask. The forward runs one series (one (L, D)
-    matrix of ``x.reshape(-1, L, D)``) at a time into one preallocated
-    output. When taping, each series' hidden layer and slope go straight
-    into the buffers backward keeps; otherwise only one series' (L, 4D)
-    hidden layer is alive at a time. The dropout mask is drawn for the
-    whole shape first, so ``rng`` advances as in one whole pass. Dropout
-    is on exactly when ``rng`` (a generator or a :class:`MicroBatchMasks`)
-    is given and ``rate`` is above 0.
+    and the boolean dropout mask. The forward runs in blocks of whole
+    series (the (L, D) matrices of ``x.reshape(-1, L, D)``, in order), each
+    as many series as hold at most ``_PHI_BLOCK`` (2**15) hidden values, or
+    one series when a single series' (L, 4D) hidden layer holds more; each
+    block evaluates Phi with one cache-sized ``_ndtr`` call, bitwise
+    ``scipy.special.ndtr`` for |z| < sqrt(2) and within a few ulp beyond.
+    The output is preallocated, and a block's work arrays are one module
+    buffer that every call reuses (a single series too large for it gets
+    its own). When taping, each block's hidden layer and slope go straight
+    into the buffers backward keeps; otherwise only one block's hidden
+    layer is alive at a time. The dropout mask is drawn for the whole shape
+    first, so ``rng`` advances as in one whole pass.
+    Dropout is on exactly when ``rng`` (a generator or a
+    :class:`MicroBatchMasks`) is given and ``rate`` is above 0.
     """
     x, w1, b1, w2, b2 = parents = tuple(constant(t) for t in (x, w1, b1, w2, b2))
     if x.ndim < 2 or x.shape[-1] != w1.shape[0] or w1.shape[-1] != w2.shape[0]:
@@ -641,24 +753,31 @@ def ffn(x, w1, b1, w2, b2, *, rate: float = 0.0, rng=None) -> Tensor:
     keep = _keep_mask(hidden_shape, rate, rng)
     scale = 1.0 / (1.0 - rate) if keep is not None else 1.0
     n = math.prod(lead)
+    hidden_width = w1.shape[-1]
+    per_block = max(1, _PHI_BLOCK // max(1, length * hidden_width))
+    block = min(per_block, n)
+    size = block * length * hidden_width
+    work = _FFN_SCRATCH[:, :size] if size <= _PHI_BLOCK else np.empty((4, size))
+    z_block, s1, s2, block_hidden = work.reshape(4, block, length, hidden_width)
     series = x.data.reshape(n, length, width)
-    keeps = [None] * n if keep is None else keep.reshape(n, length, w1.shape[-1])
+    keeps = None if keep is None else keep.reshape(n, length, hidden_width)
     out_data = np.empty((n, length, w2.shape[-1]))
-    hidden = np.empty((n if taping else 1, length, w1.shape[-1]))
+    hidden = np.empty((n, length, hidden_width)) if taping else block_hidden
     slope = np.empty_like(hidden) if taping else None
-    for i, (x_i, keep_i, out_i) in enumerate(zip(series, keeps, out_data)):
-        z = np.matmul(x_i, w1.data)
+    for lo in range(0, n, per_block):
+        hi = min(lo + per_block, n)
+        z = np.matmul(series[lo:hi], w1.data, out=z_block[: hi - lo])
         z += b1.data
-        h = hidden[i if taping else 0]
-        ndtr(z, out=h)  # Phi(z), turned into z * Phi(z) in place once the slope is taken
+        h = hidden[lo:hi] if taping else hidden[: hi - lo]
+        _ndtr(z, h, s1[: hi - lo], s2[: hi - lo])  # Phi(z), turned into z * Phi(z) in place once the slope is taken
         if taping:
-            _gelu_slope(z, h, out=slope[i])
+            _gelu_slope(z, h, out=slope[lo:hi])
         h *= z
-        if keep_i is not None:
-            h *= keep_i
+        if keeps is not None:
+            h *= keeps[lo:hi]
             h *= scale
-        np.matmul(h, w2.data, out=out_i)
-        out_i += b2.data
+        np.matmul(h, w2.data, out=out_data[lo:hi])
+        out_data[lo:hi] += b2.data
     out_data = out_data.reshape(*lead, length, w2.shape[-1])
     if not taping:
         return Tensor(out_data)
@@ -685,8 +804,12 @@ def ffn(x, w1, b1, w2, b2, *, rate: float = 0.0, rng=None) -> Tensor:
 
 
 def _onehot(labels, k: int) -> np.ndarray:
-    """The (n, k) boolean one-hot rows of ``labels``; a label outside [0, k) raises ``IndexError``."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """The (n, k) boolean one-hot rows of ``labels``.
+
+    A label that is text or not a whole number raises ``ConfigError`` naming
+    the first one; a label outside [0, k) raises ``IndexError``.
+    """
+    labels = class_indices(labels, "labels", ConfigError)
     onehot = np.equal.outer(labels, np.arange(k))  # a row without its True has a bad label
     if np.count_nonzero(onehot) != len(labels):
         bad = labels[~onehot.any(axis=1)][0]
@@ -727,12 +850,13 @@ def cross_entropy(x, w, b, labels) -> Tensor:
     The logits are ``x @ w + b`` for (n, d) rows ``x``, a (d, k) matrix ``w``
     and a (k,) bias ``b``; the loss is the sum over the n rows of the
     negative log softmax probability of the row's label, one of n integers
-    in [0, k), so the losses of a batch's micro-batches add up to the
-    batch's. One tape node; backward keeps the softmax numerators and their
-    sums, and gives ``x``, ``w`` and ``b`` their gradients in closed form:
-    at an upstream gradient of 1/n they are bitwise those of the composed
-    matmul, add and mean cross entropy at 1, as x * (-1/n) and (-x) * (1/n)
-    round alike. The arithmetic lives in ``_cross_entropy_forward`` and
+    in [0, k) (a label that is text or not a whole number raises
+    ``ConfigError``, one outside the range ``IndexError``), so the losses
+    of a batch's micro-batches add up to the batch's. One tape node;
+    backward keeps the softmax numerators and their sums, and gives ``x``,
+    ``w`` and ``b`` their gradients in closed form: at an upstream gradient
+    of 1/n they are bitwise those of the composed matmul, add and mean cross
+    entropy at 1, as x * (-1/n) and (-x) * (1/n) round alike. The arithmetic lives in ``_cross_entropy_forward`` and
     ``_cross_entropy_backward``, which the linear-probe head also calls
     without a tape.
     """

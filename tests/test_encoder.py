@@ -312,37 +312,59 @@ def _check_every_parameter_gradient(config, seed):
 
 
 @pytest.fixture
-def phi_shapes(monkeypatch):
-    """Shape of every array the FFN's Phi is evaluated on, in call order."""
-    shapes = []
-    phi = tensor_module.ndtr
+def phi_calls(monkeypatch):
+    """A copy of every array the FFN's Phi kernel is evaluated on, in call order."""
+    calls = []
+    phi = tensor_module._ndtr
 
-    def recording(z, **kwargs):
-        shapes.append(z.shape)
-        return phi(z, **kwargs)
+    def recording(a, *buffers):
+        calls.append(a.copy())
+        return phi(a, *buffers)
 
-    monkeypatch.setattr(tensor_module, "ndtr", recording)
-    return shapes
+    monkeypatch.setattr(tensor_module, "_ndtr", recording)
+    return calls
 
 
 class TestGraphFreeFfn:
-    def test_encode_without_a_graph_holds_one_series_hidden_layer_at_a_time(self, phi_shapes):
+    # the time tower's series are (7, 32) hidden values and the channel
+    # tower's (3, 32): all 4 series of a tower fit in one 2**15 block
+    def test_encode_without_a_graph_evaluates_phi_once_per_block_of_whole_series(self, phi_calls):
         config, params = make(channels=3, steps=7, depth=2)
         xs = np.random.default_rng(8).normal(size=(4, 3, 7))
         with no_grad():
             Encoder(params, config).encode_batch(xs)
-        # two towers per layer, one Phi call per series
-        assert len(phi_shapes) == 2 * config.depth * 4
-        assert all(len(shape) == 2 and shape[0] <= max(7, 3) for shape in phi_shapes)
+        per_layer = [(4, 7, 4 * config.width), (4, 3, 4 * config.width)]
+        assert [a.shape for a in phi_calls] == per_layer * config.depth
 
-    def test_a_taped_encode_evaluates_phi_once_per_series(self, phi_shapes):
+    def test_a_taped_encode_evaluates_phi_on_the_same_blocks(self, phi_calls):
         config, params = make(channels=3, steps=7, depth=2)
         xs = np.random.default_rng(8).normal(size=(4, 3, 7))
         rep = Encoder(params, config).encode_batch(xs)
         assert rep.requires_grad
-        # two towers per layer, one 2-D Phi call per series, as without a graph
-        per_layer = [(7, 4 * config.width)] * 4 + [(3, 4 * config.width)] * 4
-        assert phi_shapes == per_layer * config.depth
+        per_layer = [(4, 7, 4 * config.width), (4, 3, 4 * config.width)]
+        assert [a.shape for a in phi_calls] == per_layer * config.depth
+
+    @pytest.mark.parametrize("taping", [False, True])
+    @pytest.mark.parametrize(
+        "shape, hidden, blocks",
+        [
+            ((7, 40, 8), 256, [3, 3, 1]),  # 10,240 hidden values a series: 3 to a block
+            ((2, 3, 16, 8), 2048, [1] * 6),  # exactly 2**15: one series a block
+            ((3, 130, 4), 256, [1, 1, 1]),  # 33,280: more than a block, one series a call
+            ((5, 4), 64, [1]),  # a matrix is one series
+        ],
+    )
+    def test_ffn_blocks_hold_whole_series_in_order(self, phi_calls, shape, hidden, blocks, taping):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=shape), requires_grad=taping)
+        w1, b1 = rng.normal(size=(shape[-1], hidden)), rng.normal(size=hidden)
+        tensor_module.ffn(x, w1, b1, rng.normal(size=(hidden, 3)), rng.normal(size=3))
+        length = shape[-2]
+        assert [a.shape for a in phi_calls] == [(b, length, hidden) for b in blocks]
+        assert all(a.size <= 2**15 or len(a) == 1 for a in phi_calls)
+        series = x.data.reshape(-1, length, shape[-1])
+        want = np.stack([s @ w1 + b1 for s in series])
+        assert np.concatenate(phi_calls).tobytes() == want.tobytes()
 
 
 class TestEndToEndGradient:

@@ -116,19 +116,26 @@ class TestComputeMetrics:
             compute_metrics(pred, truth, 2)
 
     @pytest.mark.parametrize(
-        "pred, truth, message",
+        "pred, truth, count, message",
         [
-            ([], [], "compute_metrics needs at least one sample"),
-            ([0, 2], [0, 1], "prediction outside [0, 2)"),
-            ([0, 1], [-1, 1], "label outside [0, 2)"),
-            ([0.9, 1.2], [0, 1], "predictions must be integers, got 0.9"),
-            ([0, 1], ["0", "1"], "labels must be integers, got '0'"),
+            ([], [], 2, "compute_metrics needs at least one sample"),
+            ([0, 2], [0, 1], 2, "prediction outside [0, 2)"),
+            ([0, 1], [-1, 1], 2, "label outside [0, 2)"),
+            ([0.9, 1.2], [0, 1], 2, "predictions must be integers, got 0.9"),
+            ([0, 1], ["0", "1"], 2, "labels must be integers, got '0'"),
+            ([0, 1], [0, 1], 2.5, "class_count must be an integer >= 1, got 2.5"),
+            ([0, 1], [0, 1], 2.0, "class_count must be an integer >= 1, got 2.0"),
+            ([0, 0], [0, 0], True, "class_count must be an integer >= 1, got True"),
+            ([0, 0], [0, 0], 0, "class_count must be an integer >= 1, got 0"),
         ],
-        ids=["empty", "prediction-at-k", "negative-label", "fractional-prediction", "text-label"],
+        ids=[
+            "empty", "prediction-at-k", "negative-label", "fractional-prediction", "text-label",
+            "fractional-count", "float-count", "bool-count", "zero-count",
+        ],
     )
-    def test_no_sample_or_a_class_out_of_range_is_refused(self, pred, truth, message):
+    def test_no_sample_or_a_class_out_of_range_is_refused(self, pred, truth, count, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            compute_metrics(pred, truth, 2)
+            compute_metrics(pred, truth, count)
 
 
 class TestLinearHead:
@@ -970,6 +977,8 @@ HEAD = dict(lr=0.01, batch_size=4, epochs=2, patience=2, seed=0)
         (lambda: train_linear_head(np.zeros(4), np.zeros(4, dtype=int), 2, **HEAD), ShapeError),
         (lambda: train_linear_head(np.zeros((4, 3)), np.array([0, 1, 2, 0]), 2, **HEAD), IndexError),
         (lambda: train_linear_head(np.zeros((4, 3)), np.array([0, 1, -1, 0]), 2, **HEAD), IndexError),
+        (lambda: train_linear_head(np.ones((4, 3)), np.array([0.5, 1.7, 0.2, 1.0]), 2, **HEAD), ConfigError),
+        (lambda: train_linear_head(np.ones((4, 3)), np.array(["0", "1", "1", "0"]), 2, **HEAD), ConfigError),
         (lambda: cross_entropy(np.zeros((0, 3)), np.zeros((3, 2)), np.zeros(2), []), ShapeError),
         (
             lambda: fit(
@@ -988,7 +997,7 @@ HEAD = dict(lr=0.01, batch_size=4, epochs=2, patience=2, seed=0)
     ],
     ids=[
         "no-rows", "label-count", "batch-size-0", "1-d-features", "label-at-k", "negative-label",
-        "cross-entropy-no-rows", "fit-empty-epoch", "fit-non-finite-loss",
+        "fractional-label", "text-label", "cross-entropy-no-rows", "fit-empty-epoch", "fit-non-finite-loss",
     ],
 )
 def test_bad_head_training_input_fails_loudly_before_any_step(call, error, monkeypatch):
