@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, check_fields, check_integer
 
 __all__ = [
     "AugmentConfig",
@@ -48,7 +48,11 @@ class AugmentConfig:
 
 
 def draw_intervals(steps: int, cfg: AugmentConfig, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """k random [start, stop) intervals on the time axis; they may overlap."""
+    """k random [start, stop) intervals on the time axis; they may overlap.
+
+    ``steps`` must be an integer >= 1, or ``ConfigError`` is raised.
+    """
+    check_integer(steps, "steps", 1)
     lo, hi = cfg.interval_count_range
     k = int(rng.integers(lo, hi + 1))
     max_len = max(1, steps // 4)

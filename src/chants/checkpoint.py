@@ -17,7 +17,7 @@ from typing import Mapping
 import numpy as np
 
 from .encoder import CatParams, EncoderConfig, init_cat_params
-from .errors import CheckpointError
+from .errors import CheckpointError, check_integer
 
 __all__ = [
     "load_checkpoint",
@@ -93,7 +93,13 @@ def save_encoder(
     extra: Mapping[str, np.ndarray] | None = None,
     meta: dict | None = None,
 ) -> None:
-    """Checkpoint an encoder: config + seed + step plus every parameter array."""
+    """Checkpoint an encoder: config + seed + step plus every parameter array.
+
+    ``seed`` and ``step`` must be integers >= 0, or ``ConfigError`` is
+    raised before anything is written; a numpy integer is stored as an int.
+    """
+    check_integer(seed, "seed", 0)
+    check_integer(step, "step", 0)
     arrays = {f"params.{k}": t.data for k, t in params.named().items()}
     if extra:
         arrays.update({f"extra.{k}": np.asarray(v, dtype=np.float64) for k, v in extra.items()})

@@ -79,7 +79,7 @@ from .data import (
     znormalize,
 )
 from .encoder import EncoderConfig
-from .errors import CheckpointError, ChantsError, ConfigError, DataError, ShapeError
+from .errors import CheckpointError, ChantsError, ConfigError, DataError, ShapeError, check_integer
 from .harness import (
     fewshot_sweep,
     linear_probe,
@@ -250,8 +250,7 @@ def cmd_probe(args) -> int:
 def cmd_fewshot(args) -> int:
     for fraction in args.fractions:
         check_fraction(fraction)
-    if args.repeats < 1:
-        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
+    check_integer(args.repeats, "--repeats", 1)
     out_dir = _out_dir(args.out_dir, "fewshot.csv")
     params, cfg, train, test = _probe_setup(args)
     rows = fewshot_sweep(train, test, params, cfg, args.fractions, repeats=args.repeats)
@@ -273,8 +272,7 @@ _STRATEGIES = {"interval": interval_adjust, "sync": sync_permute, "async": async
 
 
 def cmd_augment_preview(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    check_integer(args.seed, "seed", 0)
     out_csv = Path(args.out_csv)
     out_dir = _out_dir(out_csv.parent, out_csv.name)
     _check_csv_flags(args, args.data)

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DataError, class_indices
+from .errors import ConfigError, DataError, check_integer, class_indices
 
 __all__ = [
     "MtsDataset",
@@ -56,9 +56,7 @@ class MtsDataset:
         self.series = np.asarray(self.series, dtype=np.float64)
         if self.series.ndim != 3:
             raise DataError(f"series must be (M, C, T), got shape {self.series.shape}")
-        integral = isinstance(self.class_count, (int, np.integer)) and not isinstance(self.class_count, bool)
-        if not integral or (self.labels is not None and self.class_count < 0):
-            raise DataError(f"class_count must be an integer >= 0, got {self.class_count!r}")
+        check_integer(self.class_count, "class_count", 0, DataError)
         if self.labels is not None:
             self.labels = class_indices(self.labels, "labels", DataError)
             if self.labels.shape != (self.series.shape[0],):
@@ -250,14 +248,13 @@ def parse_csv(path, channels: int, *, layout: str = "wide", labeled: bool = Fals
     values per sample; when labeled, every row of a block carries the same
     trailing label. A UTF-8 byte-order mark and blank lines are skipped,
     every row holds as many cells as the first, and a sample that holds no
-    values (its rows hold only a label) raises ``DataError``. Errors carry
-    the 1-based line of the file, blank lines counted, as in
-    :func:`parse_ts`.
+    values (its rows hold only a label) raises ``DataError``, and so does
+    a ``channels`` that is not an integer >= 1. Errors carry the 1-based
+    line of the file, blank lines counted, as in :func:`parse_ts`.
     """
     if layout not in ("wide", "blocked"):
         raise DataError(f"unknown CSV layout {layout!r} (expected 'wide' or 'blocked')")
-    if channels < 1:
-        raise DataError(f"channels must be >= 1, got {channels}")
+    check_integer(channels, "channels", 1, DataError)
     path = Path(path)
     rows: list[tuple[int, list[str]]] = []
     with open(path, "r", encoding="utf-8-sig") as fh:
@@ -386,10 +383,11 @@ def subsample_rows(ds: MtsDataset, fraction: float, seed: int) -> np.ndarray:
     max(1, floor(fraction * count)) rows per class, drawn without
     replacement; at fraction 1 every class takes all its rows, so the
     result is ``arange(ds.size)``. A ``fraction`` outside (0, 1] raises
-    ``ConfigError`` (:func:`check_fraction`), an unlabeled ``ds``
-    ``DataError``.
+    ``ConfigError`` (:func:`check_fraction`), and so does a ``seed`` that is
+    not an integer >= 0; an unlabeled ``ds`` raises ``DataError``.
     """
     check_fraction(fraction)
+    check_integer(seed, "seed", 0)
     if ds.labels is None:
         raise DataError("subsample needs a labeled dataset")
     rng = np.random.default_rng([seed, 0x5B5A])
@@ -414,10 +412,13 @@ def train_test_split(ds: MtsDataset, test_fraction: float, seed: int) -> tuple[M
 
     One ``default_rng([seed, 0x7E57])`` stream permutes each group (each
     class in turn, or all rows when unlabeled), whose first
-    max(1, round(test_fraction * size)) rows go to the test split.
+    max(1, round(test_fraction * size)) rows go to the test split. A
+    ``test_fraction`` outside (0, 1), or a ``seed`` that is not an integer
+    >= 0, raises ``DataError``.
     """
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    check_integer(seed, "seed", 0, DataError)
     rng = np.random.default_rng([seed, 0x7E57])
     if ds.labels is None:
         groups = [np.arange(ds.size)]
@@ -442,10 +443,13 @@ def batches(ds: MtsDataset, batch_size: int, seed: int, epoch: int = 0) -> Itera
     Epoch e shuffles with ``default_rng([seed, 0, e])``, a stream that no
     other draw shares (``pretrain`` seeds four with ``[seed, 1]`` to
     ``[seed, 4]``); seed sequences pad short entropy with zeros, so epoch
-    0's order is the one ``[seed, 0]`` gives.
+    0's order is the one ``[seed, 0]`` gives. A ``batch_size`` that is not
+    an integer >= 1, or a ``seed`` or ``epoch`` that is not an integer >= 0,
+    raises ``DataError`` when the first batch is drawn.
     """
-    if batch_size < 1:
-        raise DataError(f"batch size must be >= 1, got {batch_size}")
+    check_integer(batch_size, "batch_size", 1, DataError)
+    check_integer(seed, "seed", 0, DataError)
+    check_integer(epoch, "epoch", 0, DataError)
     order = np.random.default_rng([seed, 0, epoch]).permutation(ds.size)
     for start in range(0, ds.size, batch_size):
         yield order[start : start + batch_size]
@@ -479,11 +483,12 @@ def make_synthetic_fixture(m: int = 400, channels: int = 4, steps: int = 32, see
     spectra separate them, and only the sign of the lagged cross-correlation
     between neighbouring channels does.
 
-    Raises ``DataError`` when ``channels < 2``, which leaves the two classes
-    identically distributed.
+    Raises ``DataError`` unless ``channels`` is an integer >= 2 (one channel
+    leaves the two classes identically distributed), ``steps`` one >= 1 and
+    ``m`` and ``seed`` ones >= 0.
     """
-    if channels < 2:
-        raise DataError(f"the fixture needs channels >= 2 to carry a class signal, got {channels}")
+    for name, value, least in (("m", m, 0), ("channels", channels, 2), ("steps", steps, 1), ("seed", seed, 0)):
+        check_integer(value, name, least, DataError)
     rng = np.random.default_rng([seed, 0xF1C5])
     margin = _LAG * (channels - 1)
     length = steps + 2 * margin

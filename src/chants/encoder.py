@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, check_fields
+from .errors import ConfigError, ShapeError, check_fields, check_integer
 from .tensor import (
     AttnWeights,
     Tensor,
@@ -165,7 +165,12 @@ def representation_rows(config: EncoderConfig) -> int:
 
 
 def sinusoid_table(steps: int, width: int) -> np.ndarray:
-    """Fixed positional table: even columns sin, odd columns cos."""
+    """Fixed positional table: even columns sin, odd columns cos.
+
+    ``steps`` and ``width`` must be integers >= 1, or ``ConfigError`` is raised.
+    """
+    check_integer(steps, "steps", 1)
+    check_integer(width, "width", 1)
     pos = np.arange(steps, dtype=np.float64)[:, None]
     pair = np.arange(0, width, 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, pair / width)

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one check of what a
-config field may hold.
+"""Exception types shared across the package, the one check of what a
+config field may hold and the one check of what an integer argument may
+hold.
 
 Every config dataclass (``EncoderConfig``, ``LossWeights``, ``AugmentConfig``
 and ``TrainConfig``) calls :func:`check_fields` from ``__post_init__``, so a
@@ -20,6 +21,15 @@ then its declared bound, in field order, and the first failure is raised.
 
 Rules that tie two fields together, or that bound a field on both sides,
 stay in the dataclass's own ``__post_init__``, after this check.
+
+A function's integer argument (a count, a batch size, a seed) is checked
+where it enters by :func:`check_integer`, which refuses a value that is not
+an integer, or is below the argument's least value, with the function's
+own exception class, as ``batch_size must be an integer >= 1, got 2.5``.
+There a numpy integer counts, since an argument is only used, never
+stored; a bool does not, nor does an integer-valued float. The config rule
+is the stricter one because a config is written to a run's manifest and
+checkpoint as JSON, whose writer cannot store a numpy integer.
 
 Class labels and predictions, wherever they come in, are read by
 :func:`class_indices`, which refuses a value that is not a whole number
@@ -91,6 +101,13 @@ def check_fields(config) -> None:
         for op, holds in _BOUNDS.items():
             if op in f.metadata and not holds(value, f.metadata[op]):
                 raise ConfigError(f"{name} must be {op} {f.metadata[op]}, got {value!r}")
+
+
+def check_integer(value, name: str, least: int, error: type[Exception] = ConfigError) -> None:
+    """Raise ``error`` unless ``value`` is an integer >= ``least``: a Python
+    or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def class_indices(values, what: str, error: type[Exception]) -> np.ndarray:

@@ -61,7 +61,9 @@ from .augment import AugmentConfig
 from .checkpoint import load_encoder, save_encoder
 from .data import MtsDataset, NormStats, batches, subsample_rows
 from .encoder import CatParams, Encoder, EncoderConfig, _glorot, init_cat_params
-from .errors import CheckpointError, ConfigError, DataError, ShapeError, check_fields, class_indices, field_types
+from .errors import (
+    CheckpointError, ConfigError, DataError, ShapeError, check_fields, check_integer, class_indices, field_types,
+)
 from .optim import adam_step, init_adam_state
 from .pretext import (
     CsBatch,
@@ -113,6 +115,9 @@ class TrainConfig:
     A pretext task is switched off by setting its weight in ``weights`` to 0.
     Each number declares its bound on its field (learning rates > 0, counts
     >= 1, ``seed`` >= 0), which :func:`chants.errors.check_fields` enforces.
+    ``reverse_neg`` (the negatives count as positives) with
+    ``no_neg_augment`` (no negatives are drawn) would train as
+    ``no_neg_augment`` alone, so the pair is refused.
     """
 
     encoder: EncoderConfig
@@ -135,6 +140,8 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if self.reverse_neg and self.no_neg_augment:
+            raise ConfigError("reverse_neg counts the negatives as positives, but no_neg_augment drops them")
 
 
 def _build(cls, values: Mapping, prefix: str = ""):
@@ -204,8 +211,7 @@ def compute_metrics(pred, truth, class_count: int) -> Metrics:
     does a ``class_count`` that is not an integer >= 1 (a bool or a float
     included).
     """
-    if isinstance(class_count, bool) or not isinstance(class_count, (int, np.integer)) or class_count < 1:
-        raise ConfigError(f"class_count must be an integer >= 1, got {class_count!r}")
+    check_integer(class_count, "class_count", 1)
     pred = class_indices(pred, "predictions", ConfigError)
     truth = class_indices(truth, "labels", ConfigError)
     if pred.shape != truth.shape:
@@ -613,8 +619,7 @@ def extract_features(encoder: Encoder, series: np.ndarray, chunk: int = MICRO_BA
     chunk); a larger ``chunk`` changes nothing. A ``chunk`` that is not
     an integer >= 1 raises ``ConfigError``.
     """
-    if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
-        raise ConfigError(f"chunk must be an integer >= 1, got {chunk!r}")
+    check_integer(chunk, "chunk", 1)
     block = min(int(chunk), MICRO_BATCH)
     features = np.empty((len(series), encoder.flat_dim))
     with no_grad():
@@ -649,9 +654,11 @@ def train_linear_head(
     and its sum times 1/m, so ``w`` and ``b`` are bitwise those of the mean
     cross entropy's node with Adam on each. A step records no tape node and
     makes one ``adam_step`` over the one array. Bad shapes raise
-    ``ShapeError``, an empty set of rows, a batch size under 1 or a label
-    that is text or not a whole number raises ``ConfigError``, and a label
-    outside [0, ``class_count``) raises ``IndexError``, all before any step.
+    ``ShapeError``; an empty set of rows, a label that is text or not a
+    whole number, or a ``class_count``, ``batch_size``, ``epochs`` or
+    ``patience`` that is not an integer >= 1 or a ``seed`` that is not an
+    integer >= 0 raises ``ConfigError``; and a label outside [0,
+    ``class_count``) raises ``IndexError``, all before any step.
     """
     features = np.asarray(features)
     labels = np.asarray(labels)
@@ -662,8 +669,9 @@ def train_linear_head(
         raise ShapeError(f"train_linear_head got {n} feature rows but labels of shape {labels.shape}")
     if n == 0:
         raise ConfigError("train_linear_head needs at least one feature row")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    for name, value in dict(class_count=class_count, batch_size=batch_size, epochs=epochs, patience=patience).items():
+        check_integer(value, name, 1)
+    check_integer(seed, "seed", 0)
     onehot = _onehot(labels, class_count)
     head = Tensor(np.zeros((dim + 1, class_count)))
     w, b = head.data[:-1], head.data[-1]
@@ -825,7 +833,8 @@ def fewshot_sweep(
     """Frozen-probe vs supervised-from-scratch at each label fraction.
 
     Each cell repeats over ``repeats`` seeds (cfg.seed + 0..repeats-1) and
-    reports mean and population std of accuracy and macro-F1. Each repeat
+    reports mean and population std of accuracy and macro-F1; ``repeats``
+    that is not an integer >= 1 raises ``ConfigError``. Each repeat
     trains on the rows of ``ds_train`` that :func:`subsample_rows` picks for
     its seed, the subsample :func:`subsample` gives. Every fraction's rows
     are picked first, so a fraction outside (0, 1] raises ``ConfigError``
@@ -837,8 +846,7 @@ def fewshot_sweep(
     fractions = list(fractions)
     if not fractions:
         raise ConfigError("fewshot_sweep needs at least one fraction")
-    if repeats < 1:
-        raise ConfigError(f"fewshot_sweep needs repeats >= 1, got {repeats}")
+    check_integer(repeats, "repeats", 1)
     picks = {(f, r): subsample_rows(ds_train, f, seed=cfg.seed + r) for f in fractions for r in range(repeats)}
     if ds_test.labels is None:
         raise DataError("fewshot_sweep needs a labeled test split")

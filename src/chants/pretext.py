@@ -31,7 +31,7 @@ import numpy as np
 
 from .augment import AugmentConfig, async_permute, interval_adjust, sync_permute
 from .encoder import Encoder, EncoderConfig, _glorot, representation_rows
-from .errors import ConfigError, ShapeError, check_fields
+from .errors import ConfigError, ShapeError, check_fields, check_integer
 from .tensor import (
     Tensor,
     add,
@@ -100,14 +100,15 @@ def _truncate(xs: np.ndarray, count: int, rng: np.random.Generator) -> tuple[np.
     draws with replacement (with a warning) when T - 1 < ``count``. Returns
     the copies cut at t, which keep steps 0..t-1 and zero steps t..T-1,
     grouped by sample (B * count, C, T), the points (B * count,) and the
-    values after each cut, x[:, t] (B * count, C).
+    values after each cut, x[:, t] (B * count, C). Fewer than 3 steps, or a
+    ``count`` that is not an integer >= 1 (named ``k_ntp`` in the message),
+    raises ``ConfigError``.
     """
     xs = _as_batch(xs)
     steps = xs.shape[-1]
     if steps < 3:
         raise ConfigError(f"truncated instances need at least 3 steps, got {steps}")
-    if count < 1:
-        raise ConfigError(f"need at least one truncation point per sample, got {count}")
+    check_integer(count, "k_ntp", 1)
     if count <= steps - 1:
         draws = [rng.choice(np.arange(1, steps), size=count, replace=False) for _ in xs]
     else:
@@ -129,7 +130,8 @@ def make_ntp_instances(
 
     Returns the truncated copies (B * k_ntp, C, T), grouped by sample, and
     per-channel labels (B * k_ntp, C): 1 if x[:, t] >= x[:, t-1] for the cut
-    at t (a tie counts as a rise), else 0. See :func:`_truncate` for the draw.
+    at t (a tie counts as a rise), else 0. See :func:`_truncate` for the
+    draw; a ``k_ntp`` that is not an integer >= 1 raises ``ConfigError``.
     """
     truncated, points, following = _truncate(xs, k_ntp, rng)
     before = truncated[np.arange(len(points)), :, points - 1]
@@ -279,7 +281,11 @@ def cs_loss(encoder: Encoder, batch: CsBatch, heads: PretextHeads, weights: Loss
 
 
 def nvp_truncation_count(steps: int) -> int:
-    """ceil(0.15 * (T - 1)) truncation points for the regression baseline."""
+    """ceil(0.15 * (T - 1)) truncation points for the regression baseline.
+
+    ``steps`` must be an integer >= 1, or ``ConfigError`` is raised.
+    """
+    check_integer(steps, "steps", 1)
     return math.ceil(0.15 * (steps - 1))
 
 

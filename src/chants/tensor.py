@@ -48,7 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, class_indices
+from .errors import ConfigError, ShapeError, check_integer, class_indices
 
 __all__ = [
     "AttnWeights",
@@ -545,15 +545,17 @@ class MicroBatchMasks:
 def _keep_mask(shape, rate: float, rng) -> np.ndarray | None:
     """Boolean keep mask of inverted dropout, or None when dropout is off.
 
-    Dropout is on exactly when ``rng`` is given and ``rate`` is above 0. A
-    ``np.random.Generator`` draws ``rng.random(shape)`` as float64, one
-    value per element; a :class:`MicroBatchMasks` serves the current
-    micro-batch's rows of the whole-batch mask.
+    A ``rate`` outside [0, 1), NaN included, raises ``ConfigError``
+    whether or not ``rng`` is given. Dropout is on exactly when ``rng`` is
+    given and ``rate`` is above 0. A ``np.random.Generator`` draws
+    ``rng.random(shape)`` as float64, one value per element; a
+    :class:`MicroBatchMasks` serves the current micro-batch's rows of the
+    whole-batch mask.
     """
-    if rng is None or rate <= 0.0:
-        return None
-    if not 0.0 < rate < 1.0:
+    if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must lie in [0, 1), got {rate}")
+    if rng is None or rate == 0.0:
+        return None
     if isinstance(rng, MicroBatchMasks):
         return rng.keep(shape, rate)
     return rng.random(shape) >= rate
@@ -562,7 +564,8 @@ def _keep_mask(shape, rate: float, rng) -> np.ndarray | None:
 def dropout(a, rate: float, rng) -> Tensor:
     """Inverted dropout; the identity when ``rng`` is None or ``rate`` is 0.
 
-    The mask source is the only switch. Every trainer passes a
+    A ``rate`` outside [0, 1) raises ``ConfigError``, with or without
+    ``rng``. The mask source is the only switch. Every trainer passes a
     :class:`MicroBatchMasks`, which serves each micro-batch its rows of the
     masks of one whole-batch pass; a generator draws one fresh mask per
     call; inference passes give None.
@@ -676,12 +679,14 @@ def multi_head_attention(q_in, kv_in, weights, heads: int) -> Tensor:
     Inputs are (..., L_q, D) queries against (..., L_k, D) keys/values. The
     whole block is one tape node; backward keeps the projected queries, keys
     and values, the attention probabilities and (for ``w_o``) the merged
-    context.
+    context. ``heads`` that is not an integer >= 1, or does not divide D,
+    raises ``ConfigError``.
     """
     q_in, kv_in = constant(q_in), constant(kv_in)
     if q_in.ndim < 2 or kv_in.ndim < 2:
         raise ShapeError(f"attention needs (..., L, D) inputs, got shapes {q_in.shape} and {kv_in.shape}")
     width = q_in.shape[-1]
+    check_integer(heads, "heads", 1)
     if width % heads != 0:
         raise ConfigError(f"model width {width} is not divisible by {heads} heads")
     if kv_in.shape[-1] != width:
@@ -742,7 +747,8 @@ def ffn(x, w1, b1, w2, b2, *, rate: float = 0.0, rng=None) -> Tensor:
     layer is alive at a time. The dropout mask is drawn for the whole shape
     first, so ``rng`` advances as in one whole pass.
     Dropout is on exactly when ``rng`` (a generator or a
-    :class:`MicroBatchMasks`) is given and ``rate`` is above 0.
+    :class:`MicroBatchMasks`) is given and ``rate`` is above 0; a ``rate``
+    outside [0, 1) raises ``ConfigError`` either way.
     """
     x, w1, b1, w2, b2 = parents = tuple(constant(t) for t in (x, w1, b1, w2, b2))
     if x.ndim < 2 or x.shape[-1] != w1.shape[0] or w1.shape[-1] != w2.shape[0]:
@@ -941,12 +947,12 @@ def flop_estimate(steps: int, channels: int, width: int, interactive: bool) -> i
     """Attention-score multiply-accumulates for one two-tower layer.
 
     Cross-attending towers score time-against-channel twice (2*T*C*D);
-    self-attending towers pay (T^2 + C^2)*D.
+    self-attending towers pay (T^2 + C^2)*D. Each of ``steps``,
+    ``channels`` and ``width`` must be an integer >= 1 (not a bool nor a
+    float), or ``ConfigError`` is raised.
     """
-    if steps <= 0 or channels <= 0 or width <= 0:
-        raise ConfigError(
-            f"flop_estimate needs positive dimensions, got T={steps}, C={channels}, D={width}"
-        )
+    for name, value in (("steps", steps), ("channels", channels), ("width", width)):
+        check_integer(value, name, 1)
     if interactive:
         return 2 * steps * channels * width
     return (steps * steps + channels * channels) * width

@@ -444,7 +444,9 @@ def test_a_negative_seed_exits_2_with_nothing_written(pretrained, tmp_path, caps
         "augment-preview": ["augment-preview", str(data), "sync", "-1", str(out)],
     }[command]
     assert main(argv) == 2
-    assert "seed must be >= 0" in capsys.readouterr().err
+    # a config field's bound, or the preview's integer argument
+    message = "seed must be an integer >= 0, got -1" if command == "augment-preview" else "seed must be >= 0"
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -475,6 +477,7 @@ def test_a_non_finite_config_float_exits_2_before_any_file_is_written(pretrained
         ("encoder.dropout = 1.0", "dropout must lie in [0, 1), got 1.0"),
         ("probe_lr = 0", "probe_lr must be > 0"),
         ("save_every = 0", "save_every must be >= 1"),
+        ("no_neg_augment = true\nreverse_neg = true", "but no_neg_augment drops them"),
     ],
 )
 def test_a_config_value_out_of_range_exits_2_with_nothing_written(pretrained, tmp_path, capsys, line, message):
@@ -978,6 +981,10 @@ ENTRY_FAULTS = {
     "mistyped-training-config": (
         lambda m, a: (with_train_config(m, k_ntp=2.5), a),
         "bad training config: config field 'k_ntp' must be int, got 2.5",
+    ),
+    "reverse-neg-without-negatives": (
+        lambda m, a: (with_train_config(m, no_neg_augment=True, reverse_neg=True), a),
+        "bad training config: reverse_neg counts the negatives as positives, but no_neg_augment drops them",
     ),
     # text is refused in the training config as in the encoder block, whatever it spells
     "text-int": (

@@ -85,9 +85,13 @@ class TestParseTs:
             ds = parse_ts(path)
             assert (ds.labels, ds.class_count, ds.label_names) == (None, 0, None)
 
-    @pytest.mark.parametrize("rows, count", [(2, 3), (0, -4)], ids=["three-classes", "negative-count"])
-    def test_an_unlabeled_dataset_with_classes_is_refused(self, rows, count):
-        with pytest.raises(DataError, match=f"^an unlabeled dataset has 0 classes, got {count}$"):
+    @pytest.mark.parametrize(
+        "rows, count, message",
+        [(2, 3, "an unlabeled dataset has 0 classes, got 3"), (0, -4, "class_count must be an integer >= 0, got -4")],
+        ids=["three-classes", "negative-count"],
+    )
+    def test_an_unlabeled_dataset_with_classes_is_refused(self, rows, count, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
             MtsDataset(np.zeros((rows, 1, 3)), None, count, "x")
 
     @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]], ids=["fewer", "more"])
@@ -225,7 +229,7 @@ TS_HEADER = "@dimensions 2\n@seriesLength 3\n@classLabel true a b\n@data\n"
             lambda path: parse_csv(path, 2, layout="tall"),
             "unknown CSV layout 'tall' (expected 'wide' or 'blocked')",
         ),
-        ("d.csv", "1,2\n", lambda path: parse_csv(path, 0), "channels must be >= 1, got 0"),
+        ("d.csv", "1,2\n", lambda path: parse_csv(path, 0), "channels must be an integer >= 1, got 0"),
     ],
     ids=[
         "ts-series-length", "ts-dimensions", "ts-class-label-line", "ts-no-label-names", "ts-repeated-label-name",
@@ -471,7 +475,7 @@ class TestTrainTestSplit:
 class TestBatches:
     @pytest.mark.parametrize("size", [0, -3])
     def test_a_batch_size_below_one_is_refused(self, size):
-        with pytest.raises(DataError, match=f"^batch size must be >= 1, got {size}$"):
+        with pytest.raises(DataError, match=f"^batch_size must be an integer >= 1, got {size}$"):
             next(batches(random_dataset(np.random.default_rng(13)), size, seed=0))
 
     def test_seven_samples_batch_four(self):

@@ -1058,6 +1058,8 @@ class TestTrainConfigFromDict:
             ({"aug": {"jitter_sigma": -float("inf")}}, "jitter_sigma must be finite"),
             ({"encoder": {"channels": 2, "steps": 8, "dropout": float("nan")}}, "dropout must be finite"),
             ({"seed": -1}, "seed must be >= 0"),
+            # the negatives reverse_neg counts as positives are the ones no_neg_augment drops
+            ({"no_neg_augment": True, "reverse_neg": True}, "^reverse_neg counts the negatives as positives"),
             # the switches and seed of configs written before the loss weights switched tasks off
             ({"no_ntp": False}, "^unknown config key 'no_ntp'$"),
             ({"no_cs": True}, "^unknown config key 'no_cs'$"),

@@ -128,7 +128,7 @@ class TestMakeNtpInstances:
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_fewer_than_one_truncation_point_is_refused(self, count):
-        with pytest.raises(ConfigError, match=f"^need at least one truncation point per sample, got {count}$"):
+        with pytest.raises(ConfigError, match=f"^k_ntp must be an integer >= 1, got {count}$"):
             make_ntp_instances(np.zeros((1, 1, 6)), count, np.random.default_rng(9))
 
 

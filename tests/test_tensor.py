@@ -482,6 +482,25 @@ W6 = AttnWeights(*(np.eye(6) for _ in range(3)), None)
             "dropout rate must lie in [0, 1), got 1.0",
         ),
         (
+            lambda: dropout(np.ones((2, 3)), -0.5, np.random.default_rng(0)),
+            ConfigError,
+            "dropout rate must lie in [0, 1), got -0.5",
+        ),
+        (lambda: dropout(np.ones((2, 3)), -0.5, None), ConfigError, "dropout rate must lie in [0, 1), got -0.5"),
+        (
+            lambda: dropout(np.ones((2, 3)), float("nan"), np.random.default_rng(0)),
+            ConfigError,
+            "dropout rate must lie in [0, 1), got nan",
+        ),
+        (
+            lambda: ffn(
+                np.zeros((2, 4)), np.zeros((4, 8)), np.zeros(8), np.zeros((8, 4)), np.zeros(4),
+                rate=-0.3, rng=np.random.default_rng(0),
+            ),
+            ConfigError,
+            "dropout rate must lie in [0, 1), got -0.3",
+        ),
+        (
             lambda: layer_norm(np.zeros((2, 4)), np.ones(3), np.zeros(4)),
             ShapeError,
             "layer_norm feature axis 4 does not match gain (3,) / bias (4,)",
@@ -508,7 +527,8 @@ W6 = AttnWeights(*(np.eye(6) for _ in range(3)), None)
         ),
     ],
     ids=[
-        "matmul-vector", "dropout-rate-1", "layer-norm-gain", "attention-vector", "attention-kv-width", "ffn-w1",
+        "matmul-vector", "dropout-rate-1", "dropout-rate-negative", "dropout-rate-negative-no-rng", "dropout-rate-nan",
+        "ffn-rate-negative", "layer-norm-gain", "attention-vector", "attention-kv-width", "ffn-w1",
         "contrastive-vector",
     ],
 )
